@@ -1,17 +1,29 @@
 """Pseudothermal speckle Monte Carlo for intensity correlation curves.
 
 Each frame draws one circular complex Gaussian amplitude per source with
-mean square modulus nbar_l, builds the field E(delta) = env(delta) *
-sum_l exp(-1j*alpha_l*delta) * a_l at every detector phase, and multiplies the
-M detector intensities; G(delta1) is the frame average of that product.
-env is the single-slit factor sin(x)/x with x = delta*slit_ratio/2 (1 for
-point sources).
+mean square modulus nbar_l; a detector at phase delta sees the intensity
+|sum_l exp(-1j*alpha_l*delta) * a_l|^2, and G(delta1) is the frame average of
+the product of the M detector intensities.
+
+The moving detectors sit at delta1 + offset, with one offset per distinct
+position and a multiplicity for each (co-located: offset 0 taken m1 times;
+spread: the magic comb, once each), so a frame's moving product is a
+trigonometric polynomial of degree D = m1*(K-1) in delta1.  Each frame is
+therefore sampled only at the N = 2D+1 nodes theta_n = 2*pi*n/N, and each
+batch's node sums are mapped to the grid at the end by exact trigonometric
+(Dirichlet-kernel) interpolation; the cost per frame does not depend on the
+grid size.  The single-slit factor env(delta) = sin(x)/x with
+x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
+applied after interpolation as the per-grid-point factor prod_d env(phase_d)^2
+over the detector phases of layout.detector_phases(delta1).
 
 Determinism contract: frames are split into min(20, frames) contiguous batches
 of fixed sizes; batch b draws from its own counter-based substream
-Philox(key=seed, counter lane b), and batch partial sums are combined in batch
-order.  The result is bit-identical for any worker count, and the batch means
-feed the stderr estimate and the bootstrap in fit_cosine.
+Philox(key=seed, counter lane b) in chunks of up to CHUNK_FRAMES frames, each
+chunk taking standard normals of shape (chunk frames, 2K) as the real then
+imaginary parts of the amplitudes; batch partial sums are combined in batch
+order.  The result is bit-identical for any worker count, and the batch
+means feed the stderr estimate and the bootstrap in fit_cosine.
 """
 
 from __future__ import annotations
@@ -58,8 +70,11 @@ class SpeckleConfig:
         object.__setattr__(self, "grid", grid)
         if not (0.0 <= self.slit_ratio < 1.0):
             raise ValueError("slit_ratio must lie in [0, 1)")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
+        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
+            raise ValueError(
+                f"workers must be a positive integer, got {self.workers!r}"
+            )
+        object.__setattr__(self, "workers", int(self.workers))
 
     def to_dict(self) -> dict:
         return {
@@ -93,19 +108,24 @@ def _batch_sizes(frames: int) -> list[int]:
     return [base + 1] * rem + [base] * (n - rem)
 
 
-def _phase_table(config: SpeckleConfig) -> np.ndarray:
-    """Distinct detector phases: moving columns first (per grid point), then fixed."""
-    layout = config.layout
-    grid = config.grid
-    if layout.m1 == 0:
-        moving = np.empty(0)
-    elif layout.moving_kind == "co-located":
-        moving = grid
-    else:
-        moving = np.concatenate(
-            [layout.detector_phases(d)[: layout.m1] for d in grid]
-        )
-    return np.concatenate([moving, np.asarray(layout.fixed_phases, dtype=float)])
+def _moving_group(layout: DetectorLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct moving-detector offsets from delta1, and the detectors at each."""
+    return np.unique(layout.detector_phases(0.0)[: layout.m1], return_counts=True)
+
+
+def _node_count(config: SpeckleConfig) -> int:
+    """2D+1 nodes fix a trigonometric polynomial of degree D = m1*(K-1)."""
+    return 2 * config.layout.m1 * (config.sources.count - 1) + 1
+
+
+def _phase_table(config: SpeckleConfig, offsets: np.ndarray) -> np.ndarray:
+    """Detector phases: every node shifted by each moving offset, then fixed."""
+    count = _node_count(config)
+    nodes = TWO_PI * np.arange(count) / count
+    moving = (offsets[:, None] + nodes[None, :]).ravel()
+    return np.concatenate(
+        [moving, np.asarray(config.layout.fixed_phases, dtype=float)]
+    )
 
 
 def _envelope(phases: np.ndarray, slit_ratio: float) -> np.ndarray:
@@ -115,25 +135,31 @@ def _envelope(phases: np.ndarray, slit_ratio: float) -> np.ndarray:
     return np.sinc(phases * slit_ratio / (2.0 * math.pi))
 
 
+def _envelope_factor(config: SpeckleConfig) -> np.ndarray:
+    """Per grid point, the product over all M detectors of env(phase)^2."""
+    phases = np.array([config.layout.detector_phases(d) for d in config.grid])
+    return np.prod(_envelope(phases, config.slit_ratio) ** 2, axis=1)
+
+
+def _node_weights(grid: np.ndarray, nodes: int) -> np.ndarray:
+    """weights[g, n]: Dirichlet kernel of degree (nodes-1)/2 at grid[g] - theta_n."""
+    theta = TWO_PI * np.arange(nodes) / nodes
+    harmonics = np.arange(1, (nodes - 1) // 2 + 1)
+    gap = grid[:, None] - theta[None, :]
+    return (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
+
+
 def _chunk_product_sums(
-    intensity: np.ndarray, layout: DetectorLayout, ngrid: int
+    intensity: np.ndarray, counts: np.ndarray, nodes: int
 ) -> np.ndarray:
-    """Sum over frames of the M-detector intensity product, per grid point."""
-    m1, m2 = layout.m1, layout.m2
+    """Sum over frames of the M-detector intensity product, per node."""
     frames = intensity.shape[0]
-    fixed_prod = (
-        np.prod(intensity[:, intensity.shape[1] - m2 :], axis=1)
-        if m2
-        else np.ones(frames)
-    )
-    if m1 == 0:
-        return np.full(ngrid, fixed_prod.sum())
-    if layout.moving_kind == "co-located":
-        moving_prod = intensity[:, :ngrid] ** m1
-    else:
-        moving_prod = np.prod(
-            intensity[:, : ngrid * m1].reshape(frames, ngrid, m1), axis=2
-        )
+    moving_columns = counts.size * nodes
+    fixed_prod = np.prod(intensity[:, moving_columns:], axis=1)
+    groups = intensity[:, :moving_columns].reshape(frames, counts.size, nodes)
+    moving_prod = np.ones((frames, nodes))
+    for offset, count in enumerate(counts):
+        moving_prod *= groups[:, offset] ** int(count)
     # explicit broadcast + ordered reduce keeps the accumulation deterministic
     return (moving_prod * fixed_prod[:, None]).sum(axis=0)
 
@@ -141,6 +167,7 @@ def _chunk_product_sums(
 def _run_batch(
     config: SpeckleConfig,
     table: np.ndarray,
+    counts: np.ndarray,
     batch_index: int,
     batch_frames: int,
 ) -> np.ndarray:
@@ -149,8 +176,8 @@ def _run_batch(
     )
     k = config.sources.count
     scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
-    ngrid = config.grid.size
-    sums = np.zeros(ngrid)
+    nodes = _node_count(config)
+    sums = np.zeros(nodes)
     remaining = batch_frames
     while remaining:
         f = min(CHUNK_FRAMES, remaining)
@@ -160,7 +187,7 @@ def _run_batch(
         for l in range(k):
             fields += amps[:, l][:, None] * table[l][None, :]
         intensity = fields.real**2 + fields.imag**2
-        sums += _chunk_product_sums(intensity, config.layout, ngrid)
+        sums += _chunk_product_sums(intensity, counts, nodes)
         remaining -= f
     if not np.all(np.isfinite(sums)):
         raise AccumulatorOverflowError(
@@ -175,26 +202,34 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     Raw values converge to the path-sum/permanent values of the same sources
     and layout (combinatorial units); normalize() rescales for plotting.
     """
-    phases = _phase_table(config)
-    env = _envelope(phases, config.slit_ratio)
+    offsets, counts = _moving_group(config.layout)
+    phases = _phase_table(config, offsets)
     alphas = np.asarray(config.sources.prefactors, dtype=float)
-    # table[l, c] = env(c) * exp(-1j*alpha_l*delta_c)
-    table = env[None, :] * np.exp(-1j * alphas[:, None] * phases[None, :])
+    # table[l, c] = exp(-1j*alpha_l*delta_c)
+    table = np.exp(-1j * alphas[:, None] * phases[None, :])
 
     sizes = _batch_sizes(config.frames)
     if config.workers == 1:
-        batch_sums = [
-            _run_batch(config, table, b, size) for b, size in enumerate(sizes)
+        node_sums = [
+            _run_batch(config, table, counts, b, size)
+            for b, size in enumerate(sizes)
         ]
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            batch_sums = list(
+            node_sums = list(
                 pool.map(
-                    lambda args: _run_batch(config, table, *args),
+                    lambda args: _run_batch(config, table, counts, *args),
                     list(enumerate(sizes)),
                 )
             )
-    sums = np.stack(batch_sums)  # (batches, grid), combined in batch order
+    weights = _node_weights(config.grid, _node_count(config))
+    # (batches, grid), combined in batch order; the node-to-grid map is an
+    # explicit broadcast + ordered reduce, like the frame sums, not BLAS
+    sums = (np.stack(node_sums)[:, None, :] * weights[None, :, :]).sum(axis=2)
+    sums *= _envelope_factor(config)[None, :]
+    # every frame's product is nonnegative at every phase; interpolation can
+    # leave a near-zero point a few rounding errors of the node sums below 0
+    np.maximum(sums, 0.0, out=sums)
     values = sums.sum(axis=0) / config.frames
     size_arr = np.asarray(sizes, dtype=float)
     batch_means = sums / size_arr[:, None]

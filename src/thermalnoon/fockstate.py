@@ -11,6 +11,14 @@ detectors through delta1 on that state reproduces the co-located correlation:
 
 verify_isomorphism checks that factorization numerically, with the left side
 evaluated by direct operator algebra on the unprojected state.
+
+A density matrix is stored as its offset bands: band (d1, d2) holds
+<n1, n2|rho|n1-d1, n2-d2> as a (cutoff+1)-square array over the ket (n1, n2).
+Absent offsets are zero, a thermal state is the one band (0, 0), and a_k**p
+moves a band by p along mode k.  default_cutoff bounds the discarded share of
+the order-M factorial moment of the thermal pair, 2 * P(Binomial(D+1,
+1/(1+nbar)) <= M) <= TAIL_LIMIT with M = m1 + m2, so it covers the correlation
+itself and not only the kept probability mass.
 """
 
 from __future__ import annotations
@@ -27,121 +35,125 @@ TAIL_LIMIT = 1e-6
 
 
 def default_cutoff(nbar: float, m1: int = 0, m2: int = 0) -> int:
-    """Per-mode Fock cutoff that keeps the thermal tail below TAIL_LIMIT."""
-    return max(30, math.ceil(10.0 * nbar + m1 + m2 + 10))
+    """Smallest per-mode cutoff >= max(30, M) whose order-M tail is <= TAIL_LIMIT."""
+    order, q = m1 + m2, nbar / (1.0 + nbar)
+    cutoff = max(30, order)
+    while 2.0 * sum(
+        math.comb(cutoff + 1, k) * (1.0 - q) ** k * q ** (cutoff + 1 - k)
+        for k in range(order + 1)
+    ) > TAIL_LIMIT:
+        cutoff += 1
+    return cutoff
+
+
+def _take(band: np.ndarray, s1: int, s2: int) -> np.ndarray:
+    """out[n1, n2] = band[n1 + s1, n2 + s2], zero where that index leaves the band."""
+    dim = band.shape[0]
+    out = np.zeros_like(band)
+    if abs(s1) < dim and abs(s2) < dim:
+        out[max(0, -s1) : dim - max(0, s1), max(0, -s2) : dim - max(0, s2)] = band[
+            max(0, s1) : dim - max(0, -s1), max(0, s2) : dim - max(0, -s2)
+        ]
+    return out
+
+
+def _dagger(bands: dict) -> dict:
+    """Bands of rho+: band -d at ket n is conj(band d at ket n + d)."""
+    return {(-d1, -d2): _take(b, d1, d2).conj() for (d1, d2), b in bands.items()}
+
+
+def _trace(bands: dict) -> float:
+    return float(np.sum(bands.get((0, 0), 0.0)).real)
 
 
 @dataclass(frozen=True, eq=False)
 class TwoModeDensityMatrix:
-    """Density matrix on span{|n1, n2> : n1, n2 <= cutoff}.
+    """Density matrix on span{|n1, n2> : n1, n2 <= cutoff}, stored by offset bands.
 
-    tensor has axes (n1, n2, n1', n2').  trunc_tail records the probability
-    mass the cutoff discarded before renormalization; projection_norm is set
-    by project_magic to the pre-normalization trace tr(A rho A+).
+    bands maps (d1, d2) to the array of <n1, n2|rho|n1-d1, n2-d2> over the ket
+    (n1, n2).  trunc_tail records the probability mass the cutoff discarded
+    before renormalization; projection_norm is set by project_magic to the
+    pre-normalization trace tr(A rho A+).
     """
 
-    tensor: np.ndarray
+    bands: dict[tuple[int, int], np.ndarray]
     cutoff: int
     trunc_tail: float = 0.0
     projection_norm: float | None = None
 
     def __post_init__(self) -> None:
-        t = np.asarray(self.tensor, dtype=complex)
-        object.__setattr__(self, "tensor", t)
+        items = self.bands.items()
+        bands = {tuple(map(int, d)): np.asarray(b, dtype=complex) for d, b in items}
+        object.__setattr__(self, "bands", bands)
         dim = self.cutoff + 1
-        if t.shape != (dim, dim, dim, dim):
-            raise ValueError(
-                f"tensor shape {t.shape} does not match cutoff {self.cutoff}"
-            )
-        if not np.allclose(t, t.transpose(2, 3, 0, 1).conj(), rtol=0, atol=1e-10):
+        for offset, b in bands.items():
+            if b.shape != (dim, dim):
+                raise ValueError(f"band {offset} shape {b.shape} != ({dim}, {dim})")
+        mirror = _dagger(bands)
+        if not all(
+            np.allclose(bands.get(d, 0.0), mirror.get(d, 0.0), rtol=0, atol=1e-10)
+            for d in bands.keys() | mirror.keys()
+        ):
             raise ValueError("density matrix must be Hermitian")
         tr = self.trace()
-        if abs(tr - 1.0) > 1e-9:
+        if not math.isfinite(tr) or abs(tr - 1.0) > 1e-9:
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")
 
     def trace(self) -> float:
-        return float(np.einsum("abab->", self.tensor).real)
+        return _trace(self.bands)
 
     def entry(self, n1: int, n2: int, n1p: int, n2p: int) -> complex:
-        return complex(self.tensor[n1, n2, n1p, n2p])
+        band = self.bands.get((n1 - n1p, n2 - n2p))
+        return 0j if band is None else complex(band[n1, n2])
 
     def as_matrix(self) -> np.ndarray:
-        dim = (self.cutoff + 1) ** 2
-        return self.tensor.reshape(dim, dim)
+        """Dense ((cutoff+1)**2)-square matrix; for small cutoffs only."""
+        dim = self.cutoff + 1
+        dense = np.zeros((dim, dim, dim, dim), dtype=complex)
+        n1, n2 = np.indices((dim, dim))
+        for (d1, d2), b in self.bands.items():
+            ok = (0 <= n1 - d1) & (n1 - d1 < dim) & (0 <= n2 - d2) & (n2 - d2 < dim)
+            dense[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]] = b[ok]
+        return dense.reshape(dim * dim, dim * dim)
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.as_matrix())[0])
 
     def diagonal_part(self) -> "TwoModeDensityMatrix":
         """Same populations with every Fock coherence zeroed."""
-        dim = self.cutoff + 1
-        out = np.zeros_like(self.tensor)
-        idx = np.arange(dim)
-        out[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] = self.tensor[
-            idx[:, None], idx[None, :], idx[:, None], idx[None, :]
-        ]
         return TwoModeDensityMatrix(
-            tensor=out, cutoff=self.cutoff, trunc_tail=self.trunc_tail
+            {(0, 0): self.bands[(0, 0)]}, self.cutoff, trunc_tail=self.trunc_tail
         )
 
     def support_offsets(self, tol: float = 1e-12) -> set[tuple[int, int]]:
         """Fock-index offsets (n1-n1', n2-n2') carrying any weight above tol."""
-        dim = self.cutoff + 1
-        n = np.arange(dim)
-        shape = self.tensor.shape
-        d1 = np.broadcast_to(n[:, None, None, None] - n[None, None, :, None], shape)
-        d2 = np.broadcast_to(n[None, :, None, None] - n[None, None, None, :], shape)
-        mask = np.abs(self.tensor) > tol
-        return set(zip(d1[mask].tolist(), d2[mask].tolist()))
+        return {d for d, b in self.bands.items() if np.abs(b).max() > tol}
 
 
-def _lowering_coef(cutoff: int, power: int) -> np.ndarray:
-    """coef[n] = sqrt((n+power)! / n!) for n = 0 .. cutoff-power."""
-    n = np.arange(cutoff + 1 - power, dtype=float)
-    coef = np.ones_like(n)
-    for i in range(1, power + 1):
-        coef *= n + i
-    return np.sqrt(coef)
+def _sandwich(bands: dict, factors) -> dict:
+    """Bands of B rho B+ for Hermitian rho, with B the product of the factors.
 
+    Each factor is a sum of lowering terms given as (weight, mode, power),
+    meaning weight * a1**power for mode 0 and weight * a2**power for mode 1.
+    Lowering operators commute and rho = rho+, so B rho B+ = B (B rho)+.
+    """
 
-def _lower_left(t: np.ndarray, mode: int, power: int) -> np.ndarray:
-    """a_mode**power applied from the left."""
-    if power == 0:
-        return t
-    cutoff = t.shape[0] - 1
-    coef = _lowering_coef(cutoff, power)
-    out = np.zeros_like(t)
-    if mode == 1:
-        out[: cutoff + 1 - power] = coef[:, None, None, None] * t[power:]
-    else:
-        out[:, : cutoff + 1 - power] = coef[None, :, None, None] * t[:, power:]
-    return out
+    def apply_b(bands: dict) -> dict:
+        for factor in factors:
+            out: dict = {}
+            for (d1, d2), b in bands.items():
+                for weight, mode, power in factor:
+                    # <n| a**p = sqrt((n+p)! / n!) <n+p| along the lowered mode
+                    step = (power, 0) if mode == 0 else (0, power)
+                    n = np.arange(b.shape[0], dtype=float)[:, None]
+                    coef = np.sqrt(np.prod(n + np.arange(1, power + 1), axis=1))
+                    term = weight * np.expand_dims(coef, 1 - mode) * _take(b, *step)
+                    key = (d1 - step[0], d2 - step[1])
+                    out[key] = out[key] + term if key in out else term
+            bands = out
+        return bands
 
-
-def _dagger_right(t: np.ndarray, mode: int, power: int) -> np.ndarray:
-    """a_mode+**power applied from the right."""
-    if power == 0:
-        return t
-    cutoff = t.shape[0] - 1
-    coef = _lowering_coef(cutoff, power)
-    out = np.zeros_like(t)
-    if mode == 1:
-        out[:, :, : cutoff + 1 - power] = coef[None, None, :, None] * t[:, :, power:]
-    else:
-        out[:, :, :, : cutoff + 1 - power] = (
-            coef[None, None, None, :] * t[:, :, :, power:]
-        )
-    return out
-
-
-def _field_left(t: np.ndarray, delta: float) -> np.ndarray:
-    """E+(delta) = a1 + exp(-1j*delta)*a2 applied from the left."""
-    return _lower_left(t, 1, 1) + np.exp(-1j * delta) * _lower_left(t, 2, 1)
-
-
-def _field_right(t: np.ndarray, delta: float) -> np.ndarray:
-    """E-(delta) = a1+ + exp(+1j*delta)*a2+ applied from the right."""
-    return _dagger_right(t, 1, 1) + np.exp(1j * delta) * _dagger_right(t, 2, 1)
+    return apply_b(_dagger(apply_b(bands)))
 
 
 def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMatrix:
@@ -157,7 +169,8 @@ def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMa
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
     n = np.arange(cutoff + 1, dtype=float)
-    weights = nbar**n / (1.0 + nbar) ** (n + 1.0)
+    # q**n / (1+nbar) stays finite where nbar**n and (1+nbar)**(n+1) overflow
+    weights = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
     kept = float(weights.sum()) ** 2
     tail = 1.0 - kept
     if tail > TAIL_LIMIT:
@@ -165,12 +178,8 @@ def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMa
             f"cutoff {cutoff} keeps only {kept:.9f} of the thermal mass "
             f"(tail {tail:.3e} > {TAIL_LIMIT:.0e}) for nbar = {nbar}"
         )
-    dim = cutoff + 1
-    tensor = np.zeros((dim, dim, dim, dim), dtype=complex)
     joint = np.outer(weights, weights) / kept
-    idx = np.arange(dim)
-    tensor[idx[:, None], idx[None, :], idx[:, None], idx[None, :]] = joint
-    return TwoModeDensityMatrix(tensor=tensor, cutoff=cutoff, trunc_tail=tail)
+    return TwoModeDensityMatrix(bands={(0, 0): joint}, cutoff=cutoff, trunc_tail=tail)
 
 
 def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
@@ -189,22 +198,15 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
             f"operator power m2 = {m2} exceeds the Fock cutoff {rho.cutoff}"
         )
     sign = -1.0 if m2 % 2 == 0 else 1.0
-    t = rho.tensor
-    lower1 = _lower_left(t, 1, m2)
-    lower2 = _lower_left(t, 2, m2)
-    out = (
-        _dagger_right(lower1, 1, m2)
-        + _dagger_right(lower2, 2, m2)
-        + sign * (_dagger_right(lower1, 2, m2) + _dagger_right(lower2, 1, m2))
-    )
-    norm = float(np.einsum("abab->", out).real)
+    bands = _sandwich(rho.bands, [[(1.0, 0, m2), (sign, 1, m2)]])
+    norm = _trace(bands)
     if norm < 1e-30:
         raise ZeroProbabilityError(
             f"detecting {m2} photons at the magic positions has zero probability "
             "for this state"
         )
     return TwoModeDensityMatrix(
-        tensor=out / norm,
+        bands={d: b / norm for d, b in bands.items()},
         cutoff=rho.cutoff,
         trunc_tail=rho.trunc_tail,
         projection_norm=norm,
@@ -212,18 +214,17 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
 
 
 def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float:
-    """Normally ordered intensity correlation of detectors at the given phases."""
+    """Normally ordered intensity correlation of detectors at the given phases.
+
+    Each detector contributes the field E+(delta) = a1 + exp(-1j*delta)*a2.
+    """
     phases = [float(d) for d in deltas]
     if len(phases) > rho.cutoff:
         raise TruncationError(
             f"operator power {len(phases)} exceeds the Fock cutoff {rho.cutoff}"
         )
-    sigma = rho.tensor
-    for d in phases:
-        sigma = _field_left(sigma, d)
-    for d in phases:
-        sigma = _field_right(sigma, d)
-    return float(np.einsum("abab->", sigma).real)
+    fields = [[(1.0, 0, 1), (np.exp(-1j * d), 1, 1)] for d in phases]
+    return _trace(_sandwich(rho.bands, fields))
 
 
 def g_moving(rho: TwoModeDensityMatrix, m1: int, delta1: float) -> float:
@@ -257,12 +258,10 @@ def noon_state(m2: int, cutoff: int) -> TwoModeDensityMatrix:
         raise ValueError("need 1 <= m2 <= cutoff")
     sign = -1.0 if m2 % 2 == 0 else 1.0
     dim = cutoff + 1
-    tensor = np.zeros((dim, dim, dim, dim), dtype=complex)
-    tensor[m2, 0, m2, 0] = 0.5
-    tensor[0, m2, 0, m2] = 0.5
-    tensor[m2, 0, 0, m2] = 0.5 * sign
-    tensor[0, m2, m2, 0] = 0.5 * sign
-    return TwoModeDensityMatrix(tensor=tensor, cutoff=cutoff)
+    bands = {d: np.zeros((dim, dim)) for d in ((0, 0), (m2, -m2), (-m2, m2))}
+    bands[(0, 0)][m2, 0] = bands[(0, 0)][0, m2] = 0.5
+    bands[(m2, -m2)][m2, 0] = bands[(-m2, m2)][0, m2] = 0.5 * sign
+    return TwoModeDensityMatrix(bands=bands, cutoff=cutoff)
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,15 @@ class TestFockCommand:
         assert len(report["relative_gaps"]) == 5
         assert report["projection_norm"] == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("nbar", ["3", "5", "10"])
+    def test_bright_sources_pass_at_default_cutoff(self, tmp_path, nbar):
+        out = tmp_path / "fock.json"
+        argv = ["fock", "--nbar", nbar, "--m1", "3", "--m2", "3", "--grid", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        assert report["trunc_tail"] <= 1e-6
+
 
 class TestThresholdsCommand:
     def test_table(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 from thermalnoon.analytic import setup2_g
 from thermalnoon.errors import TruncationError, ZeroProbabilityError
 from thermalnoon.fockstate import (
+    TAIL_LIMIT,
     TwoModeDensityMatrix,
     default_cutoff,
     g_detectors,
@@ -27,6 +28,36 @@ class TestDefaultCutoff:
 
     def test_scales_with_brightness_and_powers(self):
         assert default_cutoff(5.0, 3, 3) >= 66
+
+
+BRIGHTNESSES = [0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
+
+
+class TestCutoffTail:
+    @pytest.mark.parametrize("nbar", BRIGHTNESSES)
+    def test_default_cutoff_keeps_thermal_mass(self, nbar):
+        rho = thermal_two_mode(nbar)
+        assert rho.trunc_tail <= TAIL_LIMIT
+        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("order", [0, 2, 4, 6])
+    @pytest.mark.parametrize("nbar", BRIGHTNESSES)
+    def test_default_cutoff_bounds_the_correlation(self, nbar, order):
+        # the cutoff must hold the order-M correlation, not only the mass
+        m1 = order // 2
+        rho = thermal_two_mode(nbar, cutoff=default_cutoff(nbar, m1, order - m1))
+        deltas = 0.7 * np.arange(order)
+        if order == 0 or nbar == 0.0:
+            expected = float(order == 0)  # normalization, or no photons at all
+        else:
+            expected = correlation_pathsum(SourceArray.equidistant(2, nbar), deltas)
+        assert g_detectors(rho, deltas) == pytest.approx(expected, rel=TAIL_LIMIT)
+
+    def test_bright_weights_stay_finite(self):
+        # at nbar = 10, nbar**n / (1+nbar)**(n+1) is 0 from n = 296 and NaN from 309
+        rho = thermal_two_mode(10.0, cutoff=400)
+        assert np.isfinite(rho.bands[(0, 0)]).all()
+        assert rho.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestThermalTwoMode:
@@ -71,22 +102,31 @@ class TestThermalTwoMode:
 
 class TestDensityMatrixValidation:
     def test_rejects_nonhermitian(self):
-        tensor = np.zeros((3, 3, 3, 3), dtype=complex)
-        tensor[0, 0, 0, 0] = 1.0
-        tensor[1, 0, 0, 0] = 0.5
+        diagonal = np.zeros((3, 3), dtype=complex)
+        diagonal[0, 0] = 1.0
+        coherence = np.zeros((3, 3), dtype=complex)
+        coherence[1, 0] = 0.5  # <1,0|rho|0,0> without its mirror <0,0|rho|1,0>
         with pytest.raises(ValueError):
-            TwoModeDensityMatrix(tensor=tensor, cutoff=2)
+            TwoModeDensityMatrix(bands={(0, 0): diagonal, (1, 0): coherence}, cutoff=2)
 
     def test_rejects_wrong_trace(self):
-        tensor = np.zeros((3, 3, 3, 3), dtype=complex)
-        tensor[0, 0, 0, 0] = 0.7
+        diagonal = np.zeros((3, 3), dtype=complex)
+        diagonal[0, 0] = 0.7
         with pytest.raises(ValueError):
-            TwoModeDensityMatrix(tensor=tensor, cutoff=2)
+            TwoModeDensityMatrix(bands={(0, 0): diagonal}, cutoff=2)
 
     def test_rejects_shape_mismatch(self):
-        tensor = np.zeros((3, 3, 3, 2), dtype=complex)
+        diagonal = np.zeros((3, 2), dtype=complex)
         with pytest.raises(ValueError):
-            TwoModeDensityMatrix(tensor=tensor, cutoff=2)
+            TwoModeDensityMatrix(bands={(0, 0): diagonal}, cutoff=2)
+
+    @pytest.mark.parametrize("offset", [(0, 0), (1, -1)])
+    def test_rejects_nan_band(self, offset):
+        bands = dict(noon_state(1, cutoff=3).bands)
+        bands[offset] = bands[offset].copy()
+        bands[offset][1, 0] = np.nan  # a population, then the |1,0><0,1| coherence
+        with pytest.raises(ValueError):
+            TwoModeDensityMatrix(bands=bands, cutoff=3)
 
 
 class TestProjectMagic:
@@ -172,6 +212,14 @@ class TestNoonContent:
         for delta in (0.0, 0.4, 1.3, 2.9):
             expected = norm * (1.0 + (-1.0) ** (m2 - 1) * math.cos(m2 * delta))
             assert g_moving(rho, m2, delta) == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("m2", [2, 3])
+    def test_pure_noon_at_its_own_cutoff(self, m2):
+        # lowering moves offsets past the cutoff: those bands are empty
+        tight, roomy = noon_state(m2, cutoff=m2), noon_state(m2, cutoff=8)
+        for delta in (0.0, 0.4, 1.3):
+            expected = g_moving(roomy, m2, delta)
+            assert g_moving(tight, m2, delta) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("nbar", [0.1, 0.5])
     def test_projected_thermal_overlap_closed_form(self, nbar):

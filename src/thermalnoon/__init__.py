@@ -50,6 +50,7 @@ from .pathsum import (
     coherence_matrix,
     correlation_pathsum,
     correlation_permanent,
+    correlation_permanent_bounded,
     enumerate_partitions,
     multiset_phase_sum,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "convergence_probe",
     "correlation_pathsum",
     "correlation_permanent",
+    "correlation_permanent_bounded",
     "crossover_threshold",
     "default_cutoff",
     "default_grid",

@@ -41,10 +41,14 @@ from .fockstate import (
     verify_isomorphism,
 )
 from .geometry import TWO_PI, DetectorLayout, SourceArray
-from .pathsum import PATHSUM_MAX_ORDER, correlation_pathsum, correlation_permanent
+from .pathsum import (
+    ORACLE_TOLERANCE,
+    PATHSUM_MAX_ORDER,
+    correlation_pathsum,
+    correlation_permanent_bounded,
+)
 from .speckle import SpeckleConfig, fit_cosine, simulate_curve
 
-ORACLE_TOLERANCE = 1e-9
 ISOMORPHISM_TOLERANCE = 1e-6
 
 
@@ -150,24 +154,22 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             colocated.append({"m1": m1, "m2": m2, "max_rel_gap": worst})
     report["colocated_closed_form"] = colocated
 
-    worst = 0.0
+    worst = largest_bound = 0.0
     for _ in range(args.random_configs):
         count = int(rng.integers(1, 4))
         order = int(rng.integers(1, min(6, args.max_order) + 1))
         nbar = tuple(rng.choice([0.5, 1.0, 2.0]) for _ in range(count))
         sources = SourceArray(nbar=nbar)
         deltas = rng.uniform(0.0, TWO_PI, size=order)
-        worst = max(
-            worst,
-            _relative_gap(
-                correlation_pathsum(sources, deltas),
-                correlation_permanent(sources, deltas),
-            ),
-        )
+        permanent, bound = correlation_permanent_bounded(sources, deltas)
+        direct = correlation_pathsum(sources, deltas)
+        worst = max(worst, _relative_gap(direct, permanent))
+        largest_bound = max(largest_bound, bound)
     report["pathsum_vs_permanent"] = {
         "configs": args.random_configs,
         "max_rel_gap": worst,
     }
+    report["permanent_error_bound"] = largest_bound
 
     gaps = (
         [row["max_rel_gap"] for row in spread]

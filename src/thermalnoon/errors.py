@@ -8,7 +8,11 @@ class CapacityError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """A numerical identity that should hold (e.g. a real-valued permanent) failed."""
+    """A result cannot be certified to the accuracy asked of it.
+
+    For example, the permanent's a-posteriori error bound exceeds the oracle
+    tolerance.
+    """
 
 
 class TruncationError(ValueError):

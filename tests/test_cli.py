@@ -100,6 +100,7 @@ class TestOracleCheckCommand:
         assert report["spread_closed_form"]
         assert report["colocated_closed_form"]
         assert report["pathsum_vs_permanent"]["configs"] == 10
+        assert 0.0 < report["permanent_error_bound"] <= report["tolerance"]
 
     def test_order_cap_enforced(self, capsys):
         assert main(["oracle-check", "--max-order", "10", "--seed", "1"]) == 2

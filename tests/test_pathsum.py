@@ -1,19 +1,24 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from thermalnoon.errors import CapacityError
+from thermalnoon import pathsum
+from thermalnoon.analytic import setup1_g, setup2_g
+from thermalnoon.errors import CapacityError, NumericalError
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import (
+    ORACLE_TOLERANCE,
     PATHSUM_MAX_ORDER,
     PERMANENT_MAX_ORDER,
     _permanent_ryser,
     coherence_matrix,
     correlation_pathsum,
     correlation_permanent,
+    correlation_permanent_bounded,
     enumerate_partitions,
     multiset_phase_sum,
 )
@@ -29,6 +34,26 @@ def brute_force_permanent(matrix):
             term *= matrix[row, col]
         total += term
     return total
+
+
+def exact(x):
+    return Fraction(*x.as_integer_ratio())
+
+
+def exact_permanent(matrix):
+    # the permanent of the matrix as stored, in rational arithmetic
+    n = matrix.shape[0]
+    re = [[exact(v.real) for v in row] for row in matrix]
+    im = [[exact(v.imag) for v in row] for row in matrix]
+    total_re = total_im = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term_re, term_im = Fraction(1), Fraction(0)
+        for row, col in enumerate(perm):
+            a, b = re[row][col], im[row][col]
+            term_re, term_im = term_re * a - term_im * b, term_re * b + term_im * a
+        total_re += term_re
+        total_im += term_im
+    return total_re, total_im
 
 
 def brute_force_correlation(sources, deltas):
@@ -261,6 +286,129 @@ class TestPermanent:
             matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             expected = brute_force_permanent(matrix)
             assert _permanent_ryser(matrix) == pytest.approx(expected, rel=1e-10)
+
+
+class TestBlockedRyser:
+    # n = 7 and 8 with 1 or 3 low columns walk 6 to 7 or 4 to 5 high
+    # columns; with the default 8 low columns the same sizes, and n = 1,
+    # have no high columns at all.
+    @pytest.mark.parametrize(
+        "low_columns,n",
+        [(1, 7), (1, 8), (3, 7), (3, 8), (8, 1), (8, 7), (8, 8)],
+    )
+    def test_matches_brute_force(self, monkeypatch, low_columns, n):
+        monkeypatch.setattr(pathsum, "_LOW_COLUMNS", low_columns)
+        rng = np.random.default_rng(100 + n)
+        matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        value = _permanent_ryser(matrix)
+        assert isinstance(value, complex)
+        assert value == pytest.approx(brute_force_permanent(matrix), rel=1e-10)
+
+    def test_empty_matrix_has_unit_permanent(self):
+        assert _permanent_ryser(np.zeros((0, 0), dtype=complex)) == 1
+
+    def test_row_sums_are_exact_on_the_grid(self):
+        # the error bound assumes every subset row sum is exact; rows of
+        # very different scale get grids of their own
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        matrix[0] *= 1e-12
+        matrix[1, 2] = 1e-30
+        # dividing by 3 fills every significand bit of the working dtype
+        matrix = matrix.astype(pathsum._WORKING_DTYPE) / 3
+        grid, moved = pathsum._on_exact_grid(matrix)
+        # grid steps are at most (1 + 2**-8) eps rho_i: six entries move by
+        # at most 6 / sqrt(2) of that
+        eps = np.finfo(grid.dtype).eps
+        assert np.all(moved <= 4.3 * eps * np.abs(matrix).sum(axis=1))
+        table, _ = pathsum._subset_sums(grid)
+        for subset, sums in enumerate(table):
+            for i in range(6):
+                for part in ("real", "imag"):
+                    want = sum(
+                        exact(getattr(grid[i, j], part))
+                        for j in range(6)
+                        if subset >> j & 1
+                    )
+                    assert exact(getattr(sums[i], part)) == want
+
+    @pytest.mark.parametrize("dtype", [np.clongdouble, np.complex128])
+    def test_bound_covers_the_exact_error(self, monkeypatch, dtype):
+        # a cancelling case: the coherence matrix of a co-located (4, 2) layout
+        monkeypatch.setattr(pathsum, "_WORKING_DTYPE", dtype)
+        phases = DetectorLayout.colocated(4, 2).detector_phases(0.9)
+        matrix = coherence_matrix(SourceArray(), phases)
+        value, error = pathsum._ryser(matrix)
+        want_re, want_im = exact_permanent(matrix)
+        assert abs(exact(value.real) - want_re) <= Fraction(error)
+        assert abs(exact(value.imag) - want_im) <= Fraction(error)
+        assert error < 1e-6 * abs(float(want_re))
+        # rounding scales with eps * sum |term|; a bound below that is no bound
+        subsets = itertools.product((0, 1), repeat=len(phases))
+        magnitude = sum(abs(np.prod(matrix @ np.array(s))) for s in subsets)
+        assert error >= np.finfo(dtype).eps * magnitude
+
+    def test_bound_covers_entry_errors(self):
+        # entries known only to within 1e-6 move the permanent far more than
+        # rounding does; the bound must cover that move
+        rng = np.random.default_rng(9)
+        matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        noise = 1e-6 * np.exp(2j * np.pi * rng.uniform(size=(6, 6)))
+        value, error = pathsum._ryser(matrix.astype(pathsum._WORKING_DTYPE), 1e-6)
+        shift = abs(brute_force_permanent(matrix + noise) - complex(value))
+        assert shift <= error
+
+
+def closed_form(layout, delta1):
+    if layout.moving_kind == "co-located":
+        return setup2_g(layout.m1, layout.m2, delta1)
+    return setup1_g(layout.order, delta1)
+
+
+# Fixed layouts at M = 14 ... 20.  The co-located M = 14, 16 and 18 ones are
+# the benchmark's fixed exact-oracle layouts (generator seed 1).  A plain
+# double-precision Ryser sum misses 1e-9 on (9, 7) and returns a visibly
+# complex value on (16, 4).
+ORACLE_LAYOUTS = [
+    (DetectorLayout.colocated(12, 2), 4.825508068727313),
+    (DetectorLayout.spread(7), 1.3),
+    (DetectorLayout.colocated(9, 7), 4.171168219661755),
+    (DetectorLayout.colocated(3, 13), 2.5865169151616487),
+    (DetectorLayout.spread(8), 0.4),
+    (DetectorLayout.colocated(8, 10), 3.4512302843504057),
+    (DetectorLayout.spread(9), 2.2),
+    (DetectorLayout.colocated(16, 4), 0.7),
+    (DetectorLayout.spread(10), 5.1),
+]
+
+
+class TestPermanentOracle:
+    @pytest.mark.parametrize(
+        "layout,delta1",
+        ORACLE_LAYOUTS,
+        ids=[f"M{lay.order}-{lay.m1}_{lay.m2}" for lay, _ in ORACLE_LAYOUTS],
+    )
+    def test_closed_form_within_bound_or_refused(self, layout, delta1):
+        phases = layout.detector_phases(delta1)
+        try:
+            value, bound = correlation_permanent_bounded(SourceArray(), phases)
+        except NumericalError as err:
+            assert layout.order > 16, str(err)
+            assert "error bound" in str(err)
+            return
+        expected = closed_form(layout, delta1)
+        gap = abs(value - expected) / expected
+        assert gap <= ORACLE_TOLERANCE
+        assert gap <= bound <= ORACLE_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "layout,delta1", [ORACLE_LAYOUTS[2], ORACLE_LAYOUTS[5]], ids=["M16", "M18"]
+    )
+    def test_bound_is_honest_in_double_precision(self, monkeypatch, layout, delta1):
+        # plain complex128 misses 1e-9 on these layouts; the bound must see it
+        monkeypatch.setattr(pathsum, "_WORKING_DTYPE", np.complex128)
+        with pytest.raises(NumericalError, match="error bound"):
+            correlation_permanent(SourceArray(), layout.detector_phases(delta1))
 
 
 class TestCoherenceMatrix:

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -187,18 +188,12 @@ def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
         with open(args.config) as fh:
             data = json.load(fh)
         cfg = SpeckleConfig.from_dict(data)
-        overrides = {}
-        if args.frames is not None:
-            overrides["frames"] = args.frames
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
-        if overrides:
-            from dataclasses import replace
-
-            cfg = replace(cfg, **overrides)
-        return cfg
+        overrides = {
+            key: value
+            for key, value in vars(args).items()
+            if key in ("frames", "seed", "workers") and value is not None
+        }
+        return replace(cfg, **overrides)
     missing = [
         name
         for name, value in (
@@ -228,6 +223,17 @@ def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
     )
 
 
+def _fringe_sign(config: SpeckleConfig, frequency: int) -> int | None:
+    """Closed-form sign of a two-source fringe at frequency m2, for any nbar."""
+    layout = config.layout
+    if config.sources.count != 2 or frequency != layout.m2:
+        return None
+    if layout.moving_kind == "mmp-spread":
+        return 1
+    coeffs = setup2_coeffs(layout.m1, layout.m2)
+    return coeffs.parity_sign if coeffs.c2 else None  # flat for m1 < m2
+
+
 def _cmd_speckle(args: argparse.Namespace) -> int:
     config = _speckle_config(args)
     curve = simulate_curve(config)
@@ -235,6 +241,7 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
     if frequency is None:
         frequency = config.layout.m2 if config.layout.m2 >= 1 else 1
     fit = fit_cosine(curve, frequency)
+    sign = _fringe_sign(config, frequency)
     normalized = curve.normalize()
     out = args.out or (
         f"speckle-m1_{config.layout.m1}-m2_{config.layout.m2}"
@@ -253,7 +260,7 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
         "stderr_amplitude": fit.stderr_amplitude,
         "frequency": fit.frequency,
         "dominant_frequency": fit.dominant_frequency,
-        "parity_ok": fit.parity_ok,
+        "parity_ok": None if sign is None else bool(fit.amplitude * sign >= 0.0),
         "seed": config.seed,
         "frames": config.frames,
     }
@@ -268,7 +275,11 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
 
 
 def _cmd_fock(args: argparse.Namespace) -> int:
-    cutoff = args.cutoff or default_cutoff(args.nbar, args.m1, args.m2)
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
+    cutoff = args.cutoff
+    if cutoff is None:
+        cutoff = default_cutoff(args.nbar, args.m1, args.m2)
     rho = thermal_two_mode(args.nbar, cutoff)
     projected = project_magic(rho, args.m2)
     offsets = projected.support_offsets(tol=1e-12)

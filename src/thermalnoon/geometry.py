@@ -122,12 +122,13 @@ class DetectorLayout:
             raise ValueError(
                 f"moving_kind must be one of {_MOVING_KINDS}, got {self.moving_kind!r}"
             )
-        if self.moving_count < 0:
-            raise ValueError("moving_count must be nonnegative")
+        count = self.moving_count
+        if not isinstance(count, (int, np.integer)) or count < 0:
+            raise ValueError(f"moving_count must be an integer >= 0, got {count!r}")
         if self.moving_count + len(self.fixed_phases) < 1:
             raise ValueError("layout needs at least one detector")
-        if any(p < 0.0 or p >= TWO_PI for p in self.fixed_phases):
-            raise ValueError("fixed phases must lie in [0, 2*pi)")
+        if not all(0.0 <= p < TWO_PI for p in self.fixed_phases):
+            raise ValueError("fixed phases must be finite and lie in [0, 2*pi)")
         if self.moving_kind == "mmp-spread" and self.moving_count != len(
             self.fixed_phases
         ):
@@ -187,6 +188,6 @@ class DetectorLayout:
     def from_dict(cls, data: dict) -> "DetectorLayout":
         return cls(
             fixed_phases=tuple(data["fixed_phases"]),
-            moving_count=int(data["moving_count"]),
+            moving_count=data["moving_count"],
             moving_kind=data.get("moving_kind", "co-located"),
         )

@@ -92,13 +92,13 @@ class SpeckleConfig:
         return cls(
             sources=SourceArray.from_dict(data["sources"]),
             layout=DetectorLayout.from_dict(data["layout"]),
-            frames=int(data["frames"]),
-            seed=int(data["seed"]),
+            frames=data["frames"],
+            seed=data["seed"],
             grid=np.asarray(data["grid"], dtype=float)
             if "grid" in data
             else default_grid(),
             slit_ratio=float(data.get("slit_ratio", 0.0)),
-            workers=int(data.get("workers", 1)),
+            workers=data.get("workers", 1),
         )
 
 
@@ -251,7 +251,10 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Least-squares fit of A + B*cos(frequency*delta1) to a curve."""
+    """Least-squares fit of A + B*cos(frequency*delta1) to a curve.
+
+    parity_ok is fit_cosine's sign rule, valid for two-source co-located layouts.
+    """
 
     offset: float
     amplitude: float
@@ -261,14 +264,6 @@ class FitResult:
     stderr_amplitude: float
     dominant_frequency: int | None
     parity_ok: bool
-
-
-def _lsq_cosine(
-    grid: np.ndarray, values: np.ndarray, frequency: int
-) -> tuple[float, float]:
-    design = np.column_stack([np.ones_like(grid), np.cos(frequency * grid)])
-    coef, *_ = np.linalg.lstsq(design, values, rcond=None)
-    return float(coef[0]), float(coef[1])
 
 
 def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
@@ -296,50 +291,41 @@ def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
     return int(round(k * TWO_PI / period))
 
 
-def _bootstrap_spread(
-    batch_means: np.ndarray, grid: np.ndarray, frequency: int, seed: int
-) -> tuple[float, float]:
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 1, 0]))
-    nb = batch_means.shape[0]
-    visibilities = np.empty(BOOTSTRAP_RESAMPLES)
-    amplitudes = np.empty(BOOTSTRAP_RESAMPLES)
-    for i in range(BOOTSTRAP_RESAMPLES):
-        idx = rng.integers(0, nb, size=nb)
-        resampled = batch_means[idx].mean(axis=0)
-        a, b = _lsq_cosine(grid, resampled, frequency)
-        amplitudes[i] = b
-        visibilities[i] = abs(b) / a
-    return float(visibilities.std(ddof=1)), float(amplitudes.std(ddof=1))
-
-
 def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
     """Fit A + B*cos(frequency*delta1); bootstrap errors come from batch means.
 
-    The curve must cover at least one modulation period.  parity_ok records
-    whether the sign of B matches (-1)**(frequency - 1).
+    One least-squares map P (lstsq's minimum-norm answer) fits the curve and
+    each batch mean; a bootstrap resample averages its batches' coefficients.
+    The curve must span at least one period.  parity_ok: the sign of B is
+    (-1)**(frequency - 1), a rule of two-source co-located fringes only.
     """
     if not isinstance(frequency, (int, np.integer)) or frequency < 1:
         raise ValueError(f"frequency must be a positive integer, got {frequency!r}")
     frequency = int(frequency)
-    span = float(curve.grid.max() - curve.grid.min())
+    grid = curve.grid
+    span = float(grid.max() - grid.min())
     if span + 1e-9 < TWO_PI / frequency:
         raise ValueError(
             f"grid spans {span:.6f} rad but one period at frequency "
             f"{frequency} needs {TWO_PI / frequency:.6f}"
         )
-    offset, amplitude = _lsq_cosine(curve.grid, curve.values, frequency)
+    design = np.column_stack([np.ones_like(grid), np.cos(frequency * grid)])
+    # lstsq's cutoff: a rank-deficient design gets its minimum-norm answer
+    projection = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps)
+    offset, amplitude = (float(c) for c in projection @ curve.values)
     if offset <= 0.0:
         raise ValueError("fitted offset must be positive for a visibility")
+    stderr_vis = stderr_amp = 0.0
     if curve.batch_means is not None and curve.batch_means.shape[0] >= 2:
-        stderr_vis, stderr_amp = _bootstrap_spread(
-            curve.batch_means,
-            curve.grid,
-            frequency,
-            curve.seed if curve.seed is not None else 0,
+        nb = curve.batch_means.shape[0]
+        rng = np.random.Generator(
+            np.random.Philox(key=curve.seed or 0, counter=[0, 0, 1, 0])
         )
-    else:
-        stderr_vis, stderr_amp = 0.0, 0.0
-    expected_sign = 1.0 if frequency % 2 else -1.0
+        # one call draws what BOOTSTRAP_RESAMPLES successive draws of nb would
+        picks = rng.integers(0, nb, size=(BOOTSTRAP_RESAMPLES, nb))
+        offsets, amplitudes = (curve.batch_means @ projection.T)[picks].mean(axis=1).T
+        stderr_vis = float((np.abs(amplitudes) / offsets).std(ddof=1))
+        stderr_amp = float(amplitudes.std(ddof=1))
     return FitResult(
         offset=offset,
         amplitude=amplitude,
@@ -347,8 +333,8 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
         visibility=abs(amplitude) / offset,
         stderr_visibility=stderr_vis,
         stderr_amplitude=stderr_amp,
-        dominant_frequency=dominant_frequency(curve.grid, curve.values),
-        parity_ok=bool(amplitude * expected_sign >= 0.0),
+        dominant_frequency=dominant_frequency(grid, curve.values),
+        parity_ok=bool(amplitude * (-1) ** (frequency - 1) >= 0.0),
     )
 
 

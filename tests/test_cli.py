@@ -164,6 +164,10 @@ class TestSpeckleCommand:
         assert self.run_speckle(serial, workers="1") == 0
         assert self.run_speckle(threaded, workers="4") == 0
         assert serial.read_bytes() == threaded.read_bytes()
+        # the sidecar too: the fit's bootstrap sees the same batch means
+        assert (tmp_path / "serial.json").read_bytes() == (
+            tmp_path / "threaded.json"
+        ).read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         first = tmp_path / "first.csv"
@@ -190,6 +194,40 @@ class TestSpeckleCommand:
         )
         assert code == 0
         assert from_flags.read_bytes() == from_config.read_bytes()
+
+    def test_config_file_number_is_not_truncated(self, tmp_path, capsys):
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        data["layout"]["moving_count"] = 2.7
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "moving_count" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags,parity_ok",
+        [
+            (["--layout", "spread", "--m1", "2", "--m2", "2"], True),
+            (["--m1", "2", "--m2", "2"], True),
+            (["--m1", "3", "--m2", "3", "--nbar", "0.5"], True),
+            (["--m1", "2", "--m2", "2", "--sources", "3"], None),
+            (["--m1", "1", "--m2", "2"], None),
+            (["--m1", "2", "--m2", "2", "--fit-frequency", "1"], None),
+        ],
+        ids=["spread", "colocated", "colocated-odd", "three-sources", "flat", "off-m2"],
+    )
+    def test_parity_follows_closed_form_sign(self, tmp_path, flags, parity_ok):
+        out = tmp_path / "run.csv"
+        argv = ["speckle", "--frames", "200000", "--seed", "3", "--grid", "61"]
+        assert main(argv + flags + ["--out", str(out)]) == 0
+        sidecar = json.loads((tmp_path / "run.json").read_text())
+        assert sidecar["parity_ok"] is parity_ok
 
     def test_missing_flags_reported(self, capsys):
         assert main(["speckle", "--m1", "2"]) == 2
@@ -245,6 +283,14 @@ class TestFockCommand:
         assert report["max_relative_gap"] <= 1e-6
         assert len(report["relative_gaps"]) == 5
         assert report["projection_norm"] == pytest.approx(1.0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [("--cutoff", "0", "cutoff must be >= 1"), ("--grid", "0", "--grid")],
+    )
+    def test_rejects_nonpositive_flags(self, capsys, flag, value, message):
+        assert main(["fock", flag, value]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("nbar", ["3", "5", "10"])
     def test_bright_sources_pass_at_default_cutoff(self, tmp_path, nbar):

@@ -190,6 +190,24 @@ class TestDetectorLayout:
         with pytest.raises(ValueError):
             DetectorLayout(fixed_phases=(-0.2,), moving_count=1)
 
+    @pytest.mark.parametrize(
+        "fixed,moving",
+        [
+            ((0.0,), 1.5),
+            ((0.0,), 2.0),
+            ((0.0,), "2"),
+            ((0.0,), None),
+            ((math.nan,), 1),
+            ((0.0, math.inf), 1),
+        ],
+        ids=["fractional", "float", "string", "none", "nan-phase", "inf-phase"],
+    )
+    def test_rejects_non_integer_count_and_non_finite_phase(self, fixed, moving):
+        with pytest.raises(ValueError):
+            DetectorLayout(fixed_phases=fixed, moving_count=moving)
+        with pytest.raises(ValueError):
+            DetectorLayout.from_dict({"fixed_phases": fixed, "moving_count": moving})
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             DetectorLayout(fixed_phases=(0.0,), moving_count=1, moving_kind="orbit")

@@ -9,6 +9,7 @@ from thermalnoon.errors import AccumulatorOverflowError
 from thermalnoon.geometry import DetectorLayout, SourceArray
 from thermalnoon.pathsum import correlation_pathsum
 from thermalnoon.speckle import (
+    BOOTSTRAP_RESAMPLES,
     CHUNK_FRAMES,
     MAX_BATCHES,
     SpeckleConfig,
@@ -60,6 +61,46 @@ def brute_force_curve(config):
     return values, batch_means
 
 
+def reference_fit(curve, frequency):
+    """Reference: one lstsq solve for the curve and one per bootstrap resample.
+
+    Resample i draws nb batch indices, in turn, from
+    Philox(key=seed, counter=[0, 0, 1, 0]) and refits the mean of the
+    resampled batch means.  Returns the FitResult fields as a dict.
+    """
+    grid = curve.grid
+    design = np.column_stack([np.ones_like(grid), np.cos(frequency * grid)])
+
+    def lsq(values):
+        coef, *_ = np.linalg.lstsq(design, values, rcond=None)
+        return float(coef[0]), float(coef[1])
+
+    offset, amplitude = lsq(curve.values)
+    stderr_vis = stderr_amp = 0.0
+    if curve.batch_means is not None and curve.batch_means.shape[0] >= 2:
+        rng = np.random.Generator(
+            np.random.Philox(key=curve.seed, counter=[0, 0, 1, 0])
+        )
+        nb = curve.batch_means.shape[0]
+        visibilities, amplitudes = [], []
+        for _ in range(BOOTSTRAP_RESAMPLES):
+            idx = rng.integers(0, nb, size=nb)
+            a, b = lsq(curve.batch_means[idx].mean(axis=0))
+            visibilities.append(abs(b) / a)
+            amplitudes.append(b)
+        stderr_vis = float(np.std(visibilities, ddof=1))
+        stderr_amp = float(np.std(amplitudes, ddof=1))
+    return {
+        "offset": offset,
+        "amplitude": amplitude,
+        "visibility": abs(amplitude) / offset,
+        "stderr_visibility": stderr_vis,
+        "stderr_amplitude": stderr_amp,
+        "dominant_frequency": dominant_frequency(grid, curve.values),
+        "parity_ok": amplitude * (-1) ** (frequency - 1) >= 0.0,
+    }
+
+
 def hbt_config(frames=100_000, seed=1, **kwargs):
     defaults = dict(
         sources=SourceArray(),
@@ -99,6 +140,23 @@ class TestSpeckleConfig:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             hbt_config(grid=np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            (None, "frames", 1000.5),
+            (None, "frames", 1000.0),
+            (None, "seed", 3.2),
+            (None, "workers", 1.5),
+            ("layout", "moving_count", 2.7),
+            ("layout", "fixed_phases", [math.nan]),
+        ],
+    )
+    def test_from_dict_never_truncates(self, section, field, value):
+        data = hbt_config().to_dict()
+        (data if section is None else data[section])[field] = value
+        with pytest.raises(ValueError):
+            SpeckleConfig.from_dict(data)
 
     def test_roundtrip(self):
         config = hbt_config(slit_ratio=0.25, workers=3, grid=default_grid(61))
@@ -386,6 +444,85 @@ class TestFitCosine:
         assert first.stderr_visibility == second.stderr_visibility
         assert first.stderr_amplitude == second.stderr_amplitude
         assert first.stderr_visibility > 0
+
+
+class TestFitMatchesLstsqReference:
+    """fit_cosine's one projection against per-resample lstsq refits."""
+
+    @staticmethod
+    def assert_matches(curve, frequency, flat=False):
+        fit = fit_cosine(curve, frequency)
+        ref = reference_fit(curve, frequency)
+        # a flat curve's amplitude is noise-sized: compare it on the offset's scale
+        scale = 1e-12 * ref["offset"] if flat else 0.0
+        for name in ("offset", "stderr_visibility", "stderr_amplitude"):
+            assert getattr(fit, name) == pytest.approx(ref[name], rel=1e-12, abs=0.0)
+        assert fit.amplitude == pytest.approx(ref["amplitude"], rel=1e-12, abs=scale)
+        assert fit.visibility == pytest.approx(
+            ref["visibility"], rel=1e-12, abs=scale / ref["offset"]
+        )
+        assert fit.dominant_frequency == ref["dominant_frequency"]
+        assert fit.parity_ok == ref["parity_ok"]
+
+    @pytest.mark.parametrize(
+        "sources,layout,frames,extra",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2), 1_000_000, {}),
+            (SourceArray(), DetectorLayout.spread(2), 40_000, {}),
+            (SourceArray(), DetectorLayout.spread(3), 40_000, {"slit_ratio": 0.3}),
+            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 20_000, {}),
+            (
+                SourceArray(),
+                DetectorLayout.colocated(2, 1),
+                20_000,
+                {"slit_ratio": 0.2, "grid": default_grid(361)},
+            ),
+            (
+                SourceArray(),
+                DetectorLayout.colocated(3, 1),
+                40_000,
+                {"grid": default_grid(91)},
+            ),
+            (SourceArray(), DetectorLayout.colocated(1, 2), 40_000, {}),
+            (
+                SourceArray(),
+                DetectorLayout.colocated(2, 2),
+                37,
+                {"grid": np.sort(np.random.default_rng(3).uniform(-1.0, 7.0, 30))},
+            ),
+            (SourceArray(), DetectorLayout.colocated(2, 2), 3, {}),
+        ],
+        ids=[
+            "colocated-5-2-1e6",
+            "spread-2",
+            "spread-3-slit",
+            "k3-2-2",
+            "slit-361",
+            "grid-91",
+            "flat-1-2",
+            "nonuniform-37-frames",
+            "three-frames",
+        ],
+    )
+    def test_seeded_fits(self, sources, layout, frames, extra):
+        config = SpeckleConfig(
+            sources=sources, layout=layout, frames=frames, seed=31, workers=2, **extra
+        )
+        flat = layout.m1 < layout.m2
+        self.assert_matches(simulate_curve(config), layout.m2, flat=flat)
+
+    @pytest.mark.parametrize(
+        "curve,frequency",
+        [
+            (setup1_curve(4), 2),
+            (setup1_curve(6, default_grid(721)), 3),
+            (setup2_curve(3, 2, default_grid(721)), 2),
+            (setup2_curve(4, 3, default_grid(361)), 3),
+        ],
+        ids=["spread-4", "spread-6", "colocated-3-2", "colocated-4-3"],
+    )
+    def test_exact_fits(self, curve, frequency):
+        self.assert_matches(curve, frequency)
 
 
 class TestDominantFrequency:

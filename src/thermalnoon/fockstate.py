@@ -106,19 +106,6 @@ class TwoModeDensityMatrix:
         band = self.bands.get((n1 - n1p, n2 - n2p))
         return 0j if band is None else complex(band[n1, n2])
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense ((cutoff+1)**2)-square matrix; for small cutoffs only."""
-        dim = self.cutoff + 1
-        dense = np.zeros((dim, dim, dim, dim), dtype=complex)
-        n1, n2 = np.indices((dim, dim))
-        for (d1, d2), b in self.bands.items():
-            ok = (0 <= n1 - d1) & (n1 - d1 < dim) & (0 <= n2 - d2) & (n2 - d2 < dim)
-            dense[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]] = b[ok]
-        return dense.reshape(dim * dim, dim * dim)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.as_matrix())[0])
-
     def diagonal_part(self) -> "TwoModeDensityMatrix":
         """Same populations with every Fock coherence zeroed."""
         return TwoModeDensityMatrix(

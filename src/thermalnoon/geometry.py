@@ -19,6 +19,29 @@ TWO_PI = 2.0 * math.pi
 _MOVING_KINDS = ("co-located", "mmp-spread")
 
 
+def require_int(name: str, value: object, minimum: int) -> int:
+    """`value` as an int if it is an integer >= minimum; a bool is not one."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not integer or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def require_real(name: str, value: object) -> float:
+    """`value` as a float if it is a real number; a bool or a string is not one."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if not real or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def require_reals(name: str, values: object) -> tuple[float, ...]:
+    """`values` as a tuple of floats if it is a sequence of real numbers."""
+    if not isinstance(values, (tuple, list, np.ndarray)):
+        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
+    return tuple(require_real(name, v) for v in values)
+
+
 def reduce_phase(phase: float) -> float:
     """Map a phase to its canonical representative in [0, 2*pi).
 
@@ -35,8 +58,7 @@ def reduce_phase(phase: float) -> float:
 
 def magic_positions(m: int) -> np.ndarray:
     """Return the m evenly spaced detector phases {0, 2*pi/m, ..., 2*pi*(m-1)/m}."""
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = require_int("m", m, 1)
     return TWO_PI * np.arange(m, dtype=float) / m
 
 
@@ -69,18 +91,17 @@ class SourceArray:
     nbar: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if len(self.nbar) < 1:
+        nbar = require_reals("nbar", self.nbar)
+        if len(nbar) < 1:
             raise ValueError("need at least one source")
-        if any(not (0.0 < n < math.inf) for n in self.nbar):
-            raise ValueError(f"all nbar must be positive and finite, got {self.nbar}")
-        object.__setattr__(self, "nbar", tuple(float(n) for n in self.nbar))
+        if any(not (0.0 < n < math.inf) for n in nbar):
+            raise ValueError(f"all nbar must be positive and finite, got {nbar}")
+        object.__setattr__(self, "nbar", nbar)
 
     @classmethod
     def equidistant(cls, count: int, nbar: float = 1.0) -> "SourceArray":
         """count identical sources with the same mean photon number."""
-        if count < 1:
-            raise ValueError("count must be >= 1")
-        return cls(nbar=(float(nbar),) * count)
+        return cls(nbar=(nbar,) * require_int("count", count, 1))
 
     @property
     def count(self) -> int:
@@ -96,7 +117,7 @@ class SourceArray:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SourceArray":
-        return cls(nbar=tuple(data["nbar"]))
+        return cls(nbar=data["nbar"])
 
 
 @dataclass(frozen=True)
@@ -115,16 +136,13 @@ class DetectorLayout:
     moving_kind: str = "co-located"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "fixed_phases", tuple(float(p) for p in self.fixed_phases)
-        )
+        phases = require_reals("fixed_phases", self.fixed_phases)
+        object.__setattr__(self, "fixed_phases", phases)
         if self.moving_kind not in _MOVING_KINDS:
             raise ValueError(
                 f"moving_kind must be one of {_MOVING_KINDS}, got {self.moving_kind!r}"
             )
-        count = self.moving_count
-        if not isinstance(count, (int, np.integer)) or count < 0:
-            raise ValueError(f"moving_count must be an integer >= 0, got {count!r}")
+        require_int("moving_count", self.moving_count, 0)
         if self.moving_count + len(self.fixed_phases) < 1:
             raise ValueError("layout needs at least one detector")
         if not all(0.0 <= p < TWO_PI for p in self.fixed_phases):
@@ -137,8 +155,7 @@ class DetectorLayout:
     @classmethod
     def colocated(cls, m1: int, m2: int) -> "DetectorLayout":
         """m1 detectors stacked at delta1 plus m2 at the magic positions."""
-        if m2 < 0:
-            raise ValueError("m2 must be nonnegative")
+        m2 = require_int("m2", m2, 0)
         fixed = tuple(magic_positions(m2)) if m2 > 0 else ()
         return cls(fixed_phases=fixed, moving_count=m1, moving_kind="co-located")
 
@@ -187,7 +204,7 @@ class DetectorLayout:
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorLayout":
         return cls(
-            fixed_phases=tuple(data["fixed_phases"]),
+            fixed_phases=data["fixed_phases"],
             moving_count=data["moving_count"],
             moving_kind=data.get("moving_kind", "co-located"),
         )

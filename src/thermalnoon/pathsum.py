@@ -13,13 +13,15 @@ mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k)),
 which is what the Gaussian moment theorem gives for independent thermal
 sources.  The two routes share no code and serve as oracles for each other.
 
-The permanent is Ryser's sum over the 2**M column subsets, evaluated in
-blocks of 2**8 subsets at a time in np.clongdouble (extended precision on
-x86).  Its terms cancel heavily (sum |term| / |per| is about 5e7 at M = 16
-on two-source layouts), so every evaluation also returns an a-posteriori
-bound on its own error, and correlation_permanent raises NumericalError
-when that bound exceeds ORACLE_TOLERANCE.  PERMANENT_MAX_ORDER caps the
-cost, not the accuracy.
+The permanent is Glynn's sum over the 2**(M-1) sign vectors with a fixed
+first sign, evaluated in complex128 in blocks of 2**10 sign vectors at a
+time.  Its terms cancel far less than Ryser's subset sums: sum |term| / |per|
+is 30 to 850 on two-source layouts at M = 14 to 20, where Ryser's reaches
+4e6 at M = 14.  Every evaluation also returns an a-posteriori bound on its
+own error, taken term by term, and correlation_permanent raises
+NumericalError when that bound exceeds ORACLE_TOLERANCE.  Over 92 drawn
+two-source layouts at M = 14 to 20 the bound was at most 1.6e-10, so
+PERMANENT_MAX_ORDER caps the cost, not the accuracy.
 """
 
 from __future__ import annotations
@@ -34,16 +36,13 @@ from .errors import CapacityError, NumericalError
 from .geometry import SourceArray
 
 PATHSUM_MAX_ORDER = 12
-# A cost cap: the Ryser sum has 2**M terms (about 0.6 s at M = 20).  Accuracy
+# A cost cap: Glynn's sum has 2**(M-1) terms (about 0.1 s at M = 20).  Accuracy
 # is checked per call by the a-posteriori bound, not by this cap.
 PERMANENT_MAX_ORDER = 20
 # Relative accuracy the cross-route oracle checks demand.
 ORACLE_TOLERANCE = 1e-9
-# Precision of the permanent route; np.finfo of it sets the error bound, so
-# the bound stays honest where long double is plain double.
-_WORKING_DTYPE = np.clongdouble
-# Columns whose subsets are tabulated at once: 2**8 rows per step.
-_LOW_COLUMNS = 8
+# Columns whose signs are tabulated at once: 2**10 sign vectors per step.
+_LOW_COLUMNS = 10
 
 
 def enumerate_partitions(count: int, order: int) -> list[tuple[int, ...]]:
@@ -147,28 +146,63 @@ def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
     return total
 
 
-def _subset_sums(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums over every subset of the given columns, with the subset parities.
+def _sign_sums(
+    start: np.ndarray, columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums start + sum_j s_j columns[:, j] for all sign vectors s; prod_j s_j.
 
-    Row s of the table holds sum_{j in s} columns[:, j], where bit j of s
-    marks column j; the second array holds (-1)**|s|.
+    Column k of the (rows, 2**count) table holds the sums for s_j = -1 where
+    bit j of k is set and s_j = +1 elsewhere.  Each sum takes one addition
+    per column.
     """
     rows, count = columns.shape
-    table = np.zeros((1 << count, rows), dtype=columns.dtype)
-    sign = np.ones(1 << count, dtype=columns.real.dtype)
+    table = np.empty((rows, 1 << count), dtype=columns.dtype)
+    table[:, 0] = start
+    parity = np.ones(1 << count)
     for j, column in enumerate(columns.T):
         size = 1 << j
-        np.copyto(table[size : 2 * size], column)
-        table[size : 2 * size] += table[:size]
-        np.negative(sign[:size], out=sign[size : 2 * size])
-    return table, sign
+        np.subtract(table[:, :size], column[:, None], out=table[:, size : 2 * size])
+        table[:, :size] += column[:, None]
+        np.negative(parity[:size], out=parity[size : 2 * size])
+    return table, parity
+
+
+def _sign_blocks(a: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Glynn's row sums g(s) = A s for every s in {+1, -1}**n with s_0 = +1.
+
+    Yields (rows, parity) per block: column c of the (n, 2**b) array `rows`
+    holds g(s) for the sign vector numbered c + 2**b * k in the k-th block,
+    where bit j of the number marks s_(j+1) = -1, and `parity` holds the
+    prod_j s_j of each column; b = min(n - 1, _LOW_COLUMNS).  The row sums of
+    the low columns form one table; those of the high columns are drawn from
+    two half tables, so every g_i is a sum of the n signed entries with at
+    most n - 1 rounded additions.  No row sum is carried from block to
+    block, as a Gray-code walk would carry it: that adds one rounding per
+    step, which no per-term bound can follow.  `rows` is overwritten by the
+    next block.
+    """
+    n = a.shape[0]
+    b = min(n - 1, _LOW_COLUMNS)
+    half = (n - 1 - b) // 2
+    zero = np.zeros(n, dtype=a.dtype)
+    low, low_sign = _sign_sums(a[:, 0], a[:, 1 : b + 1])
+    mid, mid_sign = _sign_sums(zero, a[:, b + 1 : b + 1 + half])
+    top, top_sign = _sign_sums(zero, a[:, b + 1 + half :])
+    rows = np.empty_like(low)
+    for top_sum, top_parity in zip(top.T, top_sign):
+        for mid_sum, mid_parity in zip(mid.T, mid_sign):
+            # broadcast by copy, then add like-shaped arrays: a broadcasting
+            # add runs about 1.5x slower on these shapes
+            np.copyto(rows, (mid_sum + top_sum)[:, None])
+            rows += low
+            yield rows, low_sign * (mid_parity * top_parity)
 
 
 def _pairwise_sum(values: np.ndarray) -> np.generic:
     """Sum of a power-of-two number of values by halving.
 
     Each value passes through exactly log2(len(values)) additions, which is
-    what the error bound in `_ryser` counts.
+    what the error bound in `_glynn` counts.
     """
     while values.size > 1:
         half = values.size // 2
@@ -176,109 +210,75 @@ def _pairwise_sum(values: np.ndarray) -> np.generic:
     return values[0]
 
 
-def _on_exact_grid(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Round each row onto a power-of-two grid on which its subset sums are exact.
+def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float]:
+    """Glynn permanent in complex128, with an absolute error bound.
 
-    Row i goes onto multiples of q_i = 2**(e_i - p), where p is the number of
-    significand bits and 2**e_i > (1 + 2**-8) * sum_j max(|Re a_ij|, |Im a_ij|).
-    Every partial row sum then has components below 2**e_i = 2**p * q_i
-    (the 2**-8 margin covers the rounding up of n entries by q_i / 2), so it
-    is an integer multiple of q_i that the dtype holds exactly.  Returns the
-    rounded matrix and, per row, sum_j |a_ij - rounded a_ij|.
-    """
-    bits = np.finfo(a.dtype).nmant + 1
-    reach = np.maximum(np.abs(a.real), np.abs(a.imag)).sum(axis=1)
-    _, exponent = np.frexp(reach * (1 + 2.0**-8))
-    step = np.ldexp(np.ones_like(reach), exponent - bits)[:, None]
-    grid = np.empty_like(a)
-    grid.real = np.rint(a.real / step) * step
-    grid.imag = np.rint(a.imag / step) * step
-    return grid, np.abs(a - grid).sum(axis=1)
+    per(A) = 2**-(n-1) sum_s (prod_k s_k) prod_i g_i(s), g_i(s) = sum_j s_j a_ij,
+    over the 2**(n-1) sign vectors s in {+1, -1}**n with s_0 = +1
+    (D. G. Glynn, Eur. J. Combin. 31 (2010) 1887).  The row sums come in
+    blocks from `_sign_blocks`; each block's terms are the products down its
+    columns.
 
+    Error bound, with u = eps / 2 the unit roundoff of double precision:
 
-def _ryser(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[np.generic, float]:
-    """Ryser permanent in the matrix's dtype, with an absolute error bound.
-
-    per(A) = (-1)**n sum_S (-1)**|S| prod_i r_i(S), r_i(S) = sum_{j in S} a_ij.
-    The columns split into the low _LOW_COLUMNS and the rest.  The row sums
-    of all 2**b low subsets form one (2**b, n) table; the high subsets are
-    walked one by one, their row sums drawn from two half tables, and each
-    step takes the products of all 2**b rows of `low + high` at once.  No
-    row sum is carried from step to step, as a Gray-code walk would carry it:
-    that adds one rounding per step, which no per-term bound can follow.
-
-    Error bound, with u = eps / 2 the unit roundoff of the dtype:
-
-    * The matrix is first rounded onto the grid of `_on_exact_grid`, so every
-      row sum is exact.  That rounding moves row i by d_i = sum_j |e_ij| in
-      all, and `entry_error` (a bound on the error of each entry the caller
-      passes) adds n * entry_error.  Expanding the permanent over
-      permutations, prod_i sum_j (|a_ij| + |e_ij|) bounds the perturbed
-      sum, so the permanent moves by at most
-      prod_i (rho_i + d_i) - prod_i rho_i <= moved = prod_i (rho_i + d_i) *
-      sum_i d_i / (rho_i + d_i), with rho_i = sum_j |a_ij|.
-    * Each term is a product of n exact row sums in n - 1 complex
+    * Each computed row sum h_i = fl(g_i) takes n - 1 additions of partial
+      sums no larger than rho_i = sum_j |a_ij|, each rounding by at most
+      u * rho_i, so |h_i - g_i| <= n eps rho_i.  `entry_error` (a bound on
+      the error of each entry the caller passes) moves g_i by at most
+      n * entry_error more; d_i is the sum of the two.  Then
+      |prod_i g_i - prod_i h_i| <= sum_k d_k prod_(i != k) (|h_i| + d_i)
+      = prod_i (|h_i| + d_i) * sum_i d_i / (|h_i| + d_i), by telescoping
+      the difference one row at a time; summed over the terms this is
+      `moved`.  Per term it is about |t| sum_i d_i / |h_i|, small wherever
+      no row sum nearly cancels.  The global form
+      prod_i (rho_i + d_i) - prod_i rho_i scales with prod_i rho_i instead,
+      about 7e7 |per| at M = 18, and would bound the relative error there
+      by about 1e-5.
+    * Each term is a product of n row sums in n - 1 complex
       multiplications, each with relative error at most sqrt(2) * 2u, so
       the term is off by at most 2 sqrt(2) (n - 1) u |t|.
-    * The 2**n signed terms are summed pairwise (`_pairwise_sum` in each
-      step, then over the steps), n additions deep, which adds at most
-      n u sum |t|.
+    * The 2**(n-1) signed terms are summed pairwise (`_pairwise_sum` in each
+      block, then over the blocks), n - 1 additions deep, which adds at most
+      (n - 1) u sum |t|.  The signs and the power-of-two scale are exact.
 
     Together, to first order in eps:
-    |error| <= (sqrt(2) (n - 1) + n / 2) eps sum|t| + moved.  The factor
-    c = 2n used below exceeds sqrt(2) (n - 1) + n / 2 by at least sqrt(2),
+    |error| <= 2**-(n-1) [(sqrt(2) + 1/2) (n - 1) eps sum|t| + moved].  The
+    factor c = 2n used below exceeds (sqrt(2) + 1/2) (n - 1) by at least 2,
     which covers the second-order terms.  The bound's own arithmetic rounds
     at a relative O(n eps).
     """
-    a = np.asarray(matrix)
+    a = np.asarray(matrix, dtype=np.complex128)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if n == 0:
-        return a.dtype.type(1), 0.0
-    a, shift = _on_exact_grid(a)
-    eps = np.finfo(a.dtype).eps
-    b = min(n, _LOW_COLUMNS)
-    half = (n - b) // 2
-    low, low_sign = _subset_sums(a[:, :b])
-    mid, mid_sign = _subset_sums(a[:, b : b + half])
-    top, top_sign = _subset_sums(a[:, b + half :])
-    blocks = np.empty(len(mid) * len(top), dtype=a.dtype)
-    magnitude = 0.0
-    rows = np.empty_like(low)
-    k = 0
-    for top_row, top_parity in zip(top, top_sign):
-        for mid_row, mid_parity in zip(mid, mid_sign):
-            # broadcast by copy, then add like-shaped arrays: a broadcasting
-            # add buffers a second block-sized array (as in _subset_sums)
-            np.copyto(rows, mid_row + top_row)
-            rows += low
-            terms = np.multiply.reduce(rows, axis=1)
-            magnitude += np.abs(terms).sum()
-            blocks[k] = _pairwise_sum(terms * low_sign) * (mid_parity * top_parity)
-            k += 1
-    total = _pairwise_sum(blocks)
-    if n % 2:
-        total = -total
+        return 1 + 0j, 0.0
     rho = np.abs(a).sum(axis=1)
-    shift = shift + n * entry_error
-    moved = np.prod(rho + shift) * np.sum(shift / (rho + shift))
-    return total, float(2 * n * eps * magnitude + moved)
-
-
-def _permanent_ryser(matrix: np.ndarray) -> complex:
-    """Permanent by Ryser's formula, evaluated in the working precision."""
-    value, _ = _ryser(np.asarray(matrix, dtype=_WORKING_DTYPE))
-    return complex(value)
+    if not rho.all():
+        # a zero row makes every term, and the permanent, exactly zero
+        return 0j, 0.0
+    eps = np.finfo(a.dtype).eps
+    d = n * (eps * rho + entry_error)
+    sums = []
+    magnitude = moved = 0.0
+    reach = None
+    for rows, parity in _sign_blocks(a):
+        terms = np.multiply.reduce(rows, axis=0)
+        magnitude += np.abs(terms).sum()
+        sums.append(_pairwise_sum(terms * parity))
+        reach = np.abs(rows, out=reach)
+        reach += d[:, None]
+        weight = np.multiply.reduce(reach, axis=0)
+        moved += weight @ (d @ np.reciprocal(reach, out=reach))
+    scale = 0.5 ** (n - 1)
+    total = complex(_pairwise_sum(np.array(sums))) * scale
+    return total, float(scale * (2 * n * eps * magnitude + moved))
 
 
 def coherence_matrix(sources: SourceArray, deltas: Sequence[float]) -> np.ndarray:
-    """Mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k)).
-
-    Built in the permanent's working precision (`_WORKING_DTYPE`).
-    """
-    j = np.zeros((len(deltas), len(deltas)), dtype=_WORKING_DTYPE)
-    phases = np.asarray([float(d) for d in deltas], dtype=float).astype(j.real.dtype)
+    """Mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k))."""
+    j = np.zeros((len(deltas), len(deltas)), dtype=complex)
+    phases = np.asarray([float(d) for d in deltas], dtype=float)
     for alpha, nbar in zip(sources.prefactors, sources.nbar):
         e = np.exp(1j * (alpha * phases))
         j += nbar * np.outer(e, e.conj())
@@ -291,7 +291,7 @@ def correlation_permanent_bounded(
     """Mth-order correlation by the permanent route, with its relative error bound.
 
     The bound is a posteriori: it is computed from the terms of this very
-    evaluation (see `_ryser`) and covers the rounding of the coherence
+    evaluation (see `_glynn`) and covers the rounding of the coherence
     matrix as well.  Raises NumericalError when it exceeds ORACLE_TOLERANCE,
     so a value is never returned with fewer correct digits than the oracle
     checks demand.
@@ -302,23 +302,19 @@ def correlation_permanent_bounded(
     if order > PERMANENT_MAX_ORDER:
         raise CapacityError(
             f"permanent evaluation is limited to M <= {PERMANENT_MAX_ORDER} "
-            f"(2**M Ryser terms), got M = {order}"
+            f"(2**(M-1) Glynn terms), got M = {order}"
         )
     matrix = coherence_matrix(sources, deltas)
     # Entry j, k sums K terms nbar_l * e_j * conj(e_k) of unit phasors
     # e = exp(1j * alpha_l * d), u = eps / 2.  Each phasor is within eps
-    # (libm's exp is good to about an ulp), plus u * |alpha * d| when the
-    # phase alpha * d rounds, which it does not when alpha fits into the bits
-    # the dtype has beyond a double's 53.  The product and the scaling add
+    # (libm's exp is good to about an ulp), plus u * |alpha * d| from the
+    # rounding of the phase alpha * d.  The product and the scaling add
     # 2 sqrt(2) u + u, so a term is within (3.92 + phase) eps * nbar_l, and
     # the K - 1 additions add (K - 1) u * sum nbar.
-    info = np.finfo(_WORKING_DTYPE)
-    alpha = max(abs(a) for a in sources.prefactors)
-    phase = 0.0
-    if alpha.bit_length() + 53 > info.nmant + 1:
-        phase = alpha * max(abs(float(d)) for d in deltas)
+    info = np.finfo(matrix.dtype)
+    phase = max(sources.prefactors) * max(abs(float(d)) for d in deltas)
     entry_error = (phase + 3.5 + sources.count / 2) * info.eps * sum(sources.nbar)
-    value, error = _ryser(matrix, entry_error)
+    value, error = _glynn(matrix, entry_error)
     bound = error / max(abs(value.real), info.tiny)
     if not bound <= ORACLE_TOLERANCE:
         raise NumericalError(
@@ -331,8 +327,8 @@ def correlation_permanent_bounded(
 def correlation_permanent(sources: SourceArray, deltas: Sequence[float]) -> float:
     """Mth-order correlation as the permanent of the mutual coherence matrix.
 
-    Independent of correlation_pathsum.  Evaluated in extended precision
-    where the platform has it; raises NumericalError when the a-posteriori
-    error bound of `correlation_permanent_bounded` exceeds ORACLE_TOLERANCE.
+    Independent of correlation_pathsum.  Evaluated in complex128 on every
+    platform; raises NumericalError when the a-posteriori error bound of
+    `correlation_permanent_bounded` exceeds ORACLE_TOLERANCE.
     """
     return correlation_permanent_bounded(sources, deltas)[0]

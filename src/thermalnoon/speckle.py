@@ -36,7 +36,7 @@ import numpy as np
 
 from .curves import CorrelationCurve, default_grid
 from .errors import AccumulatorOverflowError
-from .geometry import TWO_PI, DetectorLayout, SourceArray
+from .geometry import TWO_PI, DetectorLayout, SourceArray, require_int, require_real
 
 CHUNK_FRAMES = 4096
 MAX_BATCHES = 20
@@ -56,25 +56,20 @@ class SpeckleConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frames, (int, np.integer)) or self.frames < 1:
-            raise ValueError(f"frames must be a positive integer, got {self.frames!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not (
-            0 <= int(self.seed) < 2**64
-        ):
+        object.__setattr__(self, "frames", require_int("frames", self.frames, 1))
+        seed = require_int("seed", self.seed, 0)
+        if seed >= 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
-        object.__setattr__(self, "frames", int(self.frames))
-        object.__setattr__(self, "seed", int(self.seed))
-        grid = np.asarray(self.grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be 1-d with at least two points")
-        object.__setattr__(self, "grid", grid)
-        if not (0.0 <= self.slit_ratio < 1.0):
+        object.__setattr__(self, "seed", seed)
+        grid = np.asarray(self.grid)
+        if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size < 2:
+            raise ValueError("grid must be 1-d numbers with at least two points")
+        object.__setattr__(self, "grid", grid.astype(float, copy=False))
+        slit_ratio = require_real("slit_ratio", self.slit_ratio)
+        if not (0.0 <= slit_ratio < 1.0):
             raise ValueError("slit_ratio must lie in [0, 1)")
-        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
-            raise ValueError(
-                f"workers must be a positive integer, got {self.workers!r}"
-            )
-        object.__setattr__(self, "workers", int(self.workers))
+        object.__setattr__(self, "slit_ratio", slit_ratio)
+        object.__setattr__(self, "workers", require_int("workers", self.workers, 1))
 
     def to_dict(self) -> dict:
         return {
@@ -94,10 +89,8 @@ class SpeckleConfig:
             layout=DetectorLayout.from_dict(data["layout"]),
             frames=data["frames"],
             seed=data["seed"],
-            grid=np.asarray(data["grid"], dtype=float)
-            if "grid" in data
-            else default_grid(),
-            slit_ratio=float(data.get("slit_ratio", 0.0)),
+            grid=data["grid"] if "grid" in data else default_grid(),
+            slit_ratio=data.get("slit_ratio", 0.0),
             workers=data.get("workers", 1),
         )
 

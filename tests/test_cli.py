@@ -211,6 +211,33 @@ class TestSpeckleCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            (None, "frames", True),
+            (None, "slit_ratio", "0.3"),
+            ("layout", "moving_count", True),
+            ("sources", "nbar", ["1.0"]),
+        ],
+        ids=["frames-bool", "slit-string", "moving-count-bool", "nbar-string"],
+    )
+    def test_config_file_rejects_bools_and_strings(
+        self, tmp_path, capsys, section, field, value
+    ):
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        (data if section is None else data[section])[field] = value
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags,parity_ok",
         [
             (["--layout", "spread", "--m1", "2", "--m2", "2"], True),

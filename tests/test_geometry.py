@@ -138,6 +138,20 @@ class TestSourceArray:
         with pytest.raises(ValueError):
             SourceArray(nbar=bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [("1.0",), (True,), (1.0, False), 1.0, "1.0", None],
+        ids=["string", "bool", "bool-second", "scalar", "string-whole", "none"],
+    )
+    def test_rejects_non_numbers_naming_the_field(self, bad):
+        with pytest.raises(ValueError, match="nbar"):
+            SourceArray(nbar=bad)
+
+    @pytest.mark.parametrize("count", [True, 2.0, "2"])
+    def test_equidistant_rejects_non_integer_count(self, count):
+        with pytest.raises(ValueError, match="count"):
+            SourceArray.equidistant(count)
+
     def test_roundtrip(self):
         sources = SourceArray(nbar=(0.25, 2.0))
         assert SourceArray.from_dict(sources.to_dict()) == sources
@@ -207,6 +221,31 @@ class TestDetectorLayout:
             DetectorLayout(fixed_phases=fixed, moving_count=moving)
         with pytest.raises(ValueError):
             DetectorLayout.from_dict({"fixed_phases": fixed, "moving_count": moving})
+
+    @pytest.mark.parametrize(
+        "build,field",
+        [
+            (lambda: DetectorLayout.colocated(True, 2), "moving_count"),
+            (lambda: DetectorLayout.colocated(2, True), "m2"),
+            (lambda: DetectorLayout.spread(True), "m"),
+            (lambda: DetectorLayout((0.0,), moving_count=False), "moving_count"),
+            (lambda: DetectorLayout(("0.5",), moving_count=1), "fixed_phases"),
+            (lambda: DetectorLayout((True,), moving_count=1), "fixed_phases"),
+            (lambda: DetectorLayout(0.5, moving_count=1), "fixed_phases"),
+        ],
+        ids=[
+            "colocated-m1-bool",
+            "colocated-m2-bool",
+            "spread-bool",
+            "count-bool",
+            "phase-string",
+            "phase-bool",
+            "phases-scalar",
+        ],
+    )
+    def test_rejects_bools_and_strings_naming_the_field(self, build, field):
+        with pytest.raises(ValueError, match=field):
+            build()
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

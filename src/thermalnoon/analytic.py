@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import CorrelationCurve, default_grid
+from .geometry import DetectorLayout
 
 
 def _require_even_order(order: int) -> int:
@@ -138,9 +139,8 @@ def setup1_curve(order: int, grid: np.ndarray | None = None) -> CorrelationCurve
     g = default_grid() if grid is None else np.asarray(grid, dtype=float)
     c1, c2 = setup1_coeffs(order)
     values = c1 + c2 * np.cos((order // 2) * g)
-    return CorrelationCurve(
-        grid=g, values=values, order=order, layout=f"mmp-spread:m1={order // 2},m2={order // 2}"
-    )
+    layout = DetectorLayout.spread(order // 2).describe()
+    return CorrelationCurve(grid=g, values=values, order=order, layout=layout)
 
 
 def setup2_curve(m1: int, m2: int, grid: np.ndarray | None = None) -> CorrelationCurve:
@@ -148,6 +148,5 @@ def setup2_curve(m1: int, m2: int, grid: np.ndarray | None = None) -> Correlatio
     g = default_grid() if grid is None else np.asarray(grid, dtype=float)
     c = setup2_coeffs(m1, m2)
     values = c.c1 + c.parity_sign * c.c2 * np.cos(m2 * g)
-    return CorrelationCurve(
-        grid=g, values=values, order=m1 + m2, layout=f"co-located:m1={m1},m2={m2}"
-    )
+    layout = DetectorLayout.colocated(m1, m2).describe()
+    return CorrelationCurve(grid=g, values=values, order=m1 + m2, layout=layout)

@@ -128,6 +128,9 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             f"oracle sweeps are limited to --max-order 8; the path sum itself "
             f"caps at M = {PATHSUM_MAX_ORDER}, use correlation_permanent beyond"
         )
+    for flag in ("samples", "random_configs"):
+        if getattr(args, flag) < 1:
+            raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
     rng = np.random.default_rng(args.seed)
     two = SourceArray.equidistant(2, 1.0)
     report: dict = {"tolerance": ORACLE_TOLERANCE, "seed": args.seed}
@@ -228,8 +231,10 @@ def _fringe_sign(config: SpeckleConfig, frequency: int) -> int | None:
     layout = config.layout
     if config.sources.count != 2 or frequency != layout.m2:
         return None
-    if layout.moving_kind == "mmp-spread":
+    if layout == DetectorLayout.spread(layout.m2):
         return 1
+    if layout != DetectorLayout.colocated(layout.m1, layout.m2):
+        return None  # no closed form for this layout
     coeffs = setup2_coeffs(layout.m1, layout.m2)
     return coeffs.parity_sign if coeffs.c2 else None  # flat for m1 < m2
 

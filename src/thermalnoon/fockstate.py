@@ -18,7 +18,8 @@ Absent offsets are zero, a thermal state is the one band (0, 0), and a_k**p
 moves a band by p along mode k.  default_cutoff bounds the discarded share of
 the order-M factorial moment of the thermal pair, 2 * P(Binomial(D+1,
 1/(1+nbar)) <= M) <= TAIL_LIMIT with M = m1 + m2, so it covers the correlation
-itself and not only the kept probability mass.
+itself and not only the kept probability mass; past FOCK_MAX_CUTOFF it raises
+CapacityError.
 """
 
 from __future__ import annotations
@@ -28,21 +29,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError, ZeroProbabilityError
-from .geometry import magic_positions
+from .errors import CapacityError, TruncationError, ZeroProbabilityError
+from .geometry import DetectorLayout, require_real
 
 TAIL_LIMIT = 1e-6
+# A cost cap on default_cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
+# D = 1000.  verify_isomorphism at m1 = m2 = 2 keeps 23 bands alive at its
+# peak (tracemalloc: 33.5 MB at D = 300, 133 MB at D = 600; 47 bands at
+# m1 = m2 = 5) and takes 0.63 s at D = 600, growing as (D+1)**2.  So D = 1000
+# costs about 370 MB and 1.7 s a call; nbar = 100 would need D = 2439 and
+# 2.2 GB.
+FOCK_MAX_CUTOFF = 1000
+
+
+def _require_nbar(nbar: object) -> float:
+    nbar = require_real("nbar", nbar)
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be nonnegative and finite, got {nbar!r}")
+    return nbar
 
 
 def default_cutoff(nbar: float, m1: int = 0, m2: int = 0) -> int:
     """Smallest per-mode cutoff >= max(30, M) whose order-M tail is <= TAIL_LIMIT."""
+    nbar = _require_nbar(nbar)
     order, q = m1 + m2, nbar / (1.0 + nbar)
     cutoff = max(30, order)
-    while 2.0 * sum(
+    while cutoff <= FOCK_MAX_CUTOFF and 2.0 * sum(
         math.comb(cutoff + 1, k) * (1.0 - q) ** k * q ** (cutoff + 1 - k)
         for k in range(order + 1)
     ) > TAIL_LIMIT:
         cutoff += 1
+    if cutoff > FOCK_MAX_CUTOFF:
+        raise CapacityError(
+            f"nbar = {nbar} at M = {order} needs a Fock cutoff above "
+            f"FOCK_MAX_CUTOFF = {FOCK_MAX_CUTOFF}"
+        )
     return cutoff
 
 
@@ -149,8 +170,7 @@ def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMa
     Raises TruncationError when the cutoff would discard more than TAIL_LIMIT
     probability mass; the kept mass is renormalized to unit trace.
     """
-    if nbar < 0.0:
-        raise ValueError(f"nbar must be nonnegative, got {nbar!r}")
+    nbar = _require_nbar(nbar)
     if cutoff is None:
         cutoff = default_cutoff(nbar)
     if cutoff < 1:
@@ -278,20 +298,18 @@ def verify_isomorphism(
     only the moving detectors on the projected state and multiplies by the
     recorded projection norm.
     """
-    if not isinstance(m1, (int, np.integer)) or m1 < 0:
-        raise ValueError(f"m1 must be a nonnegative integer, got {m1!r}")
+    layout = DetectorLayout.colocated(m1, m2)
     if cutoff is None:
-        cutoff = default_cutoff(nbar, int(m1), int(m2))
+        cutoff = default_cutoff(nbar, layout.m1, layout.m2)
     rho = thermal_two_mode(nbar, cutoff)
-    phases = [float(delta1)] * int(m1) + [float(p) for p in magic_positions(m2)]
-    lhs = g_detectors(rho, phases)
+    lhs = g_detectors(rho, layout.detector_phases(delta1))
     projected = project_magic(rho, m2)
-    rhs = g_moving(projected, int(m1), delta1) * projected.projection_norm
+    rhs = g_moving(projected, layout.m1, delta1) * projected.projection_norm
     gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
     return IsomorphismReport(
         nbar=float(nbar),
-        m1=int(m1),
-        m2=int(m2),
+        m1=layout.m1,
+        m2=layout.m2,
         delta1=float(delta1),
         cutoff=int(cutoff),
         lhs=lhs,

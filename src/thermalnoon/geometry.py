@@ -3,8 +3,13 @@
 Sources sit on a line with equal spacing, so the optical phase a source l
 imprints at a detector is an integer multiple alpha_l * delta of the single
 detector phase delta = k * d * sin(theta).  Magic positions are the m evenly
-spaced phases {2*pi*i/m}; shifting all of them rigidly by delta1 gives the
-moving magic positions.
+spaced phases {2*pi*i/m}.
+
+A detector layout is data: the offsets of the moving detectors from the scan
+phase delta1, and the phases of the fixed ones.  The co-located scheme has
+every offset 0; the spread scheme has the magic comb in both, so its moving
+detectors sit at the moving magic positions delta1 + 2*pi*i/m.  Moving phases
+are not wrapped into [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -15,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-_MOVING_KINDS = ("co-located", "mmp-spread")
 
 
 def require_int(name: str, value: object, minimum: int) -> int:
@@ -49,34 +52,10 @@ def require_field(data: object, name: str) -> object:
     return data[name]
 
 
-def reduce_phase(phase: float) -> float:
-    """Map a phase to its canonical representative in [0, 2*pi).
-
-    Values within 1e-12 of 2*pi wrap to 0 so that rational multiples of
-    2*pi compose exactly in tests.
-    """
-    r = math.fmod(float(phase), TWO_PI)
-    if r < 0.0:
-        r += TWO_PI
-    if abs(r - TWO_PI) < 1e-12:
-        r = 0.0
-    return r
-
-
 def magic_positions(m: int) -> np.ndarray:
     """Return the m evenly spaced detector phases {0, 2*pi/m, ..., 2*pi*(m-1)/m}."""
     m = require_int("m", m, 1)
     return TWO_PI * np.arange(m, dtype=float) / m
-
-
-def moving_magic_positions(delta1: float, m: int) -> np.ndarray:
-    """Magic positions rigidly shifted by delta1, reduced into [0, 2*pi).
-
-    The pairwise differences are independent of delta1, which is what makes
-    a rigid scan of the whole group equivalent to scanning a single phase.
-    """
-    shifted = magic_positions(m) + float(delta1)
-    return np.array([reduce_phase(p) for p in shifted])
 
 
 def phase_from_angle(k: float, d: float, theta: float) -> float:
@@ -129,55 +108,42 @@ class SourceArray:
 
 @dataclass(frozen=True)
 class DetectorLayout:
-    """A group of moving detectors plus a group at fixed phases.
+    """Detectors that move with the scan phase delta1, plus detectors held fixed.
 
-    moving_kind selects how the moving group scans:
-      * "co-located": all moving_count detectors sit at the same phase delta1;
-      * "mmp-spread": the moving detectors sit at the moving magic positions,
-        i.e. magic_positions(moving_count) rigidly shifted by delta1.  This
-        kind requires as many moving as fixed detectors (equal halves).
+    Moving detector i sits at delta1 + moving_offsets[i], fixed detector j at
+    fixed_phases[j]; both tuples hold phases in [0, 2*pi).  colocated stacks
+    every moving detector at offset 0; spread puts the magic comb in both.
+    Any other placement is data too, e.g. from a config file.
     """
 
     fixed_phases: tuple[float, ...]
-    moving_count: int
-    moving_kind: str = "co-located"
+    moving_offsets: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        phases = require_reals("fixed_phases", self.fixed_phases)
-        object.__setattr__(self, "fixed_phases", phases)
-        if self.moving_kind not in _MOVING_KINDS:
-            raise ValueError(
-                f"moving_kind must be one of {_MOVING_KINDS}, got {self.moving_kind!r}"
-            )
-        require_int("moving_count", self.moving_count, 0)
-        if self.moving_count + len(self.fixed_phases) < 1:
+        for name in ("fixed_phases", "moving_offsets"):
+            phases = require_reals(name, getattr(self, name))
+            if not all(0.0 <= p < TWO_PI for p in phases):
+                raise ValueError(f"{name} must be finite and lie in [0, 2*pi)")
+            object.__setattr__(self, name, phases)
+        if self.order < 1:
             raise ValueError("layout needs at least one detector")
-        if not all(0.0 <= p < TWO_PI for p in self.fixed_phases):
-            raise ValueError("fixed phases must be finite and lie in [0, 2*pi)")
-        if self.moving_kind == "mmp-spread" and self.moving_count != len(
-            self.fixed_phases
-        ):
-            raise ValueError("mmp-spread requires equal moving and fixed counts")
 
     @classmethod
     def colocated(cls, m1: int, m2: int) -> "DetectorLayout":
         """m1 detectors stacked at delta1 plus m2 at the magic positions."""
-        m2 = require_int("m2", m2, 0)
+        m1, m2 = require_int("m1", m1, 0), require_int("m2", m2, 0)
         fixed = tuple(magic_positions(m2)) if m2 > 0 else ()
-        return cls(fixed_phases=fixed, moving_count=m1, moving_kind="co-located")
+        return cls(fixed_phases=fixed, moving_offsets=(0.0,) * m1)
 
     @classmethod
     def spread(cls, m: int) -> "DetectorLayout":
         """m detectors at moving magic positions plus m at fixed magic positions."""
-        return cls(
-            fixed_phases=tuple(magic_positions(m)),
-            moving_count=m,
-            moving_kind="mmp-spread",
-        )
+        comb = tuple(magic_positions(m))
+        return cls(fixed_phases=comb, moving_offsets=comb)
 
     @property
     def m1(self) -> int:
-        return self.moving_count
+        return len(self.moving_offsets)
 
     @property
     def m2(self) -> int:
@@ -186,32 +152,51 @@ class DetectorLayout:
     @property
     def order(self) -> int:
         """Total number of detectors M = M1 + M2."""
-        return self.moving_count + len(self.fixed_phases)
+        return self.m1 + self.m2
+
+    @property
+    def moving_kind(self) -> str:
+        """mmp-spread for spread(m), co-located if every offset is 0, else custom.
+
+        Derived from the data; spread(1) equals colocated(1, 1) and reads mmp-spread.
+        """
+        if self.m1 and self == DetectorLayout.spread(self.m1):
+            return "mmp-spread"
+        return "custom" if any(self.moving_offsets) else "co-located"
 
     def detector_phases(self, delta1: float) -> np.ndarray:
-        """All M detector phases at scan position delta1, moving group first."""
-        if self.moving_kind == "co-located":
-            moving = np.full(self.moving_count, float(delta1))
-        else:
-            moving = moving_magic_positions(delta1, self.moving_count)
+        """All M phases at delta1, moving group first: delta1 + offset, unwrapped."""
+        moving = float(delta1) + np.asarray(self.moving_offsets, dtype=float)
         return np.concatenate([moving, np.asarray(self.fixed_phases, dtype=float)])
 
     def describe(self) -> str:
-        return (
-            f"{self.moving_kind}:m1={self.moving_count},m2={len(self.fixed_phases)}"
-        )
+        return f"{self.moving_kind}:m1={self.m1},m2={self.m2}"
 
     def to_dict(self) -> dict:
         return {
             "fixed_phases": list(self.fixed_phases),
-            "moving_count": self.moving_count,
-            "moving_kind": self.moving_kind,
+            "moving_offsets": list(self.moving_offsets),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorLayout":
-        return cls(
-            fixed_phases=require_field(data, "fixed_phases"),
-            moving_count=require_field(data, "moving_count"),
-            moving_kind=data.get("moving_kind", "co-located"),
-        )
+        """Read to_dict's fields, or the older moving_count + moving_kind ones."""
+        fixed = require_field(data, "fixed_phases")
+        if "moving_offsets" in data:
+            return cls(fixed_phases=fixed, moving_offsets=data["moving_offsets"])
+        if "moving_count" not in data:
+            raise ValueError(
+                "config lacks the required field 'moving_offsets' "
+                "(or the older 'moving_count')"
+            )
+        count = require_int("moving_count", data["moving_count"], 0)
+        kind = data.get("moving_kind", "co-located")
+        if kind == "co-located":
+            return cls(fixed_phases=fixed, moving_offsets=(0.0,) * count)
+        if kind != "mmp-spread":
+            raise ValueError(
+                f"moving_kind must be 'co-located' or 'mmp-spread', got {kind!r}"
+            )
+        if count != len(require_reals("fixed_phases", fixed)):
+            raise ValueError("mmp-spread requires equal moving and fixed counts")
+        return cls(fixed_phases=fixed, moving_offsets=magic_positions(count))

@@ -108,11 +108,6 @@ def _batch_sizes(frames: int) -> list[int]:
     return [base + 1] * rem + [base] * (n - rem)
 
 
-def _moving_group(layout: DetectorLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct moving-detector offsets from delta1, and the detectors at each."""
-    return np.unique(layout.detector_phases(0.0)[: layout.m1], return_counts=True)
-
-
 def _node_count(config: SpeckleConfig) -> int:
     """2D+1 nodes fix a trigonometric polynomial of degree D = m1*(K-1)."""
     return 2 * config.layout.m1 * (config.sources.count - 1) + 1
@@ -202,7 +197,8 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     Raw values converge to the path-sum/permanent values of the same sources
     and layout (combinatorial units); normalize() rescales for plotting.
     """
-    offsets, counts = _moving_group(config.layout)
+    # distinct moving-detector offsets from delta1, and the detectors at each
+    offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
     phases = _phase_table(config, offsets)
     alphas = np.asarray(config.sources.prefactors, dtype=float)
     # table[l, c] = exp(-1j*alpha_l*delta_c)

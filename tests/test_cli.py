@@ -1,13 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from conftest import older_layout_format
 
 from thermalnoon.cli import main
 from thermalnoon.curves import default_grid
 from thermalnoon.geometry import DetectorLayout, SourceArray
 from thermalnoon.speckle import SpeckleConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 def read_csv(path):
@@ -110,6 +114,22 @@ class TestOracleCheckCommand:
         with pytest.raises(SystemExit):
             main(["oracle-check"])
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_samples_must_check_something(self, tmp_path, capsys, value):
+        out = tmp_path / "oracle.json"
+        argv = ["oracle-check", "--seed", "1", "--samples", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_random_configs_must_check_something(self, tmp_path, capsys, value):
+        out = tmp_path / "oracle.json"
+        argv = ["oracle-check", "--seed", "1", "--random-configs", value]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "--random-configs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSpeckleCommand:
     def run_speckle(self, out, workers="1", seed="3"):
@@ -202,7 +222,7 @@ class TestSpeckleCommand:
             frames=1000,
             seed=3,
         ).to_dict()
-        data["layout"]["moving_count"] = 2.7
+        older_layout_format(data)["layout"]["moving_count"] = 2.7
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
         out = tmp_path / "x.csv"
@@ -217,8 +237,15 @@ class TestSpeckleCommand:
             (None, "slit_ratio", "0.3"),
             ("layout", "moving_count", True),
             ("sources", "nbar", ["1.0"]),
+            ("layout", "moving_offsets", [True, False]),
         ],
-        ids=["frames-bool", "slit-string", "moving-count-bool", "nbar-string"],
+        ids=[
+            "frames-bool",
+            "slit-string",
+            "moving-count-bool",
+            "nbar-string",
+            "moving-offsets-bool",
+        ],
     )
     def test_config_file_rejects_bools_and_strings(
         self, tmp_path, capsys, section, field, value
@@ -229,6 +256,8 @@ class TestSpeckleCommand:
             frames=1000,
             seed=3,
         ).to_dict()
+        if field == "moving_count":
+            older_layout_format(data)
         (data if section is None else data[section])[field] = value
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
@@ -247,6 +276,7 @@ class TestSpeckleCommand:
             ("layout", "fixed_phases"),
             ("layout", "moving_count"),
             ("sources", "nbar"),
+            ("layout", "moving_offsets"),
         ],
     )
     def test_config_file_names_a_missing_field(
@@ -258,6 +288,8 @@ class TestSpeckleCommand:
             frames=1000,
             seed=3,
         ).to_dict()
+        if field == "moving_count":
+            older_layout_format(data)
         del (data if section is None else data[section])[field]
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
@@ -289,6 +321,22 @@ class TestSpeckleCommand:
         assert main(["speckle", "--m1", "2"]) == 2
         err = capsys.readouterr().err
         assert "--m2" in err and "--frames" in err and "--seed" in err
+
+    def test_older_config_file_matches_spread_flags(self, tmp_path):
+        # written by SpeckleConfig.to_dict() before layouts carried offsets
+        legacy = DATA / "legacy-spread-run.json"
+        layout = json.loads(legacy.read_text())["layout"]
+        assert layout["moving_kind"] == "mmp-spread" and "moving_offsets" not in layout
+        from_config = tmp_path / "config.csv"
+        argv = ["speckle", "--config", str(legacy), "--out", str(from_config)]
+        assert main(argv) == 0
+        from_flags = tmp_path / "flags.csv"
+        argv = ["speckle", "--layout", "spread", "--m1", "2", "--m2", "2"]
+        argv += ["--frames", "20000", "--seed", "5", "--grid", "61"]
+        assert main(argv + ["--out", str(from_flags)]) == 0
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        sidecars = [(tmp_path / f"{n}.json").read_bytes() for n in ("config", "flags")]
+        assert sidecars[0] == sidecars[1]
 
     def test_spread_layout_needs_equal_halves(self, tmp_path, capsys):
         code = main(
@@ -347,6 +395,20 @@ class TestFockCommand:
     def test_rejects_nonpositive_flags(self, capsys, flag, value, message):
         assert main(["fock", flag, value]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nbar", ["-1", "inf", "nan"])
+    def test_rejects_negative_or_non_finite_nbar(self, tmp_path, capsys, nbar):
+        out = tmp_path / "fock.json"
+        assert main(["fock", "--nbar", nbar, "--out", str(out)]) == 2
+        assert "nbar must be nonnegative and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nbar_past_the_cutoff_cap_is_refused(self, tmp_path, capsys):
+        # 1e308 / (1 + 1e308) rounds to 1: no cutoff holds the thermal tail
+        out = tmp_path / "fock.json"
+        assert main(["fock", "--nbar", "1e308", "--out", str(out)]) == 2
+        assert "FOCK_MAX_CUTOFF" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("nbar", ["3", "5", "10"])
     def test_bright_sources_pass_at_default_cutoff(self, tmp_path, nbar):

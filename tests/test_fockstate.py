@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from thermalnoon.analytic import setup2_g
-from thermalnoon.errors import TruncationError, ZeroProbabilityError
+from thermalnoon.errors import CapacityError, TruncationError, ZeroProbabilityError
 from thermalnoon.fockstate import (
+    FOCK_MAX_CUTOFF,
     TAIL_LIMIT,
     TwoModeDensityMatrix,
     default_cutoff,
@@ -39,6 +40,40 @@ class TestDefaultCutoff:
 
     def test_scales_with_brightness_and_powers(self):
         assert default_cutoff(5.0, 3, 3) >= 66
+
+    @pytest.mark.parametrize(
+        "nbar", [-1.0, -1e-300, math.inf, math.nan, True, "1.0", None]
+    )
+    def test_rejects_bad_nbar_naming_it(self, nbar):
+        with pytest.raises(ValueError, match="nbar"):
+            default_cutoff(nbar)
+        with pytest.raises(ValueError, match="nbar"):
+            thermal_two_mode(nbar, cutoff=10)
+
+    @pytest.mark.parametrize("m1,m2", [(0, 0), (2, 2), (5, 5)])
+    def test_cap_at_its_edge(self, m1, m2):
+        # bisect for the brightest nbar whose cutoff is allowed: there the
+        # cutoff is the cap itself, and the next float up is refused
+        lo, hi = 1.0, 1e3
+        assert default_cutoff(lo, m1, m2) < FOCK_MAX_CUTOFF
+        with pytest.raises(CapacityError, match="FOCK_MAX_CUTOFF"):
+            default_cutoff(hi, m1, m2)
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            mid = mid if lo < mid < hi else math.nextafter(lo, hi)
+            try:
+                default_cutoff(mid, m1, m2)
+                lo = mid
+            except CapacityError:
+                hi = mid
+        assert default_cutoff(lo, m1, m2) == FOCK_MAX_CUTOFF
+        with pytest.raises(CapacityError):
+            default_cutoff(hi, m1, m2)
+
+    def test_certain_photons_are_refused_not_looped_on(self):
+        # q = nbar / (1 + nbar) rounds to 1: no cutoff ever holds the tail
+        with pytest.raises(CapacityError):
+            default_cutoff(1e308, 2, 2)
 
 
 BRIGHTNESSES = [0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]

@@ -8,37 +8,8 @@ from thermalnoon.geometry import (
     DetectorLayout,
     SourceArray,
     magic_positions,
-    moving_magic_positions,
     phase_from_angle,
-    reduce_phase,
 )
-
-
-class TestReducePhase:
-    @pytest.mark.parametrize(
-        "phase,expected",
-        [
-            (0.0, 0.0),
-            (math.pi, math.pi),
-            (TWO_PI, 0.0),
-            (-math.pi, math.pi),
-            (3 * TWO_PI + 0.25, 0.25),
-            (-7.5 * TWO_PI, math.pi),
-        ],
-    )
-    def test_known_values(self, phase, expected):
-        assert reduce_phase(phase) == pytest.approx(expected, abs=1e-12)
-
-    def test_range(self):
-        rng = np.random.default_rng(11)
-        for phase in rng.uniform(-100.0, 100.0, size=500):
-            reduced = reduce_phase(float(phase))
-            assert 0.0 <= reduced < TWO_PI
-
-    def test_wraps_near_two_pi_to_zero(self):
-        # values a hair under 2*pi after fmod snap back to 0
-        assert reduce_phase(TWO_PI - 1e-15) == 0.0
-        assert reduce_phase(-1e-15) == 0.0
 
 
 class TestMagicPositions:
@@ -70,21 +41,24 @@ class TestMagicPositions:
 
 
 class TestMovingMagicPositions:
+    # the moving group of a spread layout sits at the moving magic positions
     def test_shift_by_quarter_turn(self):
         np.testing.assert_allclose(
-            moving_magic_positions(math.pi / 4, 2),
+            DetectorLayout.spread(2).detector_phases(math.pi / 4)[:2],
             [math.pi / 4, math.pi / 4 + math.pi],
         )
 
     def test_zero_shift_matches_static(self):
-        np.testing.assert_allclose(moving_magic_positions(0.0, 5), magic_positions(5))
+        np.testing.assert_allclose(
+            DetectorLayout.spread(5).detector_phases(0.0)[:5], magic_positions(5)
+        )
 
     @pytest.mark.parametrize("delta1", [-9.7, -0.3, 0.0, 1.0, 7.9, 50.0])
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_reduced_into_principal_interval(self, delta1, m):
-        phases = moving_magic_positions(delta1, m)
-        assert np.all(phases >= 0.0)
-        assert np.all(phases < TWO_PI)
+    def test_moving_phases_are_not_wrapped(self, delta1, m):
+        phases = DetectorLayout.spread(m).detector_phases(delta1)
+        assert np.array_equal(phases[:m], delta1 + magic_positions(m))
+        assert np.array_equal(phases[m:], magic_positions(m))
 
     def test_pairwise_gaps_do_not_depend_on_shift(self):
         # moving the whole comb preserves the relative detector geometry;
@@ -93,7 +67,7 @@ class TestMovingMagicPositions:
         for m in (2, 3, 4):
             base = magic_positions(m)
             for delta1 in rng.uniform(-10.0, 10.0, size=20):
-                moved = moving_magic_positions(float(delta1), m)
+                moved = DetectorLayout.spread(m).detector_phases(float(delta1))[:m]
                 gaps = np.exp(1j * (moved[:, None] - moved[None, :]))
                 ref = np.exp(1j * (base[:, None] - base[None, :]))
                 np.testing.assert_allclose(gaps, ref, atol=1e-9)
@@ -157,6 +131,18 @@ class TestSourceArray:
         assert SourceArray.from_dict(sources.to_dict()) == sources
 
 
+COMB2 = tuple(magic_positions(2))
+
+
+def legacy(fixed, moving_count, moving_kind="co-located"):
+    """A layout dict in the older config format, before moving_offsets."""
+    return {
+        "fixed_phases": list(fixed),
+        "moving_count": moving_count,
+        "moving_kind": moving_kind,
+    }
+
+
 class TestDetectorLayout:
     def test_colocated_orders_moving_before_fixed(self):
         layout = DetectorLayout.colocated(3, 2)
@@ -177,6 +163,10 @@ class TestDetectorLayout:
         assert layout.fixed_phases == ()
         np.testing.assert_allclose(layout.detector_phases(1.1), [1.1, 1.1])
 
+    def test_colocated_offsets_are_zero(self):
+        assert DetectorLayout.colocated(3, 2).moving_offsets == (0.0, 0.0, 0.0)
+        assert DetectorLayout.colocated(0, 2).moving_offsets == ()
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_spread_moves_a_full_comb(self, m):
         layout = DetectorLayout.spread(m)
@@ -184,14 +174,22 @@ class TestDetectorLayout:
         assert layout.m2 == m
         assert layout.order == 2 * m
         phases = layout.detector_phases(0.3)
-        np.testing.assert_allclose(phases[:m], moving_magic_positions(0.3, m))
+        np.testing.assert_allclose(phases[:m], 0.3 + magic_positions(m))
         np.testing.assert_allclose(phases[m:], magic_positions(m))
 
     def test_spread_requires_equal_halves(self):
-        with pytest.raises(ValueError):
-            DetectorLayout(
-                fixed_phases=(0.0, math.pi), moving_count=3, moving_kind="mmp-spread"
-            )
+        # the older format's mmp-spread kind still demands equal halves
+        with pytest.raises(ValueError, match="equal"):
+            DetectorLayout.from_dict(legacy((0.0, math.pi), 3, "mmp-spread"))
+
+    def test_unequal_halves_are_data(self):
+        layout = DetectorLayout(
+            fixed_phases=tuple(magic_positions(2)),
+            moving_offsets=tuple(magic_positions(3)),
+        )
+        assert (layout.m1, layout.m2) == (3, 2)
+        phases = layout.detector_phases(0.5)
+        np.testing.assert_allclose(phases[:3], 0.5 + magic_positions(3))
 
     @pytest.mark.parametrize("m1,m2", [(0, 0), (-1, 2), (2, -1)])
     def test_rejects_empty_or_negative_counts(self, m1, m2):
@@ -199,10 +197,21 @@ class TestDetectorLayout:
             DetectorLayout.colocated(m1, m2)
 
     def test_rejects_fixed_phase_outside_principal_interval(self):
-        with pytest.raises(ValueError):
-            DetectorLayout(fixed_phases=(TWO_PI + 0.1,), moving_count=1)
-        with pytest.raises(ValueError):
-            DetectorLayout(fixed_phases=(-0.2,), moving_count=1)
+        with pytest.raises(ValueError, match="fixed_phases"):
+            DetectorLayout(fixed_phases=(TWO_PI + 0.1,), moving_offsets=(0.0,))
+        with pytest.raises(ValueError, match="fixed_phases"):
+            DetectorLayout(fixed_phases=(-0.2,), moving_offsets=(0.0,))
+
+    @pytest.mark.parametrize(
+        "offset", [TWO_PI, TWO_PI + 0.1, -0.2, math.nan, math.inf]
+    )
+    def test_rejects_moving_offset_outside_principal_interval(self, offset):
+        with pytest.raises(ValueError, match="moving_offsets"):
+            DetectorLayout(fixed_phases=(0.0,), moving_offsets=(0.0, offset))
+        with pytest.raises(ValueError, match="moving_offsets"):
+            DetectorLayout.from_dict(
+                {"fixed_phases": [0.0], "moving_offsets": [offset]}
+            )
 
     @pytest.mark.parametrize(
         "fixed,moving",
@@ -218,20 +227,24 @@ class TestDetectorLayout:
     )
     def test_rejects_non_integer_count_and_non_finite_phase(self, fixed, moving):
         with pytest.raises(ValueError):
-            DetectorLayout(fixed_phases=fixed, moving_count=moving)
-        with pytest.raises(ValueError):
             DetectorLayout.from_dict({"fixed_phases": fixed, "moving_count": moving})
+        if isinstance(moving, int):  # a bad phase is refused as an offset too
+            with pytest.raises(ValueError):
+                DetectorLayout(fixed_phases=(0.0,), moving_offsets=fixed)
 
     @pytest.mark.parametrize(
         "build,field",
         [
-            (lambda: DetectorLayout.colocated(True, 2), "moving_count"),
+            (lambda: DetectorLayout.colocated(True, 2), "m1"),
             (lambda: DetectorLayout.colocated(2, True), "m2"),
             (lambda: DetectorLayout.spread(True), "m"),
-            (lambda: DetectorLayout((0.0,), moving_count=False), "moving_count"),
-            (lambda: DetectorLayout(("0.5",), moving_count=1), "fixed_phases"),
-            (lambda: DetectorLayout((True,), moving_count=1), "fixed_phases"),
-            (lambda: DetectorLayout(0.5, moving_count=1), "fixed_phases"),
+            (lambda: DetectorLayout.from_dict(legacy((0.0,), False)), "moving_count"),
+            (lambda: DetectorLayout(("0.5",), (0.0,)), "fixed_phases"),
+            (lambda: DetectorLayout((True,), (0.0,)), "fixed_phases"),
+            (lambda: DetectorLayout(0.5, (0.0,)), "fixed_phases"),
+            (lambda: DetectorLayout((0.0,), ("0.5",)), "moving_offsets"),
+            (lambda: DetectorLayout((0.0,), (True,)), "moving_offsets"),
+            (lambda: DetectorLayout((0.0,), 0.5), "moving_offsets"),
         ],
         ids=[
             "colocated-m1-bool",
@@ -241,6 +254,9 @@ class TestDetectorLayout:
             "phase-string",
             "phase-bool",
             "phases-scalar",
+            "offset-string",
+            "offset-bool",
+            "offsets-scalar",
         ],
     )
     def test_rejects_bools_and_strings_naming_the_field(self, build, field):
@@ -248,12 +264,67 @@ class TestDetectorLayout:
             build()
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            DetectorLayout(fixed_phases=(0.0,), moving_count=1, moving_kind="orbit")
+        with pytest.raises(ValueError, match="moving_kind"):
+            DetectorLayout.from_dict(legacy((0.0,), 1, "orbit"))
+
+    def test_missing_moving_field_is_named(self):
+        with pytest.raises(ValueError, match="moving_offsets"):
+            DetectorLayout.from_dict({"fixed_phases": [0.0]})
+        with pytest.raises(ValueError, match="fixed_phases"):
+            DetectorLayout.from_dict({"moving_offsets": [0.0]})
 
     def test_roundtrip(self):
-        for layout in (DetectorLayout.colocated(3, 2), DetectorLayout.spread(2)):
-            assert DetectorLayout.from_dict(layout.to_dict()) == layout
+        for layout in (
+            DetectorLayout.colocated(3, 2),
+            DetectorLayout.spread(2),
+            DetectorLayout(fixed_phases=(0.5,), moving_offsets=(0.0, 0.0, math.pi)),
+        ):
+            data = layout.to_dict()
+            assert set(data) == {"fixed_phases", "moving_offsets"}
+            assert DetectorLayout.from_dict(data) == layout
+
+    @pytest.mark.parametrize(
+        "data,expected",
+        [
+            (legacy((0.0, math.pi), 3), DetectorLayout.colocated(3, 2)),
+            (
+                {"fixed_phases": [0.0], "moving_count": 2},
+                DetectorLayout.colocated(2, 1),
+            ),
+            (legacy((), 2), DetectorLayout.colocated(2, 0)),
+            (legacy(magic_positions(3), 3, "mmp-spread"), DetectorLayout.spread(3)),
+        ],
+        ids=["colocated", "default-kind", "no-fixed", "spread"],
+    )
+    def test_older_format_still_loads(self, data, expected):
+        assert DetectorLayout.from_dict(data) == expected
+
+    @pytest.mark.parametrize(
+        "layout,kind",
+        [
+            (DetectorLayout.colocated(3, 2), "co-located"),
+            (DetectorLayout.colocated(0, 2), "co-located"),
+            (DetectorLayout.colocated(2, 0), "co-located"),
+            (DetectorLayout.colocated(1, 1), "mmp-spread"),  # the same as spread(1)
+            (DetectorLayout.spread(3), "mmp-spread"),
+            (DetectorLayout(COMB2, tuple(magic_positions(3))), "custom"),
+            (DetectorLayout((), (0.0, math.pi)), "custom"),
+            (DetectorLayout(COMB2, (0.0, 0.0, math.pi)), "custom"),
+        ],
+        ids=[
+            "colocated",
+            "no-moving",
+            "no-fixed",
+            "one-and-one",
+            "spread-3",
+            "unequal-halves",
+            "moving-only",
+            "partly-spread",
+        ],
+    )
+    def test_moving_kind_is_derived(self, layout, kind):
+        assert layout.moving_kind == kind
+        assert layout.describe().startswith(kind + ":")
 
     def test_describe_mentions_counts(self):
         text = DetectorLayout.colocated(4, 2).describe()

@@ -3,11 +3,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from conftest import older_layout_format
 
 from thermalnoon.analytic import setup1_curve, setup2_curve, setup2_g
 from thermalnoon.curves import CorrelationCurve, default_grid
 from thermalnoon.errors import AccumulatorOverflowError
-from thermalnoon.geometry import DetectorLayout, SourceArray
+from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import correlation_pathsum
 from thermalnoon.speckle import (
     BOOTSTRAP_RESAMPLES,
@@ -15,6 +16,7 @@ from thermalnoon.speckle import (
     MAX_BATCHES,
     SpeckleConfig,
     _envelope,
+    _envelope_factor,
     dominant_frequency,
     fit_cosine,
     simulate_curve,
@@ -157,6 +159,8 @@ class TestSpeckleConfig:
     )
     def test_from_dict_never_truncates(self, section, field, value):
         data = hbt_config().to_dict()
+        if field == "moving_count":
+            older_layout_format(data)
         (data if section is None else data[section])[field] = value
         with pytest.raises(ValueError):
             SpeckleConfig.from_dict(data)
@@ -174,6 +178,8 @@ class TestSpeckleConfig:
             ("layout", "fixed_phases", ["0.5"]),
             ("sources", "nbar", ["1.0"]),
             ("sources", "nbar", 1.0),
+            ("layout", "moving_offsets", ["0.5"]),
+            ("layout", "moving_offsets", 0.0),
         ],
         ids=[
             "frames-bool",
@@ -186,10 +192,14 @@ class TestSpeckleConfig:
             "phase-string",
             "nbar-string",
             "nbar-scalar",
+            "offset-string",
+            "offsets-scalar",
         ],
     )
     def test_from_dict_rejects_bools_and_strings(self, section, field, value):
         data = hbt_config().to_dict()
+        if field == "moving_count":
+            older_layout_format(data)
         (data if section is None else data[section])[field] = value
         with pytest.raises(ValueError, match=field):
             SpeckleConfig.from_dict(data)
@@ -219,6 +229,21 @@ class TestEnvelope:
         nz = x != 0
         expected[nz] = np.sin(x[nz]) / x[nz]
         np.testing.assert_allclose(_envelope(phases, ratio), expected, rtol=1e-12)
+
+    def test_spread_envelope_follows_unwrapped_phases(self):
+        # the envelope is not periodic: moving detector i at delta1 + 2*pi*i/m
+        # sees env(delta1 + 2*pi*i/m); wrapping that phase into [0, 2*pi)
+        # would turn the factor into a sawtooth of period 2*pi/m
+        config = hbt_config(layout=DetectorLayout.spread(3), slit_ratio=0.3)
+        comb = magic_positions(3)
+        moving = config.grid[:, None] + comb[None, :]
+        fixed = np.broadcast_to(comb, moving.shape)
+        phases = np.concatenate([moving, fixed], axis=1)
+        expected = np.prod(np.sinc(phases * 0.3 / (2.0 * math.pi)) ** 2, axis=1)
+        factor = _envelope_factor(config)
+        np.testing.assert_allclose(factor, expected, rtol=1e-12)
+        # neighbouring points differ by 0.5% of the peak; wrapped, by 26%
+        assert np.abs(np.diff(factor)).max() < 0.01 * factor.max()
 
 
 class TestSimulateCurve:

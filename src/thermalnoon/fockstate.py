@@ -34,11 +34,11 @@ from .geometry import DetectorLayout, require_real
 
 TAIL_LIMIT = 1e-6
 # A cost cap on default_cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
-# D = 1000.  verify_isomorphism at m1 = m2 = 2 keeps 23 bands alive at its
-# peak (tracemalloc: 33.5 MB at D = 300, 133 MB at D = 600; 47 bands at
-# m1 = m2 = 5) and takes 0.63 s at D = 600, growing as (D+1)**2.  So D = 1000
-# costs about 370 MB and 1.7 s a call; nbar = 100 would need D = 2439 and
-# 2.2 GB.
+# D = 1000.  verify_isomorphism at m1 = m2 = 2 keeps 20 bands alive at its
+# peak (tracemalloc: 29.1 MB at D = 300, 116 MB at D = 600; 38 bands at
+# m1 = m2 = 5) and takes 0.3 s at D = 600, growing as (D+1)**2.  So D = 1000
+# costs about 320 MB and 0.9 s a call; nbar = 100 would need D = 2439 and
+# 1.9 GB.
 FOCK_MAX_CUTOFF = 1000
 
 
@@ -138,30 +138,45 @@ class TwoModeDensityMatrix:
         return {d for d, b in self.bands.items() if np.abs(b).max() > tol}
 
 
-def _sandwich(bands: dict, factors) -> dict:
-    """Bands of B rho B+ for Hermitian rho, with B the product of the factors.
+def _apply(bands: dict, factors) -> dict:
+    """Bands of B X, with B the product of the factors.
 
     Each factor is a sum of lowering terms given as (weight, mode, power),
     meaning weight * a1**power for mode 0 and weight * a2**power for mode 1.
+    """
+    for factor in factors:
+        out: dict = {}
+        for (d1, d2), b in bands.items():
+            for weight, mode, power in factor:
+                # <n| a**p = sqrt((n+p)! / n!) <n+p| along the lowered mode
+                step = (power, 0) if mode == 0 else (0, power)
+                n = np.arange(b.shape[0], dtype=float)[:, None]
+                coef = np.sqrt(np.prod(n + np.arange(1, power + 1), axis=1))
+                term = weight * np.expand_dims(coef, 1 - mode) * _take(b, *step)
+                key = (d1 - step[0], d2 - step[1])
+                out[key] = out[key] + term if key in out else term
+        bands = out
+    return bands
+
+
+def _sandwich(bands: dict, factors) -> dict:
+    """Bands of B rho B+ for Hermitian rho.
+
     Lowering operators commute and rho = rho+, so B rho B+ = B (B rho)+.
     """
+    return _apply(_dagger(_apply(bands, factors)), factors)
 
-    def apply_b(bands: dict) -> dict:
-        for factor in factors:
-            out: dict = {}
-            for (d1, d2), b in bands.items():
-                for weight, mode, power in factor:
-                    # <n| a**p = sqrt((n+p)! / n!) <n+p| along the lowered mode
-                    step = (power, 0) if mode == 0 else (0, power)
-                    n = np.arange(b.shape[0], dtype=float)[:, None]
-                    coef = np.sqrt(np.prod(n + np.arange(1, power + 1), axis=1))
-                    term = weight * np.expand_dims(coef, 1 - mode) * _take(b, *step)
-                    key = (d1 - step[0], d2 - step[1])
-                    out[key] = out[key] + term if key in out else term
-            bands = out
-        return bands
 
-    return apply_b(_dagger(apply_b(bands)))
+def _sandwich_trace(bands: dict, factors) -> float:
+    """tr(B rho B+) = sum over n, m of (B rho)_nm conj(B_nm), band by band.
+
+    B's bands are the factors applied to the identity, so no band of
+    B rho B+ is built.
+    """
+    dim = next(iter(bands.values())).shape[0]
+    b_rho = _apply(bands, factors)
+    b = _apply({(0, 0): np.ones((dim, dim))}, factors)
+    return float(sum(np.vdot(b[d], x) for d, x in b_rho.items() if d in b).real)
 
 
 def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMatrix:
@@ -231,7 +246,7 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float:
             f"operator power {len(phases)} exceeds the Fock cutoff {rho.cutoff}"
         )
     fields = [[(1.0, 0, 1), (np.exp(-1j * d), 1, 1)] for d in phases]
-    return _trace(_sandwich(rho.bands, fields))
+    return _sandwich_trace(rho.bands, fields)
 
 
 def g_moving(rho: TwoModeDensityMatrix, m1: int, delta1: float) -> float:

@@ -22,8 +22,13 @@ of fixed sizes; batch b draws from its own counter-based substream
 Philox(key=seed, counter lane b) in chunks of up to CHUNK_FRAMES frames, each
 chunk taking standard normals of shape (chunk frames, 2K) as the real then
 imaginary parts of the amplitudes; batch partial sums are combined in batch
-order.  The result is bit-identical for any worker count, and the batch
-means feed the stderr estimate and the bootstrap in fit_cosine.
+order.  Within a chunk every array is laid out (phase column, frame): each
+node's product is summed over the chunk's frames as one contiguous row, and
+the chunk sums are added in draw order, with no BLAS call anywhere.  The
+layout decides only the rounding; which normals each frame gets and the
+batch order are fixed by the seed as above.  The result is bit-identical for
+any worker count, and the batch means feed the stderr estimate and the
+bootstrap in fit_cosine.
 """
 
 from __future__ import annotations
@@ -71,6 +76,8 @@ class SpeckleConfig:
         grid = np.asarray(self.grid)
         if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be 1-d numbers with at least two points")
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("grid values must be finite")
         object.__setattr__(self, "grid", grid.astype(float, copy=False))
         slit_ratio = require_real("slit_ratio", self.slit_ratio)
         if not (0.0 <= slit_ratio < 1.0):
@@ -144,19 +151,46 @@ def _node_weights(grid: np.ndarray, nodes: int) -> np.ndarray:
     return (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
 
 
-def _chunk_product_sums(
-    intensity: np.ndarray, counts: np.ndarray, nodes: int
+def _chunk_node_sums(
+    normals: np.ndarray,
+    table: np.ndarray,
+    counts: np.ndarray,
+    nodes: int,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Sum over frames of the M-detector intensity product, per node."""
-    frames = intensity.shape[0]
+    """One chunk's sum over frames of the M-detector intensity product, per node.
+
+    normals holds the chunk's standard normals, (frames, 2K).  Every array is
+    laid out (phase column, frame), so numpy's inner loops run over frames,
+    and integer powers are taken by repeated squaring.  work holds the
+    batch's flat buffers for the fields, one source's term and the product,
+    each with room for the chunk's (rows, frames) as a contiguous block.
+    """
+    (k, columns), frames = table.shape, normals.shape[0]
+    fields, term, product = (
+        w[: rows * frames].reshape(rows, frames)
+        for w, rows in zip(work, (columns, columns, nodes))
+    )
+    amps = np.empty((k, frames), dtype=complex)
+    amps.real, amps.imag = normals[:, :k].T, normals[:, k:].T
+    np.multiply(table[0][:, None], amps[0], out=fields)
+    for l in range(1, k):
+        fields += np.multiply(table[l][:, None], amps[l], out=term)
+    # |field|^2 in place of the real parts: a strided (columns, frames) view
+    intensity = np.square(fields.real, out=fields.real)
+    intensity += np.square(fields.imag, out=fields.imag)
     moving_columns = counts.size * nodes
-    fixed_prod = np.prod(intensity[:, moving_columns:], axis=1)
-    groups = intensity[:, :moving_columns].reshape(frames, counts.size, nodes)
-    moving_prod = np.ones((frames, nodes))
-    for offset, count in enumerate(counts):
-        moving_prod *= groups[:, offset] ** int(count)
-    # explicit broadcast + ordered reduce keeps the accumulation deterministic
-    return (moving_prod * fixed_prod[:, None]).sum(axis=0)
+    product[:] = np.prod(intensity[moving_columns:], axis=0)
+    groups = intensity[:moving_columns].reshape(counts.size, nodes, frames)
+    for power, count in zip(groups, counts.tolist()):
+        while True:
+            if count & 1:
+                product *= power
+            count >>= 1
+            if not count:
+                break
+            np.multiply(power, power, out=power)
+    return product.sum(axis=1)
 
 
 def _run_batch(
@@ -170,19 +204,22 @@ def _run_batch(
         np.random.Philox(key=config.seed, counter=[0, 0, 0, batch_index])
     )
     k = config.sources.count
-    scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
     nodes = _node_count(config)
+    # allocated once per batch: fresh per-chunk temporaries made the allocator
+    # return their pages and fault them in again for every chunk
+    width, columns = min(CHUNK_FRAMES, batch_frames), table.shape[1]
+    work = (
+        np.empty(columns * width, dtype=complex),
+        np.empty(columns * width, dtype=complex),
+        np.empty(nodes * width),
+    )
     sums = np.zeros(nodes)
     remaining = batch_frames
     while remaining:
         f = min(CHUNK_FRAMES, remaining)
-        z = rng.standard_normal((f, 2 * k))
-        amps = (z[:, :k] + 1j * z[:, k:]) * scale[None, :]
-        fields = np.zeros((f, table.shape[1]), dtype=complex)
-        for l in range(k):
-            fields += amps[:, l][:, None] * table[l][None, :]
-        intensity = fields.real**2 + fields.imag**2
-        sums += _chunk_product_sums(intensity, counts, nodes)
+        normals = rng.standard_normal((f, 2 * k))
+        sums += _chunk_node_sums(normals, table, counts, nodes, work)
+        del normals  # freed before the next chunk is drawn
         remaining -= f
     if not np.all(np.isfinite(sums)):
         raise AccumulatorOverflowError(
@@ -201,8 +238,10 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
     phases = _phase_table(config, offsets)
     alphas = np.asarray(config.sources.prefactors, dtype=float)
-    # table[l, c] = exp(-1j*alpha_l*delta_c)
-    table = np.exp(-1j * alphas[:, None] * phases[None, :])
+    scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
+    # table[l, c] = sqrt(nbar_l / 2) * exp(-1j*alpha_l*delta_c): what a unit
+    # standard normal pair of source l puts on phase column c
+    table = scale[:, None] * np.exp(-1j * alphas[:, None] * phases[None, :])
 
     sizes = _batch_sizes(config.frames)
     if config.workers == 1:
@@ -220,7 +259,7 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
             )
     weights = _node_weights(config.grid, _node_count(config))
     # (batches, grid), combined in batch order; the node-to-grid map is an
-    # explicit broadcast + ordered reduce, like the frame sums, not BLAS
+    # explicit broadcast and a sum over the nodes, not BLAS
     sums = (np.stack(node_sums)[:, None, :] * weights[None, :, :]).sum(axis=2)
     sums *= _envelope_factor(config)[None, :]
     # every frame's product is nonnegative at every phase; interpolation can

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -264,6 +265,35 @@ class TestSpeckleCommand:
         out = tmp_path / "x.csv"
         assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad,token",
+        [(math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity")],
+    )
+    def test_config_file_rejects_non_finite_grid(
+        self, tmp_path, capsys, monkeypatch, bad, token
+    ):
+        # Python's json reads NaN and Infinity; the run must stop before a frame
+        from thermalnoon import speckle
+
+        def no_frames(*args):
+            raise AssertionError("a frame was drawn")
+
+        monkeypatch.setattr(speckle, "_run_batch", no_frames)
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        data["grid"][1] = bad
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        assert token in config_path.read_text()
+        out = tmp_path / "x.csv"
+        assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "grid" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

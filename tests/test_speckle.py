@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -17,6 +18,8 @@ from thermalnoon.speckle import (
     SpeckleConfig,
     _envelope,
     _envelope_factor,
+    _phase_table,
+    _run_batch,
     dominant_frequency,
     fit_cosine,
     simulate_curve,
@@ -145,6 +148,11 @@ class TestSpeckleConfig:
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
             hbt_config(grid=np.array([0.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_grid(self, bad):
+        with pytest.raises(ValueError, match="grid"):
+            hbt_config(grid=np.array([0.0, bad, 1.0]))
 
     @pytest.mark.parametrize(
         "section,field,value",
@@ -360,8 +368,26 @@ class TestSimulateCurve:
                     "slit_ratio": 0.2,
                 },
             ),
+            (
+                SourceArray.equidistant(3),
+                # two moving groups squared at counts 3 and 2
+                DetectorLayout(
+                    fixed_phases=(0.0, math.pi),
+                    moving_offsets=(0.0, 0.0, 0.0, math.pi / 2, math.pi / 2),
+                ),
+                20_000,
+                {},
+            ),
         ],
-        ids=["colocated-5-2", "spread-3-slit", "k3-2-2", "m1-0", "k1", "nonuniform"],
+        ids=[
+            "colocated-5-2",
+            "spread-3-slit",
+            "k3-2-2",
+            "m1-0",
+            "k1",
+            "nonuniform",
+            "k3-two-groups",
+        ],
     )
     def test_matches_every_grid_point_brute_force(self, sources, layout, frames, extra):
         # node sampling plus interpolation reproduces a frame-by-frame
@@ -377,6 +403,30 @@ class TestSimulateCurve:
         values, batch_means = brute_force_curve(config)
         np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(curve.batch_means, batch_means, rtol=1e-12, atol=0)
+
+    def test_batch_memory_is_bounded(self):
+        # colocated(5, 2), K = 2: 13 phase columns and 11 nodes.  A batch holds
+        # the fields and one source's term, 13 x 4096 complex each, and the
+        # product, 11 x 4096 floats: 504 B per frame.  A chunk adds its normals
+        # (4 floats a frame), amplitudes (2 complex) and fixed-detector product
+        # (1 float): 104 B per frame.  So 608 B x 4096 = 2.49 MB, and 64 kB
+        # for small objects.
+        config = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(5, 2),
+            frames=50_000,
+            seed=3,
+        )
+        offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
+        phases = _phase_table(config, offsets)
+        table = np.exp(-1j * np.arange(2)[:, None] * phases[None, :])
+        tracemalloc.start()
+        try:
+            _run_batch(config, table, counts, 0, config.frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 608 * CHUNK_FRAMES + 64 * 1024
 
     def test_single_frame_curves_match_brute_force(self):
         # one frame's curve can nearly vanish at some phase, where the

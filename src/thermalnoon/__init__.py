@@ -7,7 +7,8 @@ N00N-like state behind them.
 """
 
 from .analytic import (
-    Setup2Coefficients,
+    ClosedForm,
+    closed_form,
     crossover_threshold,
     setup1_coeffs,
     setup1_curve,
@@ -65,17 +66,18 @@ __version__ = "0.1.0"
 __all__ = [
     "AccumulatorOverflowError",
     "CapacityError",
+    "ClosedForm",
     "CorrelationCurve",
     "DetectorLayout",
     "FitResult",
     "IsomorphismReport",
     "NumericalError",
-    "Setup2Coefficients",
     "SourceArray",
     "SpeckleConfig",
     "TruncationError",
     "TwoModeDensityMatrix",
     "ZeroProbabilityError",
+    "closed_form",
     "coherence_matrix",
     "correlation_pathsum",
     "correlation_permanent",

@@ -22,14 +22,10 @@ from dataclasses import replace
 import numpy as np
 
 from .analytic import (
+    _half_order,
+    closed_form,
     crossover_threshold,
-    setup1_coeffs,
-    setup1_curve,
-    setup1_g,
     setup1_visibility,
-    setup2_coeffs,
-    setup2_curve,
-    setup2_g,
     setup2_visibility,
 )
 from .curves import default_grid
@@ -41,7 +37,7 @@ from .fockstate import (
     thermal_two_mode,
     verify_isomorphism,
 )
-from .geometry import TWO_PI, DetectorLayout, SourceArray
+from .geometry import TWO_PI, DetectorLayout, SourceArray, require_int
 from .pathsum import (
     ORACLE_TOLERANCE,
     PATHSUM_MAX_ORDER,
@@ -80,26 +76,18 @@ def _sidecar_path(csv_path: str) -> str:
 
 
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    grid = default_grid(args.grid)
     if args.setup == 1:
         if args.order is None:
             raise ValueError("--setup 1 needs --order (even total detector count)")
-        curve = setup1_curve(args.order, grid)
-        c1, c2 = setup1_coeffs(args.order)
-        frequency = args.order // 2
-        parity_sign = 1
+        layout = DetectorLayout.spread(_half_order(args.order))
         out = args.out or f"analytic-spread-M{args.order}.csv"
-        sample = setup1_g(args.order, 0.0)
     else:
         if args.m1 is None or args.m2 is None:
             raise ValueError("--setup 2 needs --m1 and --m2")
-        curve = setup2_curve(args.m1, args.m2, grid)
-        coeffs = setup2_coeffs(args.m1, args.m2)
-        c1, c2 = coeffs.c1, coeffs.c2
-        frequency = coeffs.frequency
-        parity_sign = coeffs.parity_sign
+        layout = DetectorLayout.colocated(args.m1, require_int("m2", args.m2, 1))
         out = args.out or f"analytic-colocated-m1_{args.m1}-m2_{args.m2}.csv"
-        sample = setup2_g(args.m1, args.m2, 0.0)
+    form = closed_form(layout)
+    curve = form.curve(layout, default_grid(args.grid))
     peak = float(curve.values.max())
     _write_csv(
         out,
@@ -107,17 +95,17 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         zip(curve.grid, curve.values, curve.values / peak),
     )
     sidecar = {
-        "c1": c1,
-        "c2": c2,
-        "visibility": c2 / c1,
-        "frequency": frequency,
-        "parity_sign": parity_sign,
+        "c1": form.c1,
+        "c2": form.c2,
+        "visibility": form.c2 / form.c1,
+        "frequency": form.frequency,
+        "parity_sign": form.parity_sign,
     }
     with open(_sidecar_path(out), "w") as fh:
         fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(
         f"wrote {out} and {_sidecar_path(out)} "
-        f"(visibility {c2 / c1:.6g}, G(0) = {sample:g})"
+        f"(visibility {form.c2 / form.c1:.6g}, G(0) = {form.g(0.0):g})"
     )
     return 0
 
@@ -128,35 +116,31 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             f"oracle sweeps are limited to --max-order 8; the path sum itself "
             f"caps at M = {PATHSUM_MAX_ORDER}, use correlation_permanent beyond"
         )
-    for flag in ("samples", "random_configs"):
+    for flag in ("max_order", "samples", "random_configs"):
         if getattr(args, flag) < 1:
             raise ValueError(f"--{flag.replace('_', '-')} must be at least 1")
     rng = np.random.default_rng(args.seed)
     two = SourceArray.equidistant(2, 1.0)
     report: dict = {"tolerance": ORACLE_TOLERANCE, "seed": args.seed}
-
-    spread = []
-    for order in range(2, args.max_order + 1, 2):
-        layout = DetectorLayout.spread(order // 2)
-        worst = 0.0
-        for delta1 in rng.uniform(0.0, TWO_PI, size=args.samples):
-            direct = correlation_pathsum(two, layout.detector_phases(delta1))
-            closed = setup1_g(order, delta1)
-            worst = max(worst, _relative_gap(direct, closed))
-        spread.append({"order": order, "max_rel_gap": worst})
-    report["spread_closed_form"] = spread
-
-    colocated = []
+    # one stream of draws: the spread cases first, then the co-located ones
+    cases = [
+        ("spread_closed_form", {"order": 2 * m}, DetectorLayout.spread(m))
+        for m in range(1, args.max_order // 2 + 1)
+    ]
     for m1 in range(1, args.max_order):
         for m2 in range(1, args.max_order - m1 + 1):
             layout = DetectorLayout.colocated(m1, m2)
-            worst = 0.0
-            for delta1 in rng.uniform(0.0, TWO_PI, size=args.samples):
-                direct = correlation_pathsum(two, layout.detector_phases(delta1))
-                closed = setup2_g(m1, m2, delta1)
-                worst = max(worst, _relative_gap(direct, closed))
-            colocated.append({"m1": m1, "m2": m2, "max_rel_gap": worst})
-    report["colocated_closed_form"] = colocated
+            cases.append(("colocated_closed_form", {"m1": m1, "m2": m2}, layout))
+    report["spread_closed_form"], report["colocated_closed_form"] = [], []
+    gaps = []
+    for label, row, layout in cases:
+        form = closed_form(layout)
+        worst = 0.0
+        for delta1 in rng.uniform(0.0, TWO_PI, size=args.samples):
+            direct = correlation_pathsum(two, layout.detector_phases(delta1))
+            worst = max(worst, _relative_gap(direct, form.g(delta1)))
+        report[label].append({**row, "max_rel_gap": worst})
+        gaps.append(worst)
 
     worst = largest_bound = 0.0
     for _ in range(args.random_configs):
@@ -175,12 +159,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
     }
     report["permanent_error_bound"] = largest_bound
 
-    gaps = (
-        [row["max_rel_gap"] for row in spread]
-        + [row["max_rel_gap"] for row in colocated]
-        + [worst]
-    )
-    report["max_rel_gap"] = max(gaps)
+    report["max_rel_gap"] = max(gaps + [worst])
     report["pass"] = bool(report["max_rel_gap"] <= ORACLE_TOLERANCE)
     _emit_json(report, args.out)
     return 0 if report["pass"] else 1
@@ -227,16 +206,11 @@ def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
 
 
 def _fringe_sign(config: SpeckleConfig, frequency: int) -> int | None:
-    """Closed-form sign of a two-source fringe at frequency m2, for any nbar."""
-    layout = config.layout
-    if config.sources.count != 2 or frequency != layout.m2:
-        return None
-    if layout == DetectorLayout.spread(layout.m2):
-        return 1
-    if layout != DetectorLayout.colocated(layout.m1, layout.m2):
-        return None  # no closed form for this layout
-    coeffs = setup2_coeffs(layout.m1, layout.m2)
-    return coeffs.parity_sign if coeffs.c2 else None  # flat for m1 < m2
+    """Closed-form sign of a two-source fringe at its frequency, for any nbar."""
+    form = closed_form(config.layout)
+    if config.sources.count != 2 or form is None or form.frequency != frequency:
+        return None  # no closed form for this run
+    return form.parity_sign if form.c2 else None  # flat for m1 < m2
 
 
 def _cmd_speckle(args: argparse.Namespace) -> int:

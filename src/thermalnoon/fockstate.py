@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, TruncationError, ZeroProbabilityError
-from .geometry import DetectorLayout, require_real
+from .geometry import DetectorLayout, require_int, require_real
 
 TAIL_LIMIT = 1e-6
 # A cost cap on default_cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
@@ -212,9 +212,7 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
     projection_norm.  Projecting a state that cannot supply m2 photons from
     either mode (e.g. the vacuum) is a zero-probability event.
     """
-    if not isinstance(m2, (int, np.integer)) or m2 < 1:
-        raise ValueError(f"m2 must be a positive integer, got {m2!r}")
-    m2 = int(m2)
+    m2 = require_int("m2", m2, 1)
     if m2 > rho.cutoff:
         raise TruncationError(
             f"operator power m2 = {m2} exceeds the Fock cutoff {rho.cutoff}"
@@ -251,16 +249,12 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float:
 
 def g_moving(rho: TwoModeDensityMatrix, m1: int, delta1: float) -> float:
     """Correlation of m1 co-located detectors at delta1: <E-**m1 E+**m1>."""
-    if not isinstance(m1, (int, np.integer)) or m1 < 0:
-        raise ValueError(f"m1 must be a nonnegative integer, got {m1!r}")
-    return g_detectors(rho, [float(delta1)] * int(m1))
+    return g_detectors(rho, [float(delta1)] * require_int("m1", m1, 0))
 
 
 def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
     """Overlap <psi|rho|psi> with |psi> = (|m2,0> + (-1)**(m2-1)|0,m2>)/sqrt(2)."""
-    if not isinstance(m2, (int, np.integer)) or m2 < 1:
-        raise ValueError(f"m2 must be a positive integer, got {m2!r}")
-    m2 = int(m2)
+    m2 = require_int("m2", m2, 1)
     if m2 > rho.cutoff:
         raise TruncationError(
             f"N00N occupation {m2} exceeds the Fock cutoff {rho.cutoff}"
@@ -276,8 +270,8 @@ def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
 
 def noon_state(m2: int, cutoff: int) -> TwoModeDensityMatrix:
     """Pure N00N-like state (|m2,0> + (-1)**(m2-1)|0,m2>)/sqrt(2) as a density matrix."""
-    if m2 < 1 or m2 > cutoff:
-        raise ValueError("need 1 <= m2 <= cutoff")
+    m2 = require_int("m2", m2, 1)
+    cutoff = require_int("cutoff", cutoff, m2)
     sign = -1.0 if m2 % 2 == 0 else 1.0
     dim = cutoff + 1
     bands = {d: np.zeros((dim, dim)) for d in ((0, 0), (m2, -m2), (-m2, m2))}

@@ -334,9 +334,7 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
     The curve must span at least one period.  parity_ok: the sign of B is
     (-1)**(frequency - 1), a rule of two-source co-located fringes only.
     """
-    if not isinstance(frequency, (int, np.integer)) or frequency < 1:
-        raise ValueError(f"frequency must be a positive integer, got {frequency!r}")
-    frequency = int(frequency)
+    frequency = require_int("frequency", frequency, 1)
     grid = curve.grid
     span = float(grid.max() - grid.min())
     if span + 1e-9 < TWO_PI / frequency:

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from thermalnoon.analytic import (
-    Setup2Coefficients,
+    ClosedForm,
+    closed_form,
     crossover_threshold,
     setup1_coeffs,
     setup1_curve,
@@ -197,7 +199,7 @@ class TestSetup2:
 
     def test_coefficient_invariant_enforced(self):
         with pytest.raises(ValueError):
-            Setup2Coefficients(m1=2, m2=2, c1=4, c2=8, parity_sign=-1)
+            ClosedForm(c1=4, c2=8, parity_sign=-1, frequency=2)
 
 
 class TestCrossoverThreshold:
@@ -238,3 +240,36 @@ class TestCurves:
     def test_curves_carry_layout_labels(self):
         assert "spread" in setup1_curve(2).layout
         assert "co-located" in setup2_curve(2, 2).layout
+
+
+SPREAD = [DetectorLayout.spread(m) for m in range(1, 6)]
+COLOCATED = [
+    DetectorLayout.colocated(m1, m2) for m2 in range(1, 9) for m1 in range(9 - m2)
+]
+
+
+class TestClosedFormOfLayout:
+    @pytest.mark.parametrize("m1", [1, 3])
+    def test_no_fixed_comb_has_no_closed_form(self, m1):
+        assert closed_form(DetectorLayout.colocated(m1, 0)) is None
+
+    def test_one_plus_one_is_both_schemes(self):
+        one = closed_form(DetectorLayout.colocated(1, 1))
+        assert one == closed_form(DetectorLayout.spread(1))
+        assert one == ClosedForm(c1=6, c2=2, parity_sign=1, frequency=1)
+
+    @pytest.mark.parametrize("layout", SPREAD + COLOCATED, ids=DetectorLayout.describe)
+    def test_matches_setup_functions_and_pathsum(self, layout):
+        form = closed_form(layout)
+        if layout in SPREAD:
+            setup = ClosedForm(*setup1_coeffs(layout.order), 1, layout.m1)
+            setup_g = functools.partial(setup1_g, layout.order)
+        else:
+            setup = setup2_coeffs(layout.m1, layout.m2)
+            setup_g = functools.partial(setup2_g, layout.m1, layout.m2)
+        assert form == setup
+        rng = np.random.default_rng(layout.order)
+        for delta in rng.uniform(0, 2 * math.pi, size=5):
+            assert form.g(delta) == setup_g(delta)
+            expected = correlation_pathsum(SourceArray(), layout.detector_phases(delta))
+            assert form.g(delta) == pytest.approx(expected, rel=1e-10)

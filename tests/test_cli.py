@@ -69,6 +69,14 @@ class TestAnalyticCommand:
         assert main(["analytic", "--setup", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_odd_order_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "odd.csv"
+        argv = ["analytic", "--setup", "1", "--order", "3", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "order must be an even integer >= 2, got 3" in err
+        assert not out.exists()
+
     def test_csv_floats_roundtrip_exactly(self, tmp_path):
         # repr() cells must parse back to the same doubles
         out = tmp_path / "exact.csv"
@@ -129,6 +137,14 @@ class TestOracleCheckCommand:
         argv = ["oracle-check", "--seed", "1", "--random-configs", value]
         assert main(argv + ["--out", str(out)]) == 2
         assert "--random-configs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_order_must_check_something(self, tmp_path, capsys, value):
+        out = tmp_path / "oracle.json"
+        argv = ["oracle-check", "--seed", "1", "--max-order", value]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "--max-order must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
 

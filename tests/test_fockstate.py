@@ -284,6 +284,36 @@ class TestNoonContent:
         assert 0.0 <= noon_overlap(rho, 2) <= 1.0 + 1e-12
 
 
+class TestCountsMustBeIntegers:
+    # a bool or a float is not a photon or detector count
+    @pytest.mark.parametrize("m2", [True, 2.0])
+    def test_project_magic(self, m2):
+        with pytest.raises(ValueError, match="m2 must be an integer"):
+            project_magic(thermal_two_mode(0.5, cutoff=16), m2)
+
+    @pytest.mark.parametrize("m1", [True, 2.0])
+    def test_g_moving(self, m1):
+        with pytest.raises(ValueError, match="m1 must be an integer"):
+            g_moving(thermal_two_mode(0.5, cutoff=16), m1, 0.0)
+
+    @pytest.mark.parametrize("m2", [True, 2.0])
+    def test_noon_overlap(self, m2):
+        with pytest.raises(ValueError, match="m2 must be an integer"):
+            noon_overlap(noon_state(2, cutoff=8), m2)
+
+    @pytest.mark.parametrize(
+        "m2,cutoff,name",
+        [(True, 5, "m2"), (2.5, 5, "m2"), (2, True, "cutoff"), (2, 5.0, "cutoff")],
+    )
+    def test_noon_state(self, m2, cutoff, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            noon_state(m2, cutoff)
+
+    def test_noon_state_needs_room_for_its_photons(self):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 3"):
+            noon_state(3, 2)
+
+
 class TestIsomorphism:
     @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 2), (3, 3), (3, 2)])
     def test_projection_then_measurement_commutes(self, m1, m2):

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from thermalnoon.analytic import closed_form
 from thermalnoon.cli import _fringe_sign, main
 from thermalnoon.curves import default_grid
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
@@ -75,6 +76,7 @@ def test_roundtrip_through_json(layout):
 
 
 def test_no_closed_form_fringe_sign(layout):
+    assert closed_form(layout) is None
     config = custom_config(layout, frames=1000, seed=3)
     assert _fringe_sign(config, layout.m2) is None
 

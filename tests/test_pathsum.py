@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from thermalnoon import pathsum
-from thermalnoon.analytic import setup1_g, setup2_g
+from thermalnoon.analytic import closed_form
 from thermalnoon.errors import CapacityError, NumericalError
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import (
@@ -100,6 +100,16 @@ class TestEnumeratePartitions:
             assert len(partition) == count
             assert sum(partition) == order
             assert all(n >= 0 for n in partition)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_descending_order_gives_ascending_split_keys(self, count):
+        # _split_amplitudes bins splits by searchsorted on these keys
+        for order in range(9):
+            partitions = enumerate_partitions(count, order)
+            assert partitions == sorted(partitions, reverse=True)
+            key_of = -((order + 1) ** np.arange(count - 1, -1, -1))
+            keys = (np.array(partitions) * key_of).sum(axis=1)
+            assert np.all(np.diff(keys) > 0)
 
     def test_zero_photons_has_single_empty_split(self):
         assert enumerate_partitions(3, 0) == [(0, 0, 0)]
@@ -428,12 +438,6 @@ class TestBlockedRyser:
         assert shift <= error
 
 
-def closed_form(layout, delta1):
-    if layout.moving_kind == "co-located":
-        return setup2_g(layout.m1, layout.m2, delta1)
-    return setup1_g(layout.order, delta1)
-
-
 # Fixed layouts at M = 14 ... 20.  The co-located M = 14, 16 and 18 ones are
 # the benchmark's fixed exact-oracle layouts (generator seed 1).  A plain
 # double-precision Ryser sum misses 1e-9 on (9, 7) and returns a visibly
@@ -460,7 +464,7 @@ class TestPermanentOracle:
     def test_closed_form_within_bound_or_refused(self, layout, delta1):
         phases = layout.detector_phases(delta1)
         value, bound = correlation_permanent_bounded(SourceArray(), phases)
-        expected = closed_form(layout, delta1)
+        expected = closed_form(layout).g(delta1)
         gap = abs(value - expected) / expected
         assert gap <= bound <= 1e-9
 

@@ -539,6 +539,11 @@ class TestFitCosine:
         with pytest.raises(ValueError):
             fit_cosine(setup2_curve(2, 2), frequency)
 
+    @pytest.mark.parametrize("frequency", [True, 2.0])
+    def test_frequency_must_be_an_integer(self, frequency):
+        with pytest.raises(ValueError, match="frequency must be an integer"):
+            fit_cosine(setup2_curve(2, 2), frequency)
+
     def test_rejects_insufficient_span(self):
         grid = np.linspace(0, math.pi, 91)
         values = 10.0 - np.cos(2 * grid)

@@ -6,19 +6,7 @@ speckle Monte Carlo; plus a truncated Fock-space module for the projected
 N00N-like state behind them.
 """
 
-from .analytic import (
-    ClosedForm,
-    closed_form,
-    crossover_threshold,
-    setup1_coeffs,
-    setup1_curve,
-    setup1_g,
-    setup1_visibility,
-    setup2_coeffs,
-    setup2_curve,
-    setup2_g,
-    setup2_visibility,
-)
+from .analytic import ClosedForm, closed_form, crossover_threshold
 from .curves import CorrelationCurve, default_grid
 from .errors import (
     AccumulatorOverflowError,
@@ -51,7 +39,6 @@ from .pathsum import (
     correlation_permanent,
     correlation_permanent_bounded,
     enumerate_partitions,
-    multiset_phase_sum,
 )
 from .speckle import (
     FitResult,
@@ -91,19 +78,10 @@ __all__ = [
     "g_detectors",
     "g_moving",
     "magic_positions",
-    "multiset_phase_sum",
     "noon_overlap",
     "noon_state",
     "phase_from_angle",
     "project_magic",
-    "setup1_coeffs",
-    "setup1_curve",
-    "setup1_g",
-    "setup1_visibility",
-    "setup2_coeffs",
-    "setup2_curve",
-    "setup2_g",
-    "setup2_visibility",
     "simulate_curve",
     "thermal_two_mode",
     "verify_isomorphism",

@@ -21,13 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analytic import (
-    _half_order,
-    closed_form,
-    crossover_threshold,
-    setup1_visibility,
-    setup2_visibility,
-)
+from .analytic import _half_order, closed_form, crossover_threshold
 from .curves import default_grid
 from .errors import CapacityError
 from .fockstate import (
@@ -61,13 +55,16 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
 def _emit_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if path is None:
-        print(text)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        _write_json(path, payload)
         print(f"wrote {path}")
 
 
@@ -101,8 +98,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         "frequency": form.frequency,
         "parity_sign": form.parity_sign,
     }
-    with open(_sidecar_path(out), "w") as fh:
-        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_json(_sidecar_path(out), sidecar)
     print(
         f"wrote {out} and {_sidecar_path(out)} "
         f"(visibility {form.c2 / form.c1:.6g}, G(0) = {form.g(0.0):g})"
@@ -243,8 +239,7 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
         "seed": config.seed,
         "frames": config.frames,
     }
-    with open(_sidecar_path(out), "w") as fh:
-        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    _write_json(_sidecar_path(out), sidecar)
     print(
         f"wrote {out} and {_sidecar_path(out)} "
         f"(visibility {fit.visibility:.4f} +- {fit.stderr_visibility:.4f}, "
@@ -296,12 +291,14 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     for m2 in range(2, args.max_m2 + 1):
         m1 = crossover_threshold(m2)
         table[str(m2)] = m1
+        colocated = closed_form(DetectorLayout.colocated(m1, m2))
+        spread = closed_form(DetectorLayout.spread(m2))
         rows.append(
             {
                 "m2": m2,
                 "m1_min": m1,
-                "colocated_visibility": float(setup2_visibility(m1, m2)),
-                "spread_visibility": float(setup1_visibility(2 * m2)),
+                "colocated_visibility": float(colocated.visibility),
+                "spread_visibility": float(spread.visibility),
             }
         )
     payload = {"thresholds": table, "detail": rows}

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, TruncationError, ZeroProbabilityError
-from .geometry import DetectorLayout, require_int, require_real
+from .geometry import DetectorLayout, comb_sign, require_int, require_real
 
 TAIL_LIMIT = 1e-6
 # A cost cap on default_cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
@@ -188,8 +188,7 @@ def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMa
     nbar = _require_nbar(nbar)
     if cutoff is None:
         cutoff = default_cutoff(nbar)
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
+    cutoff = require_int("cutoff", cutoff, 1)
     n = np.arange(cutoff + 1, dtype=float)
     # q**n / (1+nbar) stays finite where nbar**n and (1+nbar)**(n+1) overflow
     weights = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
@@ -217,7 +216,7 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
         raise TruncationError(
             f"operator power m2 = {m2} exceeds the Fock cutoff {rho.cutoff}"
         )
-    sign = -1.0 if m2 % 2 == 0 else 1.0
+    sign = comb_sign(m2)
     bands = _sandwich(rho.bands, [[(1.0, 0, m2), (sign, 1, m2)]])
     norm = _trace(bands)
     if norm < 1e-30:
@@ -259,7 +258,7 @@ def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
         raise TruncationError(
             f"N00N occupation {m2} exceeds the Fock cutoff {rho.cutoff}"
         )
-    sign = -1.0 if m2 % 2 == 0 else 1.0
+    sign = comb_sign(m2)
     value = 0.5 * (
         rho.entry(m2, 0, m2, 0)
         + rho.entry(0, m2, 0, m2)
@@ -272,7 +271,7 @@ def noon_state(m2: int, cutoff: int) -> TwoModeDensityMatrix:
     """Pure N00N-like state (|m2,0> + (-1)**(m2-1)|0,m2>)/sqrt(2) as a density matrix."""
     m2 = require_int("m2", m2, 1)
     cutoff = require_int("cutoff", cutoff, m2)
-    sign = -1.0 if m2 % 2 == 0 else 1.0
+    sign = comb_sign(m2)
     dim = cutoff + 1
     bands = {d: np.zeros((dim, dim)) for d in ((0, 0), (m2, -m2), (-m2, m2))}
     bands[(0, 0)][m2, 0] = bands[(0, 0)][0, m2] = 0.5

@@ -58,6 +58,16 @@ def magic_positions(m: int) -> np.ndarray:
     return TWO_PI * np.arange(m, dtype=float) / m
 
 
+def comb_sign(m: int) -> int:
+    """Sign s in prod_{j<m} (x + exp(-2*pi*i*j/m)*y) = x**m + s*y**m: (-1)**(m-1).
+
+    A comb of m detectors at the magic positions collapses the two-source
+    field product to a1**m + s*a2**m, so s is the sign of the N00N-like
+    coherence and of the co-located fringe at frequency m.
+    """
+    return -1 if m % 2 == 0 else 1
+
+
 def phase_from_angle(k: float, d: float, theta: float) -> float:
     """Detector phase delta = k*d*sin(theta) for wavenumber k, spacing d, angle theta."""
     if k <= 0.0 or d <= 0.0:

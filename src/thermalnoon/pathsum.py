@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -121,29 +121,6 @@ def _split_amplitudes(
         block = np.bincount(parts, terms.view(float), 2 * tail_splits.size)
         sums[np.searchsorted(keys, key + tail_splits)] += block.view(complex)
     return dict(zip(splits, sums.tolist()))
-
-
-def multiset_phase_sum(
-    prefactors: Iterable[int], deltas: Sequence[float]
-) -> complex:
-    """Coherent sum over distinct assignments of source prefactors to detectors.
-
-    For each distinct permutation (l_1, ..., l_M) of the prefactor multiset the
-    sum gains one term exp(1j*(alpha_{l_1}*d_1 + ... + alpha_{l_M}*d_M)).  The
-    modulus of the result is bounded by the number of distinct permutations.
-    These are the paths of the multiset's own split, so the value is looked
-    up in the amplitude table of its distinct prefactors.
-    """
-    alphas = [int(a) for a in prefactors]
-    phases = [float(d) for d in deltas]
-    if len(alphas) != len(phases):
-        raise ValueError(
-            f"prefactor multiset has {len(alphas)} entries but {len(phases)} deltas"
-        )
-    # an empty multiset has one empty path, of one source with no photons
-    values = sorted(set(alphas)) or [0]
-    split = tuple(alphas.count(a) for a in values)
-    return _split_amplitudes(values, phases)[split]
 
 
 def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:

@@ -45,6 +45,7 @@ from .geometry import (
     TWO_PI,
     DetectorLayout,
     SourceArray,
+    comb_sign,
     require_field,
     require_int,
     require_real,
@@ -332,7 +333,8 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
     One least-squares map P (lstsq's minimum-norm answer) fits the curve and
     each batch mean; a bootstrap resample averages its batches' coefficients.
     The curve must span at least one period.  parity_ok: the sign of B is
-    (-1)**(frequency - 1), a rule of two-source co-located fringes only.
+    comb_sign(frequency) = (-1)**(frequency - 1), a rule of two-source
+    co-located fringes only.
     """
     frequency = require_int("frequency", frequency, 1)
     grid = curve.grid
@@ -367,5 +369,5 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
         stderr_visibility=stderr_vis,
         stderr_amplitude=stderr_amp,
         dominant_frequency=dominant_frequency(grid, curve.values),
-        parity_ok=bool(amplitude * (-1) ** (frequency - 1) >= 0.0),
+        parity_ok=bool(amplitude * comb_sign(frequency) >= 0.0),
     )

@@ -13,13 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from conftest import record_acceptance
-from thermalnoon.analytic import (
-    crossover_threshold,
-    setup1_g,
-    setup1_visibility,
-    setup2_g,
-    setup2_visibility,
-)
+from thermalnoon.analytic import closed_form, crossover_threshold
 from thermalnoon.cli import main
 from thermalnoon.curves import default_grid
 from thermalnoon.fockstate import (
@@ -49,7 +43,7 @@ def test_criterion_1_spread_visibility_table():
     }
     failures = []
     for order, (exact, rounded) in expected.items():
-        got = setup1_visibility(order)
+        got = closed_form(DetectorLayout.spread(order // 2)).visibility
         if got != exact:
             failures.append(f"M={order}: {got} != {exact}")
         digits = len(str(rounded).split(".")[1])
@@ -84,7 +78,8 @@ def test_criterion_3_closed_forms_match_pathsum():
         layout = DetectorLayout.spread(order // 2)
         for delta1 in rng.uniform(0.0, 2 * math.pi, size=25):
             direct = correlation_pathsum(sources, tuple(layout.detector_phases(delta1)))
-            worst = max(worst, relative_gap(direct, setup1_g(order, float(delta1))))
+            exact = closed_form(layout).g(float(delta1))
+            worst = max(worst, relative_gap(direct, exact))
     for m1 in range(1, 8):
         for m2 in range(1, 9 - m1):
             layout = DetectorLayout.colocated(m1, m2)
@@ -93,7 +88,7 @@ def test_criterion_3_closed_forms_match_pathsum():
                     sources, tuple(layout.detector_phases(delta1))
                 )
                 worst = max(
-                    worst, relative_gap(direct, setup2_g(m1, m2, float(delta1)))
+                    worst, relative_gap(direct, closed_form(layout).g(float(delta1)))
                 )
     ok = record_acceptance(
         3,

@@ -10,16 +10,21 @@ from thermalnoon.analytic import (
     closed_form,
     crossover_threshold,
     setup1_coeffs,
-    setup1_curve,
     setup1_g,
-    setup1_visibility,
     setup2_coeffs,
-    setup2_curve,
     setup2_g,
-    setup2_visibility,
 )
+from thermalnoon.curves import default_grid
 from thermalnoon.geometry import DetectorLayout, SourceArray
 from thermalnoon.pathsum import correlation_pathsum
+
+
+def spread(m):
+    return closed_form(DetectorLayout.spread(m))
+
+
+def colocated(m1, m2):
+    return closed_form(DetectorLayout.colocated(m1, m2))
 
 
 class TestSetup1:
@@ -34,12 +39,13 @@ class TestSetup1:
         ],
     )
     def test_coefficients(self, order, c1, c2):
-        assert setup1_coeffs(order) == (c1, c2)
+        form = spread(order // 2)
+        assert (form.c1, form.c2) == (c1, c2)
 
     def test_fourth_order_curve_values(self):
-        assert setup1_g(4, 0.0) == pytest.approx(64.0)
-        assert setup1_g(4, math.pi / 4) == pytest.approx(56.0)
-        assert setup1_g(4, math.pi / 2) == pytest.approx(48.0)
+        assert spread(2).g(0.0) == pytest.approx(64.0)
+        assert spread(2).g(math.pi / 4) == pytest.approx(56.0)
+        assert spread(2).g(math.pi / 2) == pytest.approx(48.0)
 
     @pytest.mark.parametrize(
         "order,expected",
@@ -52,7 +58,7 @@ class TestSetup1:
         ],
     )
     def test_visibility_exact(self, order, expected):
-        assert setup1_visibility(order) == expected
+        assert spread(order // 2).visibility == expected
 
     @pytest.mark.parametrize(
         "order,rounded",
@@ -60,10 +66,10 @@ class TestSetup1:
     )
     def test_visibility_rounding(self, order, rounded):
         digits = len(str(rounded).split(".")[1])
-        assert round(float(setup1_visibility(order)), digits) == rounded
+        assert round(float(spread(order // 2).visibility), digits) == rounded
 
     def test_visibility_decreases_with_order(self):
-        values = [setup1_visibility(order) for order in range(2, 13, 2)]
+        values = [spread(order // 2).visibility for order in range(2, 13, 2)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_modulation_frequency_is_half_order(self):
@@ -71,8 +77,8 @@ class TestSetup1:
         for order in (2, 4, 6, 8):
             period = 2 * math.pi / (order // 2)
             for delta in (0.2, 1.1, 2.8):
-                assert setup1_g(order, delta + period) == pytest.approx(
-                    setup1_g(order, delta), rel=1e-12
+                assert spread(order // 2).g(delta + period) == pytest.approx(
+                    spread(order // 2).g(delta), rel=1e-12
                 )
 
     @pytest.mark.parametrize("order", [0, -2, 1, 3, 7])
@@ -89,7 +95,8 @@ class TestSetup1:
             expected = correlation_pathsum(
                 sources, tuple(layout.detector_phases(float(delta)))
             )
-            assert setup1_g(order, float(delta)) == pytest.approx(expected, rel=1e-10)
+            got = spread(order // 2).g(float(delta))
+            assert got == pytest.approx(expected, rel=1e-10)
 
 
 class TestSetup2:
@@ -107,13 +114,13 @@ class TestSetup2:
         ],
     )
     def test_coefficients(self, m1, m2, c1, c2, sign):
-        coeffs = setup2_coeffs(m1, m2)
+        coeffs = colocated(m1, m2)
         assert (coeffs.c1, coeffs.c2, coeffs.parity_sign) == (c1, c2, sign)
         assert coeffs.frequency == m2
 
     def test_second_order_reference_points(self):
-        assert setup2_g(2, 2, 0.0) == pytest.approx(96.0)
-        assert setup2_g(2, 2, math.pi / 2) == pytest.approx(112.0)
+        assert colocated(2, 2).g(0.0) == pytest.approx(96.0)
+        assert colocated(2, 2).g(math.pi / 2) == pytest.approx(112.0)
 
     @pytest.mark.parametrize(
         "m1,expected",
@@ -125,14 +132,14 @@ class TestSetup2:
         ],
     )
     def test_visibility_frequency_doubled_family(self, m1, expected):
-        assert setup2_visibility(m1, 2) == expected
+        assert colocated(m1, 2).visibility == expected
 
     @pytest.mark.parametrize(
         "m1,m2,expected",
         [(3, 3, Fraction(1, 63)), (4, 3, Fraction(1, 24))],
     )
     def test_visibility_frequency_tripled_family(self, m1, m2, expected):
-        assert setup2_visibility(m1, m2) == expected
+        assert colocated(m1, m2).visibility == expected
 
     @pytest.mark.parametrize("m1", [1, 2, 3, 4, 5, 6])
     def test_doubled_family_closed_form(self, m1):
@@ -144,12 +151,13 @@ class TestSetup2:
             expected = scale * (
                 (m1 * m1 + 7 * m1 + 8) - m1 * (m1 - 1) * math.cos(2 * delta)
             )
-            assert setup2_g(m1, 2, float(delta)) == pytest.approx(expected, rel=1e-12)
+            got = colocated(m1, 2).g(float(delta))
+            assert got == pytest.approx(expected, rel=1e-12)
 
     def test_doubled_family_visibility_closed_form(self):
         for m1 in range(2, 9):
             expected = Fraction(m1 * (m1 - 1), m1 * m1 + 7 * m1 + 8)
-            assert setup2_visibility(m1, 2) == expected
+            assert colocated(m1, 2).visibility == expected
 
     @pytest.mark.parametrize("m2", [1, 2, 3, 4])
     def test_flat_below_matching_power(self, m2):
@@ -157,28 +165,28 @@ class TestSetup2:
         for m1 in range(0, m2):
             if m1 == 0 and m2 == 0:
                 continue
-            coeffs = setup2_coeffs(m1, m2)
+            coeffs = colocated(m1, m2)
             assert coeffs.c2 == 0
-            assert setup2_visibility(m1, m2) == 0
+            assert colocated(m1, m2).visibility == 0
 
     @pytest.mark.parametrize("m2", [1, 2, 3, 4, 5])
     def test_parity_alternates_with_comb_size(self, m2):
-        coeffs = setup2_coeffs(m2 + 1, m2)
+        coeffs = colocated(m2 + 1, m2)
         assert coeffs.parity_sign == (-1) ** (m2 - 1)
 
     def test_visibility_grows_with_moving_power(self):
-        values = [setup2_visibility(m1, 2) for m1 in range(2, 10)]
+        values = [colocated(m1, 2).visibility for m1 in range(2, 10)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_even_and_periodic(self):
         for m1, m2 in ((2, 2), (3, 2), (3, 3), (4, 3)):
             period = 2 * math.pi / m2
             for delta in (0.3, 1.4):
-                assert setup2_g(m1, m2, -delta) == pytest.approx(
-                    setup2_g(m1, m2, delta), rel=1e-12
+                assert colocated(m1, m2).g(-delta) == pytest.approx(
+                    colocated(m1, m2).g(delta), rel=1e-12
                 )
-                assert setup2_g(m1, m2, delta + period) == pytest.approx(
-                    setup2_g(m1, m2, delta), rel=1e-12
+                assert colocated(m1, m2).g(delta + period) == pytest.approx(
+                    colocated(m1, m2).g(delta), rel=1e-12
                 )
 
     @pytest.mark.parametrize("m1,m2", [(2, 2), (3, 2), (4, 2), (3, 3), (1, 1), (2, 4)])
@@ -190,7 +198,8 @@ class TestSetup2:
             expected = correlation_pathsum(
                 sources, tuple(layout.detector_phases(float(delta)))
             )
-            assert setup2_g(m1, m2, float(delta)) == pytest.approx(expected, rel=1e-10)
+            got = colocated(m1, m2).g(float(delta))
+            assert got == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("m1,m2", [(-1, 2), (2, 0), (2, -3)])
     def test_rejects_bad_counts(self, m1, m2):
@@ -211,9 +220,9 @@ class TestCrossoverThreshold:
     def test_threshold_is_tight(self, m2):
         # the threshold beats the spread benchmark and m1 - 1 does not
         threshold = crossover_threshold(m2)
-        benchmark = setup1_visibility(2 * m2)
-        assert setup2_visibility(threshold, m2) > benchmark
-        assert setup2_visibility(threshold - 1, m2) <= benchmark
+        benchmark = spread(m2).visibility
+        assert colocated(threshold, m2).visibility > benchmark
+        assert colocated(threshold - 1, m2).visibility <= benchmark
 
     def test_rejects_bad_comb(self):
         with pytest.raises(ValueError):
@@ -221,25 +230,25 @@ class TestCrossoverThreshold:
 
 
 class TestCurves:
-    def test_setup1_curve_samples_closed_form(self):
-        curve = setup1_curve(4)
+    def test_spread_curve_samples_closed_form(self):
+        curve = spread(2).curve(DetectorLayout.spread(2))
         assert curve.grid.shape == (181,)
         assert curve.order == 4
-        expected = [setup1_g(4, d) for d in curve.grid]
+        expected = [spread(2).g(d) for d in curve.grid]
         np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
 
-    def test_setup2_curve_samples_closed_form(self):
-        from thermalnoon.curves import default_grid
-
-        curve = setup2_curve(3, 2, default_grid(91))
+    def test_colocated_curve_samples_closed_form(self):
+        layout = DetectorLayout.colocated(3, 2)
+        curve = closed_form(layout).curve(layout, default_grid(91))
         assert curve.grid.shape == (91,)
         assert curve.order == 5
-        expected = [setup2_g(3, 2, d) for d in curve.grid]
+        expected = [colocated(3, 2).g(d) for d in curve.grid]
         np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
 
     def test_curves_carry_layout_labels(self):
-        assert "spread" in setup1_curve(2).layout
-        assert "co-located" in setup2_curve(2, 2).layout
+        assert "spread" in spread(1).curve(DetectorLayout.spread(1)).layout
+        layout = DetectorLayout.colocated(2, 2)
+        assert "co-located" in closed_form(layout).curve(layout).layout
 
 
 SPREAD = [DetectorLayout.spread(m) for m in range(1, 6)]
@@ -273,3 +282,11 @@ class TestClosedFormOfLayout:
             assert form.g(delta) == setup_g(delta)
             expected = correlation_pathsum(SourceArray(), layout.detector_phases(delta))
             assert form.g(delta) == pytest.approx(expected, rel=1e-10)
+
+    def test_equal_layouts_share_one_cached_form(self):
+        hits = closed_form.cache_info().hits
+        built = DetectorLayout(fixed_phases=(0.0, math.pi), moving_offsets=(0.0,) * 3)
+        first = closed_form(DetectorLayout.colocated(3, 2))
+        assert closed_form(built) is first
+        assert closed_form(DetectorLayout.colocated(3, 2)) is first
+        assert closed_form.cache_info().hits >= hits + 2

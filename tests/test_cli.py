@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import older_layout_format
 
+from thermalnoon.analytic import closed_form
 from thermalnoon.cli import main
 from thermalnoon.curves import default_grid
 from thermalnoon.geometry import DetectorLayout, SourceArray
@@ -82,10 +83,9 @@ class TestAnalyticCommand:
         out = tmp_path / "exact.csv"
         main(["analytic", "--setup", "2", "--m1", "2", "--m2", "2", "--out", str(out)])
         _, rows = read_csv(out)
-        from thermalnoon.analytic import setup2_g
-
+        form = closed_form(DetectorLayout.colocated(2, 2))
         for delta1, g_value, _ in rows[:20]:
-            assert g_value == setup2_g(2, 2, delta1)
+            assert g_value == form.g(delta1)
 
 
 class TestOracleCheckCommand:
@@ -436,7 +436,10 @@ class TestFockCommand:
 
     @pytest.mark.parametrize(
         "flag,value,message",
-        [("--cutoff", "0", "cutoff must be >= 1"), ("--grid", "0", "--grid")],
+        [
+            ("--cutoff", "0", "cutoff must be an integer >= 1"),
+            ("--grid", "0", "--grid"),
+        ],
     )
     def test_rejects_nonpositive_flags(self, capsys, flag, value, message):
         assert main(["fock", flag, value]) == 2
@@ -476,6 +479,31 @@ class TestThresholdsCommand:
 
     def test_rejects_small_cap(self, capsys):
         assert main(["thresholds", "--max-m2", "1"]) == 2
+
+
+class TestGoldenOutputs:
+    """Exact outputs, byte for byte against files an earlier version wrote.
+
+    They hold only integers and correctly rounded ratios of integers, so their
+    bytes do not depend on the platform.
+    """
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (["thresholds", "--max-m2", "5"], "thresholds-max-m2-5.json"),
+            (["analytic", "--setup", "1", "--order", "6"], "analytic-spread-M6.json"),
+            (
+                ["analytic", "--setup", "2", "--m1", "3", "--m2", "2"],
+                "analytic-colocated-m1_3-m2_2.json",
+            ),
+        ],
+    )
+    def test_matches_golden_file(self, tmp_path, argv, golden):
+        # thresholds writes the JSON itself, analytic as the sidecar of its CSV
+        out = tmp_path / ("out.json" if argv[0] == "thresholds" else "out.csv")
+        assert main(argv + ["--out", str(out)]) == 0
+        assert (tmp_path / "out.json").read_bytes() == (DATA / golden).read_bytes()
 
 
 class TestEntryPoint:

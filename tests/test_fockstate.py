@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermalnoon.analytic import setup2_g
+from thermalnoon.analytic import closed_form
 from thermalnoon.errors import CapacityError, TruncationError, ZeroProbabilityError
 from thermalnoon.fockstate import (
     FOCK_MAX_CUTOFF,
@@ -141,6 +141,15 @@ class TestThermalTwoMode:
         with pytest.raises(ValueError):
             thermal_two_mode(-0.5, cutoff=10)
 
+    @pytest.mark.parametrize("cutoff", [16.0, 16.5, True, 0])
+    def test_rejects_non_integer_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be an integer >= 1"):
+            thermal_two_mode(0.5, cutoff)
+
+    def test_numpy_integer_cutoff_is_a_plain_int(self):
+        cutoff = thermal_two_mode(0.5, np.int64(16)).cutoff
+        assert cutoff == 16 and type(cutoff) is int
+
     def test_positive_semidefinite(self):
         rho = thermal_two_mode(0.5, cutoff=14)
         assert min_eigenvalue(rho) >= -1e-12
@@ -226,7 +235,7 @@ class TestCorrelations:
         layout = DetectorLayout.colocated(2, 2)
         for delta in (0.0, 0.9, 2.5):
             got = g_detectors(rho, tuple(layout.detector_phases(delta)))
-            assert got == pytest.approx(setup2_g(2, 2, delta), rel=1e-6)
+            assert got == pytest.approx(closed_form(layout).g(delta), rel=1e-6)
 
     def test_g_moving_on_raw_thermal_is_flat(self):
         # without the fixed-comb projection the moving product shows no
@@ -323,7 +332,8 @@ class TestIsomorphism:
 
     def test_matches_closed_form_scale_at_unit_brightness(self):
         report = verify_isomorphism(1.0, 2, 2, 0.9, cutoff=36)
-        assert report.lhs == pytest.approx(setup2_g(2, 2, 0.9), rel=1e-4)
+        form = closed_form(DetectorLayout.colocated(2, 2))
+        assert report.lhs == pytest.approx(form.g(0.9), rel=1e-4)
 
     def test_report_records_inputs(self):
         report = verify_isomorphism(0.5, 2, 2, 0.3)

@@ -7,6 +7,7 @@ from thermalnoon.geometry import (
     TWO_PI,
     DetectorLayout,
     SourceArray,
+    comb_sign,
     magic_positions,
     phase_from_angle,
 )
@@ -38,6 +39,19 @@ class TestMagicPositions:
     def test_rejects_nonpositive(self, m):
         with pytest.raises(ValueError):
             magic_positions(m)
+
+
+class TestCombSign:
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_comb_product_collapses_to_two_terms(self, m):
+        # coefficients of prod_j (x + exp(-2*pi*i*j/m)*y), highest power of x first
+        product = np.array([1.0 + 0j])
+        for phase in magic_positions(m):
+            product = np.convolve(product, [1.0, np.exp(-1j * phase)])
+        expected = np.zeros(m + 1, dtype=complex)
+        expected[0], expected[m] = 1.0, comb_sign(m)
+        np.testing.assert_allclose(product, expected, atol=1e-12)
+        assert comb_sign(m) == (-1) ** (m - 1)
 
 
 class TestMovingMagicPositions:

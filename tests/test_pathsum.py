@@ -19,7 +19,6 @@ from thermalnoon.pathsum import (
     correlation_permanent,
     correlation_permanent_bounded,
     enumerate_partitions,
-    multiset_phase_sum,
 )
 
 
@@ -124,24 +123,23 @@ class TestMultisetPhaseSum:
     def test_all_same_label_is_single_arrangement(self):
         # only one distinct arrangement, so the sum is a pure phase
         deltas = (0.4, 1.3, 2.2)
-        value = multiset_phase_sum((1, 1, 1), deltas)
+        value = pathsum._split_amplitudes((1,), deltas)[(3,)]
         assert value == pytest.approx(np.exp(1j * sum(deltas)), abs=1e-12)
 
     def test_zero_labels_give_unity(self):
-        assert multiset_phase_sum((0, 0, 0, 0), (0.1, 0.9, 3.0, 5.5)) == pytest.approx(
-            1.0, abs=1e-12
-        )
+        value = pathsum._split_amplitudes((0,), (0.1, 0.9, 3.0, 5.5))[(4,)]
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_pair_cancels_at_magic_positions(self):
         # the {0,1} multiset interferes destructively on the magic comb
-        value = multiset_phase_sum((0, 1), tuple(magic_positions(2)))
+        value = pathsum._split_amplitudes((0, 1), tuple(magic_positions(2)))[(1, 1)]
         assert abs(value) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_uniform_multiset_on_magic_comb_alternates_sign(self, m):
         # sum of the comb is pi*(m-1), so the lone arrangement carries
         # the parity factor (-1)**(m-1)
-        value = multiset_phase_sum((1,) * m, tuple(magic_positions(m)))
+        value = pathsum._split_amplitudes((1,), tuple(magic_positions(m)))[(m,)]
         assert value == pytest.approx((-1.0) ** (m - 1), abs=1e-12)
 
     def test_matches_brute_force_on_random_inputs(self):
@@ -159,7 +157,9 @@ class TestMultisetPhaseSum:
                 expected += np.exp(
                     1j * sum(a * d for a, d in zip(arrangement, deltas))
                 )
-            assert multiset_phase_sum(labels, deltas) == pytest.approx(
+            values = sorted(set(labels))
+            split = tuple(labels.count(v) for v in values)
+            assert pathsum._split_amplitudes(values, deltas)[split] == pytest.approx(
                 expected, abs=1e-10
             )
 
@@ -173,11 +173,15 @@ class TestMultisetPhaseSum:
             arrangements = math.factorial(order)
             for repeat in counts.values():
                 arrangements //= math.factorial(repeat)
-            assert abs(multiset_phase_sum(labels, deltas)) <= arrangements + 1e-9
+            values = sorted(counts)
+            split = tuple(counts[v] for v in values)
+            value = pathsum._split_amplitudes(values, deltas)[split]
+            assert abs(value) <= arrangements + 1e-9
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            multiset_phase_sum((0, 1), (0.0,))
+        # a split of two photons has no paths over one detector
+        with pytest.raises(KeyError):
+            pathsum._split_amplitudes((0, 1), (0.0,))[(1, 1)]
 
 
 class TestCorrelationPathsum:

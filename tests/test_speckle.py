@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import older_layout_format
 
-from thermalnoon.analytic import setup1_curve, setup2_curve, setup2_g
+from thermalnoon.analytic import closed_form
 from thermalnoon.curves import CorrelationCurve, default_grid
 from thermalnoon.errors import AccumulatorOverflowError
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
@@ -24,6 +24,10 @@ from thermalnoon.speckle import (
     fit_cosine,
     simulate_curve,
 )
+
+
+def exact_curve(layout, grid=None):
+    return closed_form(layout).curve(layout, grid)
 
 
 def brute_force_curve(config):
@@ -494,7 +498,7 @@ class TestSimulateCurve:
 
 class TestFitCosine:
     def test_recovers_exact_doubled_frequency_curve(self):
-        curve = setup2_curve(3, 2, default_grid(721))
+        curve = exact_curve(DetectorLayout.colocated(3, 2), default_grid(721))
         fit = fit_cosine(curve, 2)
         assert fit.frequency == 2
         assert fit.dominant_frequency == 2
@@ -504,7 +508,7 @@ class TestFitCosine:
         assert fit.stderr_visibility == 0.0
 
     def test_recovers_exact_spread_curve(self):
-        curve = setup1_curve(6, default_grid(721))
+        curve = exact_curve(DetectorLayout.spread(3), default_grid(721))
         fit = fit_cosine(curve, 3)
         assert fit.dominant_frequency == 3
         assert fit.visibility == pytest.approx(1 / 21, abs=1e-9)
@@ -520,7 +524,7 @@ class TestFitCosine:
         assert fit.parity_ok
 
     def test_positive_parity_family(self):
-        curve = setup2_curve(4, 3, default_grid(361))
+        curve = exact_curve(DetectorLayout.colocated(4, 3), default_grid(361))
         fit = fit_cosine(curve, 3)
         assert fit.amplitude > 0
         assert fit.parity_ok
@@ -537,12 +541,12 @@ class TestFitCosine:
     @pytest.mark.parametrize("frequency", [0, -2])
     def test_rejects_bad_frequency(self, frequency):
         with pytest.raises(ValueError):
-            fit_cosine(setup2_curve(2, 2), frequency)
+            fit_cosine(exact_curve(DetectorLayout.colocated(2, 2)), frequency)
 
     @pytest.mark.parametrize("frequency", [True, 2.0])
     def test_frequency_must_be_an_integer(self, frequency):
         with pytest.raises(ValueError, match="frequency must be an integer"):
-            fit_cosine(setup2_curve(2, 2), frequency)
+            fit_cosine(exact_curve(DetectorLayout.colocated(2, 2)), frequency)
 
     def test_rejects_insufficient_span(self):
         grid = np.linspace(0, math.pi, 91)
@@ -630,10 +634,10 @@ class TestFitMatchesLstsqReference:
     @pytest.mark.parametrize(
         "curve,frequency",
         [
-            (setup1_curve(4), 2),
-            (setup1_curve(6, default_grid(721)), 3),
-            (setup2_curve(3, 2, default_grid(721)), 2),
-            (setup2_curve(4, 3, default_grid(361)), 3),
+            (exact_curve(DetectorLayout.spread(2)), 2),
+            (exact_curve(DetectorLayout.spread(3), default_grid(721)), 3),
+            (exact_curve(DetectorLayout.colocated(3, 2), default_grid(721)), 2),
+            (exact_curve(DetectorLayout.colocated(4, 3), default_grid(361)), 3),
         ],
         ids=["spread-4", "spread-6", "colocated-3-2", "colocated-4-3"],
     )

@@ -60,6 +60,22 @@ def exact_permanent(matrix):
     return total_re, total_im
 
 
+def repeated(kind, n, seed):
+    # a random complex n x n matrix; "columns", "rows" or "both" repeat in
+    # shuffled groups of 3, 1, 2, 1, 3, ... equal ones, and "ones" is the
+    # all-ones matrix, one group of n whose permanent is n!
+    rng = np.random.default_rng(seed)
+    if kind == "ones":
+        return np.ones((n, n), dtype=complex)
+    matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    pattern = np.repeat(np.arange(n), np.resize([3, 1, 2, 1], n))[:n]
+    if kind in ("columns", "both"):
+        matrix = matrix[:, rng.permutation(pattern)]
+    if kind in ("rows", "both"):
+        matrix = matrix[rng.permutation(pattern)]
+    return matrix
+
+
 def brute_force_correlation(sources, deltas):
     # reference oracle: expand the partition sum with raw permutation
     # counting (each distinct arrangement once, multiplicity in the weight)
@@ -360,21 +376,34 @@ class TestPermanent:
             assert permanent(matrix) == pytest.approx(expected, rel=1e-10)
 
 
-class TestBlockedRyser:
+class TestBlockedGlynn:
     # The first column's sign is fixed, so n = 7 and 8 with 1 or 3 low
     # columns draw 5 to 6 or 3 to 4 high columns from the half tables; with
     # 8 low columns the same sizes, and n = 1, have no high columns at all.
+    # Groups of equal columns shift those splits: a group of m columns takes
+    # m + 1 choices of its minus-sign count where a distinct column takes 2.
+    @pytest.mark.parametrize("kind", ["distinct", "columns", "rows", "both", "ones"])
     @pytest.mark.parametrize(
         "low_columns,n",
         [(1, 7), (1, 8), (3, 7), (3, 8), (8, 1), (8, 7), (8, 8)],
     )
-    def test_matches_brute_force(self, monkeypatch, low_columns, n):
+    def test_matches_brute_force(self, monkeypatch, low_columns, n, kind):
         monkeypatch.setattr(pathsum, "_LOW_COLUMNS", low_columns)
-        rng = np.random.default_rng(100 + n)
-        matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        matrix = repeated(kind, n, 100 + n)
         value = permanent(matrix)
         assert isinstance(value, complex)
         assert value == pytest.approx(brute_force_permanent(matrix), rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["columns", "rows", "both", "ones"])
+    def test_grouped_sum_is_within_its_bound_of_the_exact_value(
+        self, monkeypatch, kind
+    ):
+        monkeypatch.setattr(pathsum, "_LOW_COLUMNS", 2)
+        matrix = repeated(kind, 6, 5)
+        value, error = pathsum._glynn(matrix)
+        want_re, want_im = exact_permanent(matrix)
+        assert abs(exact(value.real) - want_re) <= Fraction(error)
+        assert abs(exact(value.imag) - want_im) <= Fraction(error)
 
     def test_empty_matrix_has_unit_permanent(self):
         assert permanent(np.zeros((0, 0), dtype=complex)) == 1
@@ -384,36 +413,49 @@ class TestBlockedRyser:
         matrix[2] = 0.0
         assert pathsum._glynn(matrix) == (0, 0.0)
 
-    def test_row_sums_lie_within_the_assumed_error(self, monkeypatch):
-        # the error bound assumes |computed g_i - exact g_i| <= n eps rho_i;
-        # two low columns leave four high ones, split over both half tables
+    @pytest.mark.parametrize(
+        "counts", [(1,) * 7, (2, 1, 1, 3)], ids=["distinct", "grouped"]
+    )
+    def test_row_sums_lie_within_the_assumed_error(self, monkeypatch, counts):
+        # the error bound assumes |computed g_i - exact g_i| <= n eps rho_i,
+        # rho_i = sum_j |a_ij| over all n columns.  Four low choices leave
+        # the other groups to both half tables; the group of 3 adds the
+        # rounded products 3c and -3c.
         monkeypatch.setattr(pathsum, "_LOW_COLUMNS", 2)
-        n = 7
+        n, groups = sum(counts), len(counts)
         rng = np.random.default_rng(3)
-        matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        matrix[0] *= 1e-12
-        matrix[1, 2] = 1e-30
-        matrix /= 3  # fills every significand bit
+        columns = rng.normal(size=(n, groups)) + 1j * rng.normal(size=(n, groups))
+        columns[0] *= 1e-12
+        columns[1, 2] = 1e-30
+        columns /= 3  # fills every significand bit
         eps = np.finfo(float).eps
-        allowed = [Fraction(n * eps * rho) ** 2 for rho in np.abs(matrix).sum(axis=1)]
-        re = [[exact(v.real) for v in row] for row in matrix]
-        im = [[exact(v.imag) for v in row] for row in matrix]
-        width = 1 << 2
-        rounded = k = 0
-        for k, (rows, parity) in enumerate(pathsum._sign_blocks(matrix), 1):
-            for c in range(width):
-                number = c + (k - 1) * width
-                signs = [1] + [-1 if number >> j & 1 else 1 for j in range(n - 1)]
-                assert parity[c] == math.prod(signs)
+        full = columns[:, np.repeat(np.arange(groups), counts)]
+        allowed = [Fraction(n * eps * rho) ** 2 for rho in np.abs(full).sum(axis=1)]
+        re = [[exact(v.real) for v in row] for row in columns]
+        im = [[exact(v.imag) for v in row] for row in columns]
+        # the group holding the fixed sign has one free column fewer
+        free = (counts[0] - 1,) + counts[1:]
+        number = rounded = 0
+        for rows, weights in pathsum._sign_blocks(columns, counts):
+            for c in range(rows.shape[1]):
+                minus, rest = [], number
+                for f in free:
+                    minus.append(rest % (f + 1))
+                    rest //= f + 1
+                number += 1
+                assert weights[c] == math.prod(
+                    (-1) ** k * math.comb(f, k) for k, f in zip(minus, free)
+                )
+                factors = [m - 2 * k for m, k in zip(counts, minus)]
                 for i in range(n):
-                    want_re = sum(s * v for s, v in zip(signs, re[i]))
-                    want_im = sum(s * v for s, v in zip(signs, im[i]))
+                    want_re = sum(q * v for q, v in zip(factors, re[i]))
+                    want_im = sum(q * v for q, v in zip(factors, im[i]))
                     off = (exact(rows[i, c].real) - want_re) ** 2 + (
                         exact(rows[i, c].imag) - want_im
                     ) ** 2
                     assert off <= allowed[i]
                     rounded += off > 0
-        assert k * width == 2 ** (n - 1)
+        assert number == math.prod(f + 1 for f in free)
         assert rounded > 0  # the case does exercise rounding
 
     def test_bound_covers_the_exact_error(self):
@@ -440,6 +482,61 @@ class TestBlockedRyser:
         value, error = pathsum._glynn(matrix, 1e-6)
         shift = abs(brute_force_permanent(matrix + noise) - value)
         assert shift <= error
+
+    @pytest.mark.parametrize("kind", ["distinct", "columns", "rows", "both", "ones"])
+    def test_grouped_bound_is_the_bound_over_sign_vectors(self, kind):
+        # a term of weight w stands for |w| sign vectors, and a row that
+        # occurs r times for r rows: the bound must add up as if every sign
+        # vector and row were taken one by one
+        n, entry_error = 6, 1e-9
+        matrix = repeated(kind, n, 9)
+        _, error = pathsum._glynn(matrix, entry_error)
+        eps = np.finfo(float).eps
+        d = n * (eps * np.abs(matrix).sum(axis=1) + entry_error)
+        signs = np.array([(1,) + s for s in itertools.product((1, -1), repeat=n - 1)])
+        sums = np.abs(matrix @ signs.T)
+        reach = sums + d[:, None]
+        magnitude = np.prod(sums, axis=0).sum()
+        moved = np.prod(reach, axis=0) @ (d @ (1 / reach))
+        want = (2 * n * eps * magnitude + moved) / 2 ** (n - 1)
+        assert error == pytest.approx(want, rel=1e-12)
+
+    # colocated(m1, m2): one group of m1 equal columns and m2 distinct ones,
+    # 1/2 * (m1 + 1) * 2**m2 terms; spread(7): 14 distinct columns, 2**13
+    @pytest.mark.parametrize(
+        "layout,terms",
+        [
+            (DetectorLayout.colocated(8, 10), 4608),
+            (DetectorLayout.colocated(3, 13), 16384),
+            (DetectorLayout.spread(7), 8192),
+        ],
+        ids=["colocated-8-10", "colocated-3-13", "spread-7"],
+    )
+    def test_terms_summed(self, monkeypatch, layout, terms):
+        widths = []
+        sign_blocks = pathsum._sign_blocks
+
+        def counted(*args):
+            for rows, weights in sign_blocks(*args):
+                widths.append(rows.shape[1])
+                yield rows, weights
+
+        monkeypatch.setattr(pathsum, "_sign_blocks", counted)
+        correlation_permanent(SourceArray(), layout.detector_phases(0.9))
+        assert sum(widths) == terms
+        assert max(widths) <= 1 << pathsum._LOW_COLUMNS
+
+    def test_traced_memory_is_bounded_by_the_block(self):
+        # 2**19 terms at M = 20 would take 8.4 MB as one complex vector, and
+        # their 20 row sums 168 MB; a block holds 2**10 of them
+        phases = DetectorLayout.spread(10).detector_phases(0.9)
+        tracemalloc.start()
+        try:
+            correlation_permanent(SourceArray(), phases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 # Fixed layouts at M = 14 ... 20.  The co-located M = 14, 16 and 18 ones are

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -306,6 +307,9 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once: parsing leaves the parser as it was, and main runs more than once in
+# a process (the test suite, the benchmark)
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thermalnoon",

@@ -12,14 +12,16 @@ detectors through delta1 on that state reproduces the co-located correlation:
 verify_isomorphism checks that factorization numerically, with the left side
 evaluated by direct operator algebra on the unprojected state.
 
-A density matrix is stored as its offset bands: band (d1, d2) holds
-<n1, n2|rho|n1-d1, n2-d2> as a (cutoff+1)-square array over the ket (n1, n2).
-Absent offsets are zero, a thermal state is the one band (0, 0), and a_k**p
-moves a band by p along mode k.  default_cutoff bounds the discarded share of
-the order-M factorial moment of the thermal pair, 2 * P(Binomial(D+1,
-1/(1+nbar)) <= M) <= TAIL_LIMIT with M = m1 + m2, so it covers the correlation
-itself and not only the kept probability mass; past FOCK_MAX_CUTOFF it raises
-CapacityError.
+A density matrix is stored as its offset bands (see TwoModeDensityMatrix), a
+thermal state as the one band (0, 0).  A lowering operator B is stored as its
+normally ordered monomials c * a1**q * a2**p: M detector fields multiply out
+to sum_p e_p(w) a1**(M-p) a2**p, e_p the elementary symmetric polynomials of
+w_j = exp(-1j*delta_j).  Monomial pair (i, j) moves band d of rho to band
+d - (qi - qj, pi - pj), so tr(B rho B+) reads only the bands (d, -d): M+1
+vector-matrix-vector products on a thermal state, and no band is built.
+default_cutoff bounds the discarded share of the order-M factorial moment of
+the thermal pair, 2 * P(Binomial(D+1, 1/(1+nbar)) <= M) <= TAIL_LIMIT with
+M = m1 + m2, not only the kept mass; past FOCK_MAX_CUTOFF it raises CapacityError.
 """
 
 from __future__ import annotations
@@ -34,11 +36,9 @@ from .geometry import DetectorLayout, comb_sign, require_int, require_real
 
 TAIL_LIMIT = 1e-6
 # A cost cap on default_cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
-# D = 1000.  verify_isomorphism at m1 = m2 = 2 keeps 20 bands alive at its
-# peak (tracemalloc: 29.1 MB at D = 300, 116 MB at D = 600; 38 bands at
-# m1 = m2 = 5) and takes 0.3 s at D = 600, growing as (D+1)**2.  So D = 1000
-# costs about 320 MB and 0.9 s a call; nbar = 100 would need D = 2439 and
-# 1.9 GB.
+# D = 1000.  verify_isomorphism keeps 8.5 alive at its peak for any m1, m2
+# (tracemalloc: 49 MB at D = 600, 136 MB at D = 1000), 0.09 and 0.2 s a call
+# on a 2-vCPU Xeon; nbar = 100 at m1 = m2 = 2 would need D = 2439 and 0.8 GB.
 FOCK_MAX_CUTOFF = 1000
 
 
@@ -83,10 +83,6 @@ def _dagger(bands: dict) -> dict:
     return {(-d1, -d2): _take(b, d1, d2).conj() for (d1, d2), b in bands.items()}
 
 
-def _trace(bands: dict) -> float:
-    return float(np.sum(bands.get((0, 0), 0.0)).real)
-
-
 @dataclass(frozen=True, eq=False)
 class TwoModeDensityMatrix:
     """Density matrix on span{|n1, n2> : n1, n2 <= cutoff}, stored by offset bands.
@@ -121,7 +117,7 @@ class TwoModeDensityMatrix:
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")
 
     def trace(self) -> float:
-        return _trace(self.bands)
+        return float(np.sum(self.bands.get((0, 0), 0.0)).real)
 
     def entry(self, n1: int, n2: int, n1p: int, n2p: int) -> complex:
         band = self.bands.get((n1 - n1p, n2 - n2p))
@@ -138,45 +134,53 @@ class TwoModeDensityMatrix:
         return {d for d, b in self.bands.items() if np.abs(b).max() > tol}
 
 
-def _apply(bands: dict, factors) -> dict:
-    """Bands of B X, with B the product of the factors.
+def _ladders(bands: dict, ops) -> tuple[int, np.ndarray, float]:
+    """dim, rows f_q(n) = <n|a**q|n+q> for q <= M, and a scale; ops all have degree M.
 
-    Each factor is a sum of lowering terms given as (weight, mode, power),
-    meaning weight * a1**power for mode 0 and weight * a2**power for mode 1.
-    """
-    for factor in factors:
-        out: dict = {}
-        for (d1, d2), b in bands.items():
-            for weight, mode, power in factor:
-                # <n| a**p = sqrt((n+p)! / n!) <n+p| along the lowered mode
-                step = (power, 0) if mode == 0 else (0, power)
-                n = np.arange(b.shape[0], dtype=float)[:, None]
-                coef = np.sqrt(np.prod(n + np.arange(1, power + 1), axis=1))
-                term = weight * np.expand_dims(coef, 1 - mode) * _take(b, *step)
-                key = (d1 - step[0], d2 - step[1])
-                out[key] = out[key] + term if key in out else term
-        bands = out
-    return bands
-
-
-def _sandwich(bands: dict, factors) -> dict:
-    """Bands of B rho B+ for Hermitian rho.
-
-    Lowering operators commute and rho = rho+, so B rho B+ = B (B rho)+.
-    """
-    return _apply(_dagger(_apply(bands, factors)), factors)
-
-
-def _sandwich_trace(bands: dict, factors) -> float:
-    """tr(B rho B+) = sum over n, m of (B rho)_nm conj(B_nm), band by band.
-
-    B's bands are the factors applied to the identity, so no band of
-    B rho B+ is built.
+    Row q holds sqrt((n+q)!/n!) * 2**(-shift*q) for n < dim; each mode's weights
+    take the scale back out, so no factor outgrows about dim**(M/2).
     """
     dim = next(iter(bands.values())).shape[0]
-    b_rho = _apply(bands, factors)
-    b = _apply({(0, 0): np.ones((dim, dim))}, factors)
-    return float(sum(np.vdot(b[d], x) for d, x in b_rho.items() if d in b).real)
+    degree, shift = max(q + p for _, q, p in ops), dim.bit_length() // 2
+    steps = np.sqrt(np.arange(dim) + np.arange(1.0, degree + 1)[:, None]) * 2.0**-shift
+    f = np.vstack([np.ones(dim), np.cumprod(steps, axis=0)])
+    return dim, f, math.ldexp(1.0, shift * degree)
+
+
+def _weights(f: np.ndarray, q: int, qb: int, o: int) -> tuple[int, int, np.ndarray]:
+    """Kets lo <= n < hi with ket n + q and bra n - o in range, and f_q(n) f_qb(n-o)."""
+    lo, hi = max(0, o), max(0, o, min(f.shape[1] - q, f.shape[1] + o))
+    return lo, hi, f[q, lo:hi] * f[qb, lo - o : hi - o]
+
+
+def _sandwich(bands: dict, ops) -> dict:
+    """Bands of B rho B+: pair (i, j) of ops moves band d to d - (qi - qj, pi - pj)."""
+    dim, f, scale = _ladders(bands, ops)
+    out: dict = {}
+    for (d1, d2), x in bands.items():
+        for ci, qi, pi in ops:
+            for cj, qj, pj in ops:
+                o = (d1 - qi + qj, d2 - pi + pj)
+                lo1, hi1, u = _weights(f, qi, qj, o[0])
+                lo2, hi2, v = _weights(f, pi, pj, o[1])
+                term = x[lo1 + qi : hi1 + qi, lo2 + pi : hi2 + pi]
+                term = term * (ci * np.conj(cj) * scale * u)[:, None] * (scale * v)
+                band = out.setdefault(o, np.zeros((dim, dim), dtype=complex))
+                band[lo1:hi1, lo2:hi2] += term
+    return out
+
+
+def _sandwich_trace(bands: dict, ops) -> float:
+    """tr(B rho B+): pair (i, j) reads band (qi - qj, pi - pj) = (d, -d) on a view."""
+    _, f, scale = _ladders(bands, ops)
+    total = 0j
+    for ci, qi, pi in ops:
+        for cj, qj, pj in ops:
+            x = bands.get((qi - qj, pi - pj))
+            if x is not None:
+                u, v = _weights(f, qi, qj, 0)[2], _weights(f, pi, pj, 0)[2]
+                total += ci * np.conj(cj) * scale * (u @ (x[qi:, pi:] @ (scale * v)))
+    return float(total.real)
 
 
 def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMatrix:
@@ -216,19 +220,16 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
         raise TruncationError(
             f"operator power m2 = {m2} exceeds the Fock cutoff {rho.cutoff}"
         )
-    sign = comb_sign(m2)
-    bands = _sandwich(rho.bands, [[(1.0, 0, m2), (sign, 1, m2)]])
-    norm = _trace(bands)
+    ops = [(1.0, m2, 0), (comb_sign(m2), 0, m2)]
+    norm = _sandwich_trace(rho.bands, ops)
     if norm < 1e-30:
         raise ZeroProbabilityError(
             f"detecting {m2} photons at the magic positions has zero probability "
             "for this state"
         )
+    bands = {d: b / norm for d, b in _sandwich(rho.bands, ops).items()}
     return TwoModeDensityMatrix(
-        bands={d: b / norm for d, b in bands.items()},
-        cutoff=rho.cutoff,
-        trunc_tail=rho.trunc_tail,
-        projection_norm=norm,
+        bands, rho.cutoff, trunc_tail=rho.trunc_tail, projection_norm=norm
     )
 
 
@@ -242,8 +243,11 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float:
         raise TruncationError(
             f"operator power {len(phases)} exceeds the Fock cutoff {rho.cutoff}"
         )
-    fields = [[(1.0, 0, 1), (np.exp(-1j * d), 1, 1)] for d in phases]
-    return _sandwich_trace(rho.bands, fields)
+    coefs = [1.0]  # of a1**(M-p) a2**p in prod_j (a1 + w_j a2): e_p(w)
+    for d in phases:
+        coefs = np.convolve(coefs, [1.0, np.exp(-1j * d)])
+    ops = [(c, len(phases) - p, p) for p, c in enumerate(coefs)]
+    return _sandwich_trace(rho.bands, ops)
 
 
 def g_moving(rho: TwoModeDensityMatrix, m1: int, delta1: float) -> float:
@@ -294,11 +298,7 @@ class IsomorphismReport:
 
 
 def verify_isomorphism(
-    nbar: float,
-    m1: int,
-    m2: int,
-    delta1: float,
-    cutoff: int | None = None,
+    nbar: float, m1: int, m2: int, delta1: float, cutoff: int | None = None
 ) -> IsomorphismReport:
     """Compare the full (m1+m2)-detector correlation with its projected factorization.
 

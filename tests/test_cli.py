@@ -519,3 +519,23 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert '"thresholds"' in result.stdout
+
+    def test_repeated_calls_match_fresh_processes(self, capsys):
+        # main reuses one parser: a usage error in between leaves no trace in it
+        fock = ["fock", "--m1", "1", "--m2", "1", "--grid", "3"]
+        for argv in (fock, ["fock", "--grid", "three"], fock):
+            fresh = subprocess.run(
+                [sys.executable, "-m", "thermalnoon", *argv],
+                capture_output=True,
+                text=True,
+            )
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse exits 2 on a usage error
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (
+                fresh.returncode,
+                fresh.stdout,
+                fresh.stderr,
+            )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,19 +19,52 @@ from thermalnoon.fockstate import (
     thermal_two_mode,
     verify_isomorphism,
 )
-from thermalnoon.geometry import DetectorLayout, SourceArray
-from thermalnoon.pathsum import correlation_pathsum
+from thermalnoon.geometry import DetectorLayout, SourceArray, comb_sign, magic_positions
+from thermalnoon.pathsum import (
+    ORACLE_TOLERANCE,
+    correlation_pathsum,
+    correlation_permanent,
+)
 
 
-def min_eigenvalue(rho):
-    # smallest eigenvalue of the dense ((cutoff+1)**2)-square matrix; small cutoffs only
+def dense(rho):
+    # the ((cutoff+1)**2)-square matrix over |n1, n2>; small cutoffs only
     dim = rho.cutoff + 1
-    dense = np.zeros((dim, dim, dim, dim), dtype=complex)
+    full = np.zeros((dim, dim, dim, dim), dtype=complex)
     n1, n2 = np.indices((dim, dim))
     for (d1, d2), band in rho.bands.items():
         ok = (0 <= n1 - d1) & (n1 - d1 < dim) & (0 <= n2 - d2) & (n2 - d2 < dim)
-        dense[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]] = band[ok]
-    return float(np.linalg.eigvalsh(dense.reshape(dim * dim, dim * dim))[0])
+        full[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]] = band[ok]
+    return full.reshape(dim * dim, dim * dim)
+
+
+def min_eigenvalue(rho):
+    return float(np.linalg.eigvalsh(dense(rho))[0])
+
+
+def lowering_pair(cutoff):
+    # dense a1 and a2 on the same space: a|n> = sqrt(n)|n-1>, which stays inside it
+    a = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    eye = np.eye(cutoff + 1)
+    return np.kron(a, eye), np.kron(eye, a)
+
+
+def random_state(cutoff, seed):
+    # a Hermitian PSD state with weight on every offset band, not only on (d, -d)
+    dim = cutoff + 1
+    rng = np.random.default_rng(seed)
+    shape = (dim * dim, dim * dim)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    full = g @ g.conj().T
+    full = (full / np.trace(full).real).reshape(dim, dim, dim, dim)
+    n1, n2 = np.indices((dim, dim))
+    bands = {}
+    for d1 in range(-cutoff, dim):
+        for d2 in range(-cutoff, dim):
+            ok = (0 <= n1 - d1) & (n1 - d1 < dim) & (0 <= n2 - d2) & (n2 - d2 < dim)
+            bands[(d1, d2)] = np.zeros((dim, dim), dtype=complex)
+            bands[(d1, d2)][ok] = full[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]]
+    return TwoModeDensityMatrix(bands=bands, cutoff=cutoff)
 
 
 class TestDefaultCutoff:
@@ -250,6 +284,97 @@ class TestCorrelations:
             g_moving(rho, -1, 0.0)
         with pytest.raises(TruncationError):
             g_moving(rho, 17, 0.0)
+
+    def test_trace_builds_no_band(self):
+        # the trace reads views of rho's bands: it allocates less than one band
+        rho = thermal_two_mode(5.0, cutoff=600)
+        deltas = 0.7 * np.arange(4)
+        g_detectors(rho, deltas)
+        tracemalloc.start()
+        try:
+            g_detectors(rho, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 601**2 * 16
+
+    def test_high_order_stays_finite(self):
+        # co-located detectors see the one thermal mode (a1 + w a2)/sqrt(2), so
+        # G = 2**M M! nbar**M; the squared ladder elements alone overflow here
+        order, nbar = 118, 2.0
+        rho = thermal_two_mode(nbar, default_cutoff(nbar, 59, 59))
+        expected = float(2**order * math.factorial(order)) * nbar**order
+        assert g_moving(rho, order, 0.3) == pytest.approx(expected, rel=TAIL_LIMIT)
+
+
+DENSE_STATES = {
+    "thermal": lambda: thermal_two_mode(0.05, cutoff=6),
+    "noon": lambda: noon_state(2, cutoff=5),
+    "random": lambda: random_state(5, seed=3),
+}
+
+
+class TestDenseReference:
+    """The band algebra against dense ((cutoff+1)**2)-square operators.
+
+    The random state has weight on every band, so the bands a trace skips
+    are really zero in the dense product; operator powers up to the cutoff
+    push kets past it, where the dense truncated product is the reference.
+    """
+
+    @pytest.mark.parametrize("order", [1, 3, 5])
+    @pytest.mark.parametrize("name", DENSE_STATES)
+    def test_g_detectors(self, name, order):
+        rho = DENSE_STATES[name]()
+        a1, a2 = lowering_pair(rho.cutoff)
+        deltas = 0.3 + 0.9 * np.arange(order)
+        b = np.eye(a1.shape[0])
+        for d in deltas:
+            b = b @ (a1 + np.exp(-1j * d) * a2)
+        expected = np.trace(b @ dense(rho) @ b.conj().T).real
+        assert g_detectors(rho, deltas) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("m2", [1, 2, 4])
+    @pytest.mark.parametrize("name", DENSE_STATES)
+    def test_project_magic(self, name, m2):
+        rho = DENSE_STATES[name]()
+        a1, a2 = lowering_pair(rho.cutoff)
+        power = np.linalg.matrix_power
+        a = power(a1, m2) + comb_sign(m2) * power(a2, m2)
+        expected = a @ dense(rho) @ a.conj().T
+        norm = np.trace(expected).real
+        if norm < 1e-30:  # the N00N state holds two photons, not four
+            with pytest.raises(ZeroProbabilityError):
+                project_magic(rho, m2)
+            return
+        projected = project_magic(rho, m2)
+        assert projected.projection_norm == pytest.approx(norm, rel=1e-12)
+        np.testing.assert_allclose(
+            dense(projected) * norm, expected, rtol=0, atol=1e-12 * norm
+        )
+
+
+ORACLE_LAYOUTS = {
+    "spread3": DetectorLayout.spread(3),
+    "colocated5_2": DetectorLayout.colocated(5, 2),
+    "custom": DetectorLayout(
+        fixed_phases=tuple(magic_positions(3)), moving_offsets=(0.0, math.pi)
+    ),
+}
+
+
+class TestOracleTolerance:
+    @pytest.mark.parametrize("name", ORACLE_LAYOUTS)
+    @pytest.mark.parametrize("nbar,cutoff", [(0.5, 60), (1.0, 90), (2.0, 140)])
+    def test_matches_permanent(self, nbar, cutoff, name):
+        # the Fock route at explicit cutoffs against the certified permanent
+        rho = thermal_two_mode(nbar, cutoff)
+        sources = SourceArray.equidistant(2, nbar)
+        for delta1 in (0.3, 1.7, 4.0):
+            deltas = ORACLE_LAYOUTS[name].detector_phases(delta1)
+            expected = correlation_permanent(sources, deltas)
+            gap = abs(g_detectors(rho, deltas) - expected)
+            assert gap <= ORACLE_TOLERANCE * abs(expected)
 
 
 class TestNoonContent:

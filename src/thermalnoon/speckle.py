@@ -2,8 +2,15 @@
 
 Each frame draws one circular complex Gaussian amplitude per source with
 mean square modulus nbar_l; a detector at phase delta sees the intensity
-|sum_l exp(-1j*alpha_l*delta) * a_l|^2, and G(delta1) is the frame average of
-the product of the M detector intensities.
+|sum_l exp(-1j*l*delta) * a_l|^2, and G(delta1) is the frame average of
+the product of the M detector intensities.  That intensity is the real
+trigonometric polynomial c0 + 2 Re sum_{d=1}^{K-1} Y_d exp(-1j*d*delta), whose
+2K-1 real coefficients are the frame's autocorrelation of the amplitudes:
+c0 = sum_l |a_l|^2 and Y_d = sum_m a_(m+d) conj(a_m).  So a frame's intensities
+are built from those coefficients and a fixed table of 2cos(d*delta) and
+2sin(d*delta) rows, all in real arithmetic; no complex field is formed.  The
+sum of terms is nonnegative only up to rounding: near a dark fringe an
+intensity, and so a product, can come out a few rounding errors below zero.
 
 The moving detectors sit at delta1 + offset, with one offset per distinct
 position and a multiplicity for each (co-located: offset 0 taken m1 times;
@@ -22,7 +29,7 @@ of fixed sizes; batch b draws from its own counter-based substream
 Philox(key=seed, counter lane b) in chunks of up to CHUNK_FRAMES frames, each
 chunk taking standard normals of shape (chunk frames, 2K) as the real then
 imaginary parts of the amplitudes; batch partial sums are combined in batch
-order.  Within a chunk every array is laid out (phase column, frame): each
+order.  Within a chunk every array is real and laid out (row, frame): each
 node's product is summed over the chunk's frames as one contiguous row, and
 the chunk sums are added in draw order, with no BLAS call anywhere.  The
 layout decides only the rounding; which normals each frame gets and the
@@ -121,25 +128,32 @@ def _node_count(config: SpeckleConfig) -> int:
     return 2 * config.layout.m1 * (config.sources.count - 1) + 1
 
 
-def _phase_table(config: SpeckleConfig, offsets: np.ndarray) -> np.ndarray:
-    """Detector phases: every node shifted by each moving offset, then fixed."""
+def _basis_table(config: SpeckleConfig, offsets: np.ndarray) -> np.ndarray:
+    """Rows 1, 2cos(d*delta) and 2sin(d*delta), d = 1..K-1, over the phase columns.
+
+    The columns are every node shifted by each moving offset, then the fixed
+    detectors.  A frame's intensity at a column is its coefficients
+    (c0, Re Y_d, Im Y_d) weighted by the column's rows.
+    """
     count = _node_count(config)
     nodes = TWO_PI * np.arange(count) / count
     moving = (offsets[:, None] + nodes[None, :]).ravel()
-    return np.concatenate(
+    phases = np.concatenate(
         [moving, np.asarray(config.layout.fixed_phases, dtype=float)]
     )
+    angles = np.arange(1, config.sources.count)[:, None] * phases[None, :]
+    return np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
 
 
 def _envelope(phases: np.ndarray, slit_ratio: float) -> np.ndarray:
-    if slit_ratio == 0.0:
-        return np.ones_like(phases)
     # np.sinc is sin(pi x)/(pi x); we want sin(y)/y with y = delta*slit_ratio/2
     return np.sinc(phases * slit_ratio / (2.0 * math.pi))
 
 
 def _envelope_factor(config: SpeckleConfig) -> np.ndarray:
     """Per grid point, the product over all M detectors of env(phase)^2."""
+    if config.slit_ratio == 0.0:
+        return np.ones(config.grid.size)  # point sources: env is exactly 1
     phases = np.array([config.layout.detector_phases(d) for d in config.grid])
     return np.prod(_envelope(phases, config.slit_ratio) ** 2, axis=1)
 
@@ -154,34 +168,45 @@ def _node_weights(grid: np.ndarray, nodes: int) -> np.ndarray:
 
 def _chunk_node_sums(
     normals: np.ndarray,
+    scale: np.ndarray,
     table: np.ndarray,
     counts: np.ndarray,
     nodes: int,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """One chunk's sum over frames of the M-detector intensity product, per node.
 
-    normals holds the chunk's standard normals, (frames, 2K).  Every array is
-    laid out (phase column, frame), so numpy's inner loops run over frames,
-    and integer powers are taken by repeated squaring.  work holds the
-    batch's flat buffers for the fields, one source's term and the product,
-    each with room for the chunk's (rows, frames) as a contiguous block.
+    normals holds the chunk's standard normals, (frames, 2K); scale holds
+    sqrt(nbar_l / 2), sqrt(nbar_l / 2) and -sqrt(nbar_l / 2), the factors of
+    the rows x_l, y_l and -x_l.  table holds the basis rows 1, 2cos(d*delta)
+    and 2sin(d*delta), d = 1..K-1, over the phase columns.  Every array is
+    laid out (row, frame), so numpy's inner loops run over frames, and
+    integer powers are taken by repeated squaring.  work holds the batch's
+    flat buffers for the parts, the coefficients, the intensities and the
+    product, each with room for the chunk's (rows, frames) as a contiguous
+    block.
     """
-    (k, columns), frames = table.shape, normals.shape[0]
-    fields, term, product = (
+    frames, k = normals.shape[0], normals.shape[1] // 2
+    parts, coefs, intensity, product = (
         w[: rows * frames].reshape(rows, frames)
-        for w, rows in zip(work, (columns, columns, nodes))
+        for w, rows in zip(work, (3 * k, table.shape[0], table.shape[1], nodes))
     )
-    amps = np.empty((k, frames), dtype=complex)
-    amps.real, amps.imag = normals[:, :k].T, normals[:, k:].T
-    np.multiply(table[0][:, None], amps[0], out=fields)
-    for l in range(1, k):
-        fields += np.multiply(table[l][:, None], amps[l], out=term)
-    # |field|^2 in place of the real parts: a strided (columns, frames) view
-    intensity = np.square(fields.real, out=fields.real)
-    intensity += np.square(fields.imag, out=fields.imag)
+    # a_l = x_l + 1j*y_l, and the rows (y_l, -x_l) are -1j*a_l; one row at a
+    # time, as numpy copies a small chunk before a whole-array transpose
+    for row, column, factor in zip(parts, (*normals.T, *normals.T[:k]), scale):
+        np.multiply(column, factor, out=row)
+    a, turned = parts[: 2 * k].reshape(2, k, frames), parts[k:].reshape(2, k, frames)
+    # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m)
+    for d in range(k):
+        np.einsum("jmf,jmf->f", a[:, d:], a[:, : k - d], out=coefs[d])
+        if d:
+            np.einsum("jmf,jmf->f", turned[:, d:], a[:, : k - d], out=coefs[k - 1 + d])
+    # intensity = c0 + sum_d (Re Y_d * 2cos(d*delta) + Im Y_d * 2sin(d*delta)),
+    # accumulated basis row by basis row (einsum without optimize calls no BLAS)
+    np.einsum("rc,rf->cf", table, coefs, out=intensity)
     moving_columns = counts.size * nodes
-    product[:] = np.prod(intensity[moving_columns:], axis=0)
+    np.prod(intensity[moving_columns:], axis=0, out=product[0])
+    product[1:] = product[0]
     groups = intensity[:moving_columns].reshape(counts.size, nodes, frames)
     for power, count in zip(groups, counts.tolist()):
         while True:
@@ -206,21 +231,22 @@ def _run_batch(
     )
     k = config.sources.count
     nodes = _node_count(config)
+    scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
+    scale = np.concatenate([scale, scale, -scale])
     # allocated once per batch: fresh per-chunk temporaries made the allocator
     # return their pages and fault them in again for every chunk
-    width, columns = min(CHUNK_FRAMES, batch_frames), table.shape[1]
-    work = (
-        np.empty(columns * width, dtype=complex),
-        np.empty(columns * width, dtype=complex),
-        np.empty(nodes * width),
+    width = min(CHUNK_FRAMES, batch_frames)
+    draws = np.empty(2 * k * width)
+    work = tuple(
+        np.empty(rows * width) for rows in (3 * k, *table.shape, nodes)
     )
     sums = np.zeros(nodes)
     remaining = batch_frames
     while remaining:
         f = min(CHUNK_FRAMES, remaining)
-        normals = rng.standard_normal((f, 2 * k))
-        sums += _chunk_node_sums(normals, table, counts, nodes, work)
-        del normals  # freed before the next chunk is drawn
+        normals = draws[: 2 * k * f].reshape(f, 2 * k)
+        rng.standard_normal(normals.shape, out=normals)
+        sums += _chunk_node_sums(normals, scale, table, counts, nodes, work)
         remaining -= f
     if not np.all(np.isfinite(sums)):
         raise AccumulatorOverflowError(
@@ -237,12 +263,7 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     """
     # distinct moving-detector offsets from delta1, and the detectors at each
     offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
-    phases = _phase_table(config, offsets)
-    alphas = np.asarray(config.sources.prefactors, dtype=float)
-    scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
-    # table[l, c] = sqrt(nbar_l / 2) * exp(-1j*alpha_l*delta_c): what a unit
-    # standard normal pair of source l puts on phase column c
-    table = scale[:, None] * np.exp(-1j * alphas[:, None] * phases[None, :])
+    table = _basis_table(config, offsets)
 
     sizes = _batch_sizes(config.frames)
     if config.workers == 1:
@@ -263,8 +284,9 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     # explicit broadcast and a sum over the nodes, not BLAS
     sums = (np.stack(node_sums)[:, None, :] * weights[None, :, :]).sum(axis=2)
     sums *= _envelope_factor(config)[None, :]
-    # every frame's product is nonnegative at every phase; interpolation can
-    # leave a near-zero point a few rounding errors of the node sums below 0
+    # every frame's product is nonnegative at every phase up to rounding of
+    # its intensities; that and the interpolation can leave a near-zero point
+    # a few rounding errors of the node sums below 0
     np.maximum(sums, 0.0, out=sums)
     values = sums.sum(axis=0) / config.frames
     size_arr = np.asarray(sizes, dtype=float)

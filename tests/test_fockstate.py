@@ -198,6 +198,25 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError):
             TwoModeDensityMatrix(bands={(0, 0): diagonal, (1, 0): coherence}, cutoff=2)
 
+    def test_rejects_mirror_band_that_is_not_the_conjugate(self):
+        bands = dict(noon_state(1, cutoff=3).bands)
+        bands[(1, -1)] = bands[(1, -1)] * 1j
+        # <0,1|rho|1,0> must be conj(0.5j) = -0.5j, not 0.5j
+        bands[(-1, 1)] = bands[(-1, 1)] * 1j
+        with pytest.raises(ValueError, match="Hermitian"):
+            TwoModeDensityMatrix(bands=bands, cutoff=3)
+
+    @pytest.mark.parametrize("offset,ket", [((1, 0), (0, 2)), ((-1, 0), (3, 2))])
+    def test_rejects_entry_whose_bra_leaves_the_space(self, offset, ket):
+        # band d at ket n is <n|rho|n - d>; here n - d has n1 = -1 or 4, outside
+        # 0..3, and band -d is present and zero where its bra stays inside
+        bands = dict(noon_state(1, cutoff=3).bands)
+        bands[offset] = np.zeros((4, 4), dtype=complex)
+        bands[offset][ket] = 1e-6
+        bands[(-offset[0], 0)] = np.zeros((4, 4), dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            TwoModeDensityMatrix(bands=bands, cutoff=3)
+
     def test_rejects_wrong_trace(self):
         diagonal = np.zeros((3, 3), dtype=complex)
         diagonal[0, 0] = 0.7

@@ -16,9 +16,9 @@ from thermalnoon.speckle import (
     CHUNK_FRAMES,
     MAX_BATCHES,
     SpeckleConfig,
+    _basis_table,
     _envelope,
     _envelope_factor,
-    _phase_table,
     _run_batch,
     dominant_frequency,
     fit_cosine,
@@ -68,6 +68,18 @@ def brute_force_curve(config):
     batch_means = np.array(batch_means)
     values = (batch_means * np.array(sizes)[:, None]).sum(axis=0) / config.frames
     return values, batch_means
+
+
+def dark_middle_source():
+    """Three sources with nbar (1, 0, 2).
+
+    SourceArray refuses nbar = 0, but the kernel must still handle a source
+    that puts nothing on the detectors, so the middle one is darkened past
+    the check.
+    """
+    sources = SourceArray(nbar=(1.0, 1.0, 2.0))
+    object.__setattr__(sources, "nbar", (1.0, 0.0, 2.0))
+    return sources
 
 
 def reference_fit(curve, frequency):
@@ -382,6 +394,21 @@ class TestSimulateCurve:
                 20_000,
                 {},
             ),
+            # the lag-d sums Y_d weight each pair of sources by its own nbar
+            (
+                SourceArray(nbar=(0.5, 1.0, 2.0)),
+                DetectorLayout.colocated(2, 2),
+                20_000,
+                {},
+            ),
+            # three harmonics, with three, two and one pairs at lags 1, 2, 3
+            (
+                SourceArray(nbar=(0.7, 1.0, 1.3, 0.4)),
+                DetectorLayout.colocated(2, 2),
+                20_000,
+                {},
+            ),
+            (dark_middle_source(), DetectorLayout.colocated(2, 2), 20_000, {}),
         ],
         ids=[
             "colocated-5-2",
@@ -391,6 +418,9 @@ class TestSimulateCurve:
             "k1",
             "nonuniform",
             "k3-two-groups",
+            "k3-unequal",
+            "k4",
+            "k3-dark",
         ],
     )
     def test_matches_every_grid_point_brute_force(self, sources, layout, frames, extra):
@@ -409,12 +439,12 @@ class TestSimulateCurve:
         np.testing.assert_allclose(curve.batch_means, batch_means, rtol=1e-12, atol=0)
 
     def test_batch_memory_is_bounded(self):
-        # colocated(5, 2), K = 2: 13 phase columns and 11 nodes.  A batch holds
-        # the fields and one source's term, 13 x 4096 complex each, and the
-        # product, 11 x 4096 floats: 504 B per frame.  A chunk adds its normals
-        # (4 floats a frame), amplitudes (2 complex) and fixed-detector product
-        # (1 float): 104 B per frame.  So 608 B x 4096 = 2.49 MB, and 64 kB
-        # for small objects.
+        # colocated(5, 2), K = 2: 13 phase columns, 11 nodes and 3 basis rows.
+        # A batch holds, per frame, the normals (4 floats), the parts x, y, -x
+        # (6 floats), the coefficients c0, Re Y_1, Im Y_1 (3 floats), the
+        # intensities (13 floats) and the product (11 floats): 37 floats, 296 B.
+        # No chunk allocates more.  So 296 B x 4096 = 1.21 MB, and 64 kB for
+        # small objects.
         config = SpeckleConfig(
             sources=SourceArray(),
             layout=DetectorLayout.colocated(5, 2),
@@ -422,15 +452,15 @@ class TestSimulateCurve:
             seed=3,
         )
         offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
-        phases = _phase_table(config, offsets)
-        table = np.exp(-1j * np.arange(2)[:, None] * phases[None, :])
+        table = _basis_table(config, offsets)
+        assert table.shape == (3, 13)
         tracemalloc.start()
         try:
             _run_batch(config, table, counts, 0, config.frames)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 608 * CHUNK_FRAMES + 64 * 1024
+        assert peak < 296 * CHUNK_FRAMES + 64 * 1024
 
     def test_single_frame_curves_match_brute_force(self):
         # one frame's curve can nearly vanish at some phase, where the

@@ -25,13 +25,7 @@ import numpy as np
 from .analytic import _half_order, closed_form, crossover_threshold
 from .curves import default_grid
 from .errors import CapacityError
-from .fockstate import (
-    default_cutoff,
-    noon_overlap,
-    project_magic,
-    thermal_two_mode,
-    verify_isomorphism,
-)
+from .fockstate import verify_isomorphism
 from .geometry import TWO_PI, DetectorLayout, SourceArray, require_int
 from .pathsum import (
     ORACLE_TOLERANCE,
@@ -252,33 +246,26 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
 def _cmd_fock(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    cutoff = args.cutoff
-    if cutoff is None:
-        cutoff = default_cutoff(args.nbar, args.m1, args.m2)
-    rho = thermal_two_mode(args.nbar, cutoff)
-    projected = project_magic(rho, args.m2)
-    offsets = projected.support_offsets(tol=1e-12)
-    expected = {(0, 0), (args.m2, -args.m2), (-args.m2, args.m2)}
     grid = np.linspace(0.0, TWO_PI, args.grid)
-    reports = [
-        verify_isomorphism(args.nbar, args.m1, args.m2, d, cutoff) for d in grid
-    ]
-    max_gap = max(r.relative_gap for r in reports)
+    report = verify_isomorphism(args.nbar, args.m1, args.m2, grid, args.cutoff)
+    m2 = report.m2
+    support_ok = set(report.support_offsets) <= {(0, 0), (m2, -m2), (-m2, m2)}
+    max_gap = report.max_relative_gap
     payload = {
-        "nbar": args.nbar,
-        "m1": args.m1,
-        "m2": args.m2,
-        "cutoff": cutoff,
-        "trunc_tail": rho.trunc_tail,
-        "projection_norm": projected.projection_norm,
-        "support_offsets": sorted(offsets),
-        "support_ok": bool(offsets <= expected),
-        "noon_overlap": noon_overlap(projected, args.m2),
-        "grid": [float(d) for d in grid],
-        "relative_gaps": [r.relative_gap for r in reports],
+        "nbar": report.nbar,
+        "m1": report.m1,
+        "m2": report.m2,
+        "cutoff": report.cutoff,
+        "trunc_tail": report.trunc_tail,
+        "projection_norm": report.projection_norm,
+        "support_offsets": list(report.support_offsets),
+        "support_ok": support_ok,
+        "noon_overlap": report.noon_overlap,
+        "grid": list(report.deltas),
+        "relative_gaps": list(report.relative_gaps),
         "max_relative_gap": max_gap,
         "tolerance": ISOMORPHISM_TOLERANCE,
-        "pass": bool(offsets <= expected and max_gap <= ISOMORPHISM_TOLERANCE),
+        "pass": support_ok and max_gap <= ISOMORPHISM_TOLERANCE,
     }
     _emit_json(payload, args.out)
     return 0 if payload["pass"] else 1

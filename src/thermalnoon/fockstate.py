@@ -9,8 +9,10 @@ detectors through delta1 on that state reproduces the co-located correlation:
     G_full(m1 at delta1, m2 at magic positions; rho)
         = g_moving(projected rho, m1, delta1) * tr(A rho A+)
 
-verify_isomorphism checks that factorization numerically, with the left side
-evaluated by direct operator algebra on the unprojected state.
+verify_isomorphism checks that factorization numerically over a delta1 scan:
+it builds one thermal state and one projection, and at every phase of the
+scan evaluates the left side by direct operator algebra on the unprojected
+state and the right side on the projected one.
 
 A density matrix is stored as its offset bands (see TwoModeDensityMatrix), a
 thermal state as the one band (0, 0).  A lowering operator B is stored as its
@@ -21,7 +23,8 @@ d - (qi - qj, pi - pj), so tr(B rho B+) reads only the bands (d, -d): M+1
 vector-matrix-vector products on a thermal state, and no band is built.
 default_cutoff bounds the discarded share of the order-M factorial moment of
 the thermal pair, 2 * P(Binomial(D+1, 1/(1+nbar)) <= M) <= TAIL_LIMIT with
-M = m1 + m2, not only the kept mass; past FOCK_MAX_CUTOFF it raises CapacityError.
+M = m1 + m2, not only the kept mass.  No cutoff above FOCK_MAX_CUTOFF is
+accepted, chosen or explicit: past it a CapacityError is raised.
 """
 
 from __future__ import annotations
@@ -35,11 +38,12 @@ from .errors import CapacityError, TruncationError, ZeroProbabilityError
 from .geometry import DetectorLayout, comb_sign, require_int, require_real
 
 TAIL_LIMIT = 1e-6
-# A cost cap on default_cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
-# D = 1000.  verify_isomorphism keeps 6 alive at its peak for any m1, m2, in
-# project_magic's sandwich (tracemalloc: 35 MB at D = 600, 96 MB at D = 1000),
-# 0.06 and 0.19 s a call on a 2-vCPU Xeon; nbar = 100 at m1 = m2 = 2 would
-# need D = 2439 and 0.57 GB.
+# A cost cap on every cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
+# D = 1000.  verify_isomorphism keeps 5 alive at its peak for any m1, m2: rho,
+# the three bands of A rho A+ and either project_magic's scratch band or the
+# Hermitian check's temporaries (tracemalloc: 29 MB at D = 600, 81 MB at
+# D = 1000), 0.06 and 0.17 s a one-point scan on a 2-vCPU Xeon; nbar = 100 at
+# m1 = m2 = 2 would need D = 2439 and 0.48 GB.
 FOCK_MAX_CUTOFF = 1000
 
 
@@ -48,6 +52,17 @@ def _require_nbar(nbar: object) -> float:
     if not 0.0 <= nbar < math.inf:
         raise ValueError(f"nbar must be nonnegative and finite, got {nbar!r}")
     return nbar
+
+
+def _require_cutoff(cutoff: object, minimum: int) -> int:
+    """An integer cutoff >= minimum; above FOCK_MAX_CUTOFF no band is allocated."""
+    cutoff = require_int("cutoff", cutoff, minimum)
+    if cutoff > FOCK_MAX_CUTOFF:
+        raise CapacityError(
+            f"cutoff {cutoff} exceeds FOCK_MAX_CUTOFF = {FOCK_MAX_CUTOFF}: "
+            f"each band would take {(cutoff + 1) ** 2 * 16 / 1e6:.0f} MB"
+        )
+    return cutoff
 
 
 def default_cutoff(nbar: float, m1: int = 0, m2: int = 0) -> int:
@@ -164,9 +179,14 @@ def _weights(f: np.ndarray, q: int, qb: int, o: int) -> tuple[int, int, np.ndarr
 
 
 def _sandwich(bands: dict, ops) -> dict:
-    """Bands of B rho B+: pair (i, j) of ops moves band d to d - (qi - qj, pi - pj)."""
+    """Bands of B rho B+: pair (i, j) of ops moves band d to d - (qi - qj, pi - pj).
+
+    Each term is multiplied in place: the first one into its output slice,
+    later ones through one scratch band that is then added.
+    """
     dim, f, scale = _ladders(bands, ops)
     out: dict = {}
+    scratch = np.empty((dim, dim), dtype=complex)
     for (d1, d2), x in bands.items():
         for ci, qi, pi in ops:
             for cj, qj, pj in ops:
@@ -174,9 +194,17 @@ def _sandwich(bands: dict, ops) -> dict:
                 lo1, hi1, u = _weights(f, qi, qj, o[0])
                 lo2, hi2, v = _weights(f, pi, pj, o[1])
                 term = x[lo1 + qi : hi1 + qi, lo2 + pi : hi2 + pi]
-                term = term * (ci * np.conj(cj) * scale * u)[:, None] * (scale * v)
-                band = out.setdefault(o, np.zeros((dim, dim), dtype=complex))
-                band[lo1:hi1, lo2:hi2] += term
+                band = out.get(o)
+                first = band is None
+                if first:
+                    band = out[o] = np.zeros((dim, dim), dtype=complex)
+                    dest = band[lo1:hi1, lo2:hi2]
+                else:
+                    dest = scratch[: hi1 - lo1, : hi2 - lo2]
+                np.multiply(term, (ci * np.conj(cj) * scale * u)[:, None], out=dest)
+                np.multiply(dest, scale * v, out=dest)
+                if not first:
+                    band[lo1:hi1, lo2:hi2] += dest
     return out
 
 
@@ -202,7 +230,7 @@ def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMa
     nbar = _require_nbar(nbar)
     if cutoff is None:
         cutoff = default_cutoff(nbar)
-    cutoff = require_int("cutoff", cutoff, 1)
+    cutoff = _require_cutoff(cutoff, 1)
     n = np.arange(cutoff + 1, dtype=float)
     # q**n / (1+nbar) stays finite where nbar**n and (1+nbar)**(n+1) overflow
     weights = (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
@@ -286,7 +314,7 @@ def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
 def noon_state(m2: int, cutoff: int) -> TwoModeDensityMatrix:
     """Pure N00N-like state (|m2,0> + (-1)**(m2-1)|0,m2>)/sqrt(2) as a density matrix."""
     m2 = require_int("m2", m2, 1)
-    cutoff = require_int("cutoff", cutoff, m2)
+    cutoff = _require_cutoff(cutoff, m2)
     sign = comb_sign(m2)
     dim = cutoff + 1
     bands = {d: np.zeros((dim, dim)) for d in ((0, 0), (m2, -m2), (-m2, m2))}
@@ -297,44 +325,64 @@ def noon_state(m2: int, cutoff: int) -> TwoModeDensityMatrix:
 
 @dataclass(frozen=True)
 class IsomorphismReport:
+    """A delta1 scan of the factorization on one thermal state and its projection.
+
+    deltas, lhs, rhs and relative_gaps run in step, one entry per scan phase;
+    the other fields describe the state and hold for the whole scan.
+    """
+
     nbar: float
     m1: int
     m2: int
-    delta1: float
     cutoff: int
-    lhs: float
-    rhs: float
-    relative_gap: float
-    projection_norm: float
     trunc_tail: float
+    projection_norm: float
+    support_offsets: tuple[tuple[int, int], ...]
+    noon_overlap: float
+    deltas: tuple[float, ...]
+    lhs: tuple[float, ...]
+    rhs: tuple[float, ...]
+    relative_gaps: tuple[float, ...]
+
+    @property
+    def max_relative_gap(self) -> float:
+        return max(self.relative_gaps)
 
 
 def verify_isomorphism(
-    nbar: float, m1: int, m2: int, delta1: float, cutoff: int | None = None
+    nbar: float, m1: int, m2: int, deltas, cutoff: int | None = None
 ) -> IsomorphismReport:
     """Compare the full (m1+m2)-detector correlation with its projected factorization.
 
-    lhs applies all detector fields to the thermal state directly; rhs scans
-    only the moving detectors on the projected state and multiplies by the
-    recorded projection norm.
+    deltas is the delta1 grid of the scan; a single phase is a one-point scan.
+    The thermal state and its projection are built once for the whole scan.
+    At each phase lhs applies all detector fields to the thermal state
+    directly; rhs scans only the moving detectors on the projected state and
+    multiplies by the recorded projection norm.
     """
     layout = DetectorLayout.colocated(m1, m2)
+    phases = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if phases.ndim != 1 or phases.size == 0:
+        raise ValueError(f"deltas must be one phase or a 1-d grid, got {deltas!r}")
     if cutoff is None:
         cutoff = default_cutoff(nbar, layout.m1, layout.m2)
     rho = thermal_two_mode(nbar, cutoff)
-    lhs = g_detectors(rho, layout.detector_phases(delta1))
-    projected = project_magic(rho, m2)
-    rhs = g_moving(projected, layout.m1, delta1) * projected.projection_norm
-    gap = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300)
+    lhs = [g_detectors(rho, layout.detector_phases(d)) for d in phases]
+    projected = project_magic(rho, layout.m2)
+    norm = projected.projection_norm
+    rhs = [g_moving(projected, layout.m1, d) * norm for d in phases]
+    gaps = [abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(lhs, rhs)]
     return IsomorphismReport(
         nbar=float(nbar),
         m1=layout.m1,
         m2=layout.m2,
-        delta1=float(delta1),
-        cutoff=int(cutoff),
-        lhs=lhs,
-        rhs=rhs,
-        relative_gap=gap,
-        projection_norm=projected.projection_norm,
+        cutoff=rho.cutoff,
         trunc_tail=rho.trunc_tail,
+        projection_norm=norm,
+        support_offsets=tuple(sorted(projected.support_offsets(tol=1e-12))),
+        noon_overlap=noon_overlap(projected, layout.m2),
+        deltas=tuple(float(d) for d in phases),
+        lhs=tuple(lhs),
+        rhs=tuple(rhs),
+        relative_gaps=tuple(gaps),
     )

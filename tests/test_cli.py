@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from conftest import older_layout_format
 
+from thermalnoon import fockstate
 from thermalnoon.analytic import closed_form
 from thermalnoon.cli import main
 from thermalnoon.curves import default_grid
@@ -458,6 +459,65 @@ class TestFockCommand:
         assert main(["fock", "--nbar", "1e308", "--out", str(out)]) == 2
         assert "FOCK_MAX_CUTOFF" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cutoff_past_the_cap_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "fock.json"
+        assert main(["fock", "--cutoff", "1001", "--out", str(out)]) == 2
+        assert "FOCK_MAX_CUTOFF" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cutoff_at_the_cap_runs(self, tmp_path):
+        out = tmp_path / "fock.json"
+        assert main(["fock", "--cutoff", "1000", "--grid", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["cutoff"] == 1000
+
+    @pytest.mark.parametrize("grid", [1, 3, 9])
+    def test_one_state_and_one_projection_per_run(self, monkeypatch, tmp_path, grid):
+        # every thermalnoon module holding either function counts its calls,
+        # so the CLI cannot bypass the count through its own reference
+        counts = {"thermal_two_mode": 0, "project_magic": 0}
+        for name in counts:
+            original = getattr(fockstate, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "thermalnoon":
+                    if getattr(module, name, None) is original:
+                        monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "fock.json"
+        assert main(["fock", "--grid", str(grid), "--out", str(out)]) == 0
+        assert counts == {"thermal_two_mode": 1, "project_magic": 1}
+        assert len(json.loads(out.read_text())["relative_gaps"]) == grid
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            ([], "fock-default.json"),
+            (
+                ["--nbar", "2", "--m1", "3", "--m2", "3", "--grid", "3"],
+                "fock-nbar_2-m1_3-m2_3-grid_3.json",
+            ),
+        ],
+    )
+    def test_matches_golden_file(self, tmp_path, argv, golden):
+        # keys, counts, flags and offsets exactly; floats to rounding, since
+        # other platforms and numpy versions may round the sums differently
+        out = tmp_path / "fock.json"
+        assert main(["fock", *argv, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        expected = json.loads((DATA / golden).read_text())
+        assert report.keys() == expected.keys()
+        for key, want in expected.items():
+            got = report[key]
+            if key in ("relative_gaps", "max_relative_gap"):
+                assert got == pytest.approx(want, rel=0, abs=1e-13), key
+            elif isinstance(want, float) or key == "grid":
+                assert got == pytest.approx(want, rel=1e-12, abs=0), key
+            else:
+                assert got == want and type(got) is type(want), key
 
     @pytest.mark.parametrize("nbar", ["3", "5", "10"])
     def test_bright_sources_pass_at_default_cutoff(self, tmp_path, nbar):

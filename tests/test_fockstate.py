@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,22 @@ class TestDefaultCutoff:
         # q = nbar / (1 + nbar) rounds to 1: no cutoff ever holds the tail
         with pytest.raises(CapacityError):
             default_cutoff(1e308, 2, 2)
+
+    def test_explicit_cutoff_obeys_the_cap(self):
+        # 1000 is the largest cutoff either constructor accepts; 1001 is
+        # refused before a band of (D+1)**2 * 16 bytes is allocated
+        assert thermal_two_mode(0.5, FOCK_MAX_CUTOFF).cutoff == FOCK_MAX_CUTOFF
+        assert noon_state(2, FOCK_MAX_CUTOFF).cutoff == FOCK_MAX_CUTOFF
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="FOCK_MAX_CUTOFF"):
+                thermal_two_mode(0.5, FOCK_MAX_CUTOFF + 1)
+            with pytest.raises(CapacityError, match="FOCK_MAX_CUTOFF"):
+                noon_state(2, FOCK_MAX_CUTOFF + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
 
 
 BRIGHTNESSES = [0.0, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0]
@@ -470,17 +487,53 @@ class TestCountsMustBeIntegers:
 class TestIsomorphism:
     @pytest.mark.parametrize("m1,m2", [(1, 1), (2, 2), (3, 3), (3, 2)])
     def test_projection_then_measurement_commutes(self, m1, m2):
-        report = verify_isomorphism(0.5, m1, m2, 0.7)
-        assert report.relative_gap < 1e-6
+        report = verify_isomorphism(0.5, m1, m2, [0.7])
+        assert report.max_relative_gap < 1e-6
         assert report.projection_norm > 0
 
     def test_matches_closed_form_scale_at_unit_brightness(self):
-        report = verify_isomorphism(1.0, 2, 2, 0.9, cutoff=36)
+        report = verify_isomorphism(1.0, 2, 2, [0.9, 2.1], cutoff=36)
         form = closed_form(DetectorLayout.colocated(2, 2))
-        assert report.lhs == pytest.approx(form.g(0.9), rel=1e-4)
+        for delta1, lhs in zip(report.deltas, report.lhs):
+            assert lhs == pytest.approx(form.g(delta1), rel=1e-4)
 
     def test_report_records_inputs(self):
-        report = verify_isomorphism(0.5, 2, 2, 0.3)
+        report = verify_isomorphism(0.5, 2, 2, [0.3])
         assert (report.m1, report.m2) == (2, 2)
         assert report.nbar == 0.5
+        assert report.cutoff == default_cutoff(0.5, 2, 2)
         assert report.trunc_tail < 1e-6
+        assert report.deltas == (0.3,)
+
+    def test_a_single_phase_is_a_one_point_scan(self):
+        single = verify_isomorphism(0.5, 2, 2, 0.3)
+        assert single == verify_isomorphism(0.5, 2, 2, [0.3])
+        assert len(single.relative_gaps) == 1
+
+    def test_scan_matches_single_point_scans(self):
+        # one state and one projection serve the whole grid, to the bit
+        grid = np.linspace(0.0, 2 * math.pi, 7)
+        scan = verify_isomorphism(2.0, 3, 2, grid)
+        assert scan.deltas == tuple(float(d) for d in grid)
+        for i, delta1 in enumerate(grid):
+            at = slice(i, i + 1)
+            assert verify_isomorphism(2.0, 3, 2, [delta1]) == replace(
+                scan,
+                deltas=scan.deltas[at],
+                lhs=scan.lhs[at],
+                rhs=scan.rhs[at],
+                relative_gaps=scan.relative_gaps[at],
+            )
+        assert scan.max_relative_gap == max(scan.relative_gaps)
+
+    def test_report_holds_the_projected_state(self):
+        report = verify_isomorphism(0.5, 2, 3, [0.0, 1.0])
+        projected = project_magic(thermal_two_mode(0.5, report.cutoff), 3)
+        assert report.support_offsets == ((-3, 3), (0, 0), (3, -3))
+        assert report.noon_overlap == noon_overlap(projected, 3)
+        assert report.projection_norm == projected.projection_norm
+
+    @pytest.mark.parametrize("deltas", [[], [[0.1, 0.2]], np.zeros((2, 2))])
+    def test_rejects_an_empty_or_nested_grid(self, deltas):
+        with pytest.raises(ValueError, match="deltas"):
+            verify_isomorphism(0.5, 2, 2, deltas)

@@ -36,9 +36,9 @@ from .geometry import (
 from .pathsum import (
     coherence_matrix,
     correlation_pathsum,
+    correlation_pathsum_bounded,
     correlation_permanent,
     correlation_permanent_bounded,
-    enumerate_partitions,
 )
 from .speckle import (
     FitResult,
@@ -67,13 +67,13 @@ __all__ = [
     "closed_form",
     "coherence_matrix",
     "correlation_pathsum",
+    "correlation_pathsum_bounded",
     "correlation_permanent",
     "correlation_permanent_bounded",
     "crossover_threshold",
     "default_cutoff",
     "default_grid",
     "dominant_frequency",
-    "enumerate_partitions",
     "fit_cosine",
     "g_detectors",
     "g_moving",

@@ -29,8 +29,8 @@ from .fockstate import verify_isomorphism
 from .geometry import TWO_PI, DetectorLayout, SourceArray, require_int
 from .pathsum import (
     ORACLE_TOLERANCE,
-    PATHSUM_MAX_ORDER,
-    correlation_pathsum,
+    PATHSUM_MAX_TABLE,
+    correlation_pathsum_bounded,
     correlation_permanent_bounded,
 )
 from .speckle import SpeckleConfig, fit_cosine, simulate_curve
@@ -102,10 +102,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
-    if args.max_order > 8:
+    # the sweeps' two sources fill a path-sum table of M + 1 splits
+    if args.max_order + 1 > PATHSUM_MAX_TABLE:
         raise CapacityError(
-            f"oracle sweeps are limited to --max-order 8; the path sum itself "
-            f"caps at M = {PATHSUM_MAX_ORDER}, use correlation_permanent beyond"
+            f"--max-order {args.max_order} needs a path-sum table of "
+            f"{args.max_order + 1} splits, over PATHSUM_MAX_TABLE = {PATHSUM_MAX_TABLE}"
         )
     for flag in ("max_order", "samples", "random_configs"):
         if getattr(args, flag) < 1:
@@ -123,12 +124,15 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
             layout = DetectorLayout.colocated(m1, m2)
             cases.append(("colocated_closed_form", {"m1": m1, "m2": m2}, layout))
     report["spread_closed_form"], report["colocated_closed_form"] = [], []
-    gaps = []
+    gaps, path_bound = [], 0.0
     for label, row, layout in cases:
         form = closed_form(layout)
         worst = 0.0
         for delta1 in rng.uniform(0.0, TWO_PI, size=args.samples):
-            direct = correlation_pathsum(two, layout.detector_phases(delta1))
+            direct, bound = correlation_pathsum_bounded(
+                two, layout.detector_phases(delta1)
+            )
+            path_bound = max(path_bound, bound)
             worst = max(worst, _relative_gap(direct, form.g(delta1)))
         report[label].append({**row, "max_rel_gap": worst})
         gaps.append(worst)
@@ -141,14 +145,16 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         sources = SourceArray(nbar=nbar)
         deltas = rng.uniform(0.0, TWO_PI, size=order)
         permanent, bound = correlation_permanent_bounded(sources, deltas)
-        direct = correlation_pathsum(sources, deltas)
+        direct, own_bound = correlation_pathsum_bounded(sources, deltas)
         worst = max(worst, _relative_gap(direct, permanent))
         largest_bound = max(largest_bound, bound)
+        path_bound = max(path_bound, own_bound)
     report["pathsum_vs_permanent"] = {
         "configs": args.random_configs,
         "max_rel_gap": worst,
     }
     report["permanent_error_bound"] = largest_bound
+    report["pathsum_error_bound"] = path_bound
 
     report["max_rel_gap"] = max(gaps + [worst])
     report["pass"] = bool(report["max_rel_gap"] <= ORACLE_TOLERANCE)

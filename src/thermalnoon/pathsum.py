@@ -1,39 +1,28 @@
 """Two independent evaluators for Mth-order intensity correlations.
 
-correlation_pathsum sums quantum paths explicitly.  A path sends the photon
-of each of the M detectors to one of the K sources; all K**M paths are
-enumerated, in blocks of at most _PATH_BLOCK paths evaluated as arrays, and the
-phase terms of the paths that share a photon-number split {n_l} are summed
-coherently.  A split carries the statistical weight prod_l n_l! * nbar_l**n_l
-(the n_l! multiplicity of identical assignments sits in the weight; the paths
-of a split are its distinct assignments).
+correlation_pathsum sums quantum paths.  A path sends the photon of each of
+the M detectors to one of the K sources; the paths that share a
+photon-number split {n_l} are summed coherently, and the split carries the
+weight prod_l n_l! * nbar_l**n_l (its paths are its distinct assignments).
+A split's sum is the coefficient of prod_l x_l**n_l in
+prod_j (sum_l exp(1j*alpha_l*d_j) x_l), so multiplying in one detector at a
+time gives every split's amplitude without listing the K**M paths: about
+M * K passes over a table of (M+1)**(K-1) entries, which PATHSUM_MAX_TABLE
+caps.  With two sources every layout tried up to M = 58 is certified.
 
 correlation_permanent evaluates the same quantity as the permanent of the M x M
 mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k)),
 which is what the Gaussian moment theorem gives for independent thermal
-sources.  The two routes share no code and serve as oracles for each other.
+sources, by Glynn's formula with co-located detectors summed as
+multiplicities (`_glynn`).  PERMANENT_MAX_TERMS caps its cost.
 
-The permanent is Glynn's sum over the 2**(M-1) sign vectors with a fixed
-first sign, evaluated in complex128 in blocks of at most 2**10 terms at a
-time.  Detectors at one position give bit-identical rows and columns of J;
-the sign vectors that put equally many minus signs in a group of m equal
-columns give one term, weighted by a binomial count, so co-located
-detectors enter as multiplicities.  A layout whose distinct positions hold
-m_1 ... m_G detectors sums m_p / (m_p + 1) * prod_g (m_g + 1) terms, m_p the
-smallest group: 4608 for colocated(8, 10) at M = 18, and 2**(M-1) only when
-every phase is distinct.  The terms cancel far less than Ryser's subset
-sums: sum |term| / |per| is 30 to 850 on two-source layouts at M = 14 to
-20, where Ryser's reaches 4e6 at M = 14.  Every evaluation also returns an
-a-posteriori bound on its own error, taken term by term, and
-correlation_permanent raises NumericalError when that bound exceeds
-ORACLE_TOLERANCE.  Over 92 drawn two-source layouts at M = 14 to 20 the
-bound was at most 1.6e-10, so PERMANENT_MAX_ORDER caps the cost, not the
-accuracy.
+The two routes share no code and serve as oracles for each other.  Both
+bound their own error a posteriori and raise NumericalError when the bound
+exceeds ORACLE_TOLERANCE.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, Sequence
 
@@ -42,123 +31,137 @@ import numpy as np
 from .errors import CapacityError, NumericalError
 from .geometry import SourceArray
 
-PATHSUM_MAX_ORDER = 12
-# A cost cap: Glynn's sum has up to 2**(M-1) terms, that many when all M phases
-# are distinct (about 0.1 s at M = 20); co-located detectors cut it to
-# m_p / (m_p + 1) * prod_g (m_g + 1).  Accuracy is checked per call by the
-# a-posteriori bound, not by this cap.
-PERMANENT_MAX_ORDER = 20
+# Cost caps; each route's a-posteriori bound, not its cap, checks accuracy.
+# The path sum's table: 2**20 complex entries take 16 MiB, passed over K times
+# per detector: 0.26 s at K = 5, M = 31 (32**4), 0.9 s at K = 4, M = 100.
+# K = 2 and 3 never reach it: M! leaves the double range past M = 170.
+PATHSUM_MAX_TABLE = 1 << 20
+# 2**19 Glynn terms, M = 20 at distinct phases (0.1 s), and as many entries of
+# the M x M coherence matrix, which is built before its groups are found.
+PERMANENT_MAX_TERMS = 1 << 19
 # Relative accuracy the cross-route oracle checks demand.
 ORACLE_TOLERANCE = 1e-9
 # Width of the low table, 2**10 terms per step: ten distinct columns' signs, or
 # fewer groups' minus-sign counts whose choices multiply to at most that.
 _LOW_COLUMNS = 10
-# Most paths summed as one array: the last b detectors, K**b <= _PATH_BLOCK.
-_PATH_BLOCK = 1 << 12
 
 
-def enumerate_partitions(count: int, order: int) -> list[tuple[int, ...]]:
-    """All ways to split `order` photons over `count` sources.
+def _split_table(
+    alphas: Sequence[int], phases: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every photon-number split, as an (N, K) array, and the sum of its paths.
 
-    Returns tuples (n_0, ..., n_{count-1}) with sum equal to `order`, in
-    lexicographically descending order of the first component.  There are
-    C(order + count - 1, count - 1) of them.
+    Split n's sum over the paths that send n_l detectors to source l is the
+    coefficient of prod_l x_l**n_l in prod_j (sum_l exp(1j*alpha_l*d_j) x_l).
+    Each factor is divided by its unit phasor of source K-1, which leaves
+    every amplitude times one unit phase that |amplitude| does not see.  The
+    table is indexed by (n_0, ..., n_(K-2)), n_(K-1) being implied; detector
+    j adds to it, for each l < K-1, the table as it was, one step up axis l,
+    times exp(1j*(alpha_l - alpha_(K-1))*d_j).  Only indices <= j are filled
+    before detector j, so it works on the block of indices <= j + 1.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-
-    out: list[tuple[int, ...]] = []
-
-    def fill(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for n in range(remaining, -1, -1):
-            fill(prefix + (n,), remaining - n, slots - 1)
-
-    fill((), order, count)
-    return out
+    count, order = len(alphas), len(phases)
+    axes = count - 1
+    if (order + 1) ** axes > PATHSUM_MAX_TABLE:
+        raise CapacityError(
+            f"path-sum table of (M+1)**(K-1) = {(order + 1) ** axes} splits at "
+            f"K = {count}, M = {order} exceeds PATHSUM_MAX_TABLE = {PATHSUM_MAX_TABLE}"
+        )
+    rows = np.exp(1j * np.multiply.outer(phases, np.subtract(alphas[:-1], alphas[-1])))
+    table = np.zeros((order + 1,) * axes, dtype=complex)
+    table[(0,) * axes] = 1
+    # within a block: the entries as they were, and the same moved up axis l
+    down = (slice(-1),) * axes
+    ups = [down[:l] + (slice(1, None),) + down[l + 1 :] for l in range(axes)]
+    for j, row in enumerate(rows.tolist()):
+        # the trailing ... keeps a view when K = 1 and the table is 0-d
+        block = table[(slice(j + 2),) * axes + (...,)]
+        moved = [block[down] * phasor for phasor in row]
+        for up, term in zip(ups, moved):
+            block[up] += term
+    taken = np.zeros((), dtype=int)
+    for _ in range(axes):
+        taken = np.add.outer(taken, np.arange(order + 1))
+    full = np.asarray(taken <= order)  # an array even when K = 1
+    lead = np.argwhere(full)
+    return np.column_stack([lead, order - lead.sum(axis=1)]), table[full]
 
 
 def _split_amplitudes(
     alphas: Sequence[int], phases: Sequence[float]
 ) -> dict[tuple[int, ...], complex]:
-    """Coherent sum of all K**M source-to-detector paths, per photon-number split.
+    """{split: amplitude} for every photon-number split, from `_split_table`."""
+    splits, amplitudes = _split_table(alphas, phases)
+    amplitudes *= np.exp(1j * alphas[-1] * math.fsum(phases))
+    return dict(zip(map(tuple, splits.tolist()), amplitudes.tolist()))
 
-    A path sends the photon of detector j to source s_j, so there are K**M
-    of them.  Its term is exp(1j*alpha_(s_1)*d_1) * ... *
-    exp(1j*alpha_(s_M)*d_M), multiplied left to right, and its split
-    (n_0, ..., n_(K-1)) counts the detectors sent to each source.  Every path
-    is its own term; the terms of one split are summed before any modulus is
-    taken.  The sources of the leading M - b detectors are fixed one prefix at
-    a time; the last b detectors form one block of K**b <= _PATH_BLOCK paths,
-    whose terms come from np.multiply.outer and whose per-split sums from
-    np.bincount on an integer key of the split.  Memory therefore stays bounded
-    whatever K**M.
+
+def correlation_pathsum_bounded(
+    sources: SourceArray, deltas: Sequence[float]
+) -> tuple[float, float]:
+    """Mth-order correlation by the path sum, with its relative error bound.
+
+    G = sum_n W_n |A_n|**2 over the splits n, W_n = prod_l n_l! nbar_l**n_l.
+    The bound is a posteriori (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4), with u = eps / 2:
+
+    * A phasor exp(1j*a*d), a = alpha_l - alpha_(K-1), is within eps (libm's
+      cos and sin are good to about an ulp), plus u |a d| from rounding a * d
+      unless |a| is 0 or a power of two.  Per detector, a path's partial sum
+      takes at most one product with a phasor, of relative error
+      sqrt(2) * 2u (Higham lemma 3.5), and K - 1 additions of u each.  A_n
+      sums count_n = M! / prod_l n_l! unit terms, so it is off by at most
+      e_n = c M eps count_n, c = sqrt(2) + 1 + (K - 1)/2 + |a d|max/2 to
+      first order.  The c = 2 + K/2 + |a d|max/2 used exceeds that by 0.08
+      or more, which covers second-order terms and the rounding of count_n
+      and W_n here.  So |A_n|**2 is off by at most e_n (2 |A_n| + e_n).
+    * W_n takes at most M + 4K - 1 roundings (running products for the
+      factorials, powers within an ulp, products of K factors), W_n |A_n|**2
+      three more and math.fsum one: at most (M/2 + 2K + 2) eps G, all terms
+      being nonnegative.
+
+    Raises NumericalError when the bound exceeds ORACLE_TOLERANCE, or where
+    M!, a weight or a term leaves the double range; CapacityError above
+    PATHSUM_MAX_TABLE.
     """
-    count, order = len(alphas), len(phases)
-    if (order + 1) ** count > np.iinfo(np.int64).max:
-        raise CapacityError(
-            f"split keys (M+1)**K overflow int64 at K = {count}, M = {order}"
+    phases = [float(d) for d in deltas]
+    order, count = len(phases), sources.count
+    if order < 1:
+        raise ValueError("need at least one detector phase")
+    alphas = sources.prefactors
+    eps = np.finfo(float).eps
+    gaps = [alphas[-1] - a for a in alphas]
+    inexact = max((g for g in gaps if g & (g - 1)), default=0)
+    c = 2 + count / 2 + inexact * max(map(abs, phases)) / 2
+    try:
+        with np.errstate(all="raise"):
+            # n! for n = 0 ... M: past M = 170 this raises before the recursion
+            factorial = np.cumprod(np.arange(order + 1, dtype=float).clip(1))
+            splits, amplitudes = _split_table(alphas, phases)
+            factorials = factorial[splits].prod(axis=1)
+            weights = factorials * np.power(sources.nbar, splits).prod(axis=1)
+            reach = c * order * eps * factorial[-1] / factorials
+            moved = weights * (2 * np.abs(amplitudes) + reach) * reach
+            terms = weights * (amplitudes.real**2 + amplitudes.imag**2)
+            value = math.fsum(terms.tolist())
+            error = math.fsum(moved.tolist())
+            error += (order / 2 + 2 * count + 2) * eps * value
+    except (FloatingPointError, OverflowError) as exc:
+        raise NumericalError(
+            f"path sum at K = {count}, M = {order} leaves the double range ({exc})"
+        ) from None
+    bound = error / max(value, np.finfo(float).tiny)
+    if not bound <= ORACLE_TOLERANCE:
+        raise NumericalError(
+            f"path-sum error bound {bound:.2e} exceeds {ORACLE_TOLERANCE:g} "
+            f"at K = {count}, M = {order}"
         )
-    # split key -sum_l n_l * (M+1)**(K-1-l): enumerate_partitions lists it ascending
-    key_of = -((order + 1) ** np.arange(count - 1, -1, -1, dtype=np.int64))
-    factors = np.exp(1j * np.multiply.outer(np.asarray(phases, dtype=float), alphas))
-    b = 0
-    while b < order and count ** (b + 1) <= _PATH_BLOCK:
-        b += 1
-    lead = order - b
-    tail_keys = np.zeros(1, dtype=np.int64)
-    for _ in range(b):
-        tail_keys = np.add.outer(tail_keys, key_of).ravel()
-    tail_splits = (np.array(enumerate_partitions(count, b)) * key_of).sum(axis=1)
-    # bins 2i and 2i + 1 take the real and imaginary parts of tail split i
-    parts = (2 * np.searchsorted(tail_splits, tail_keys)[:, None] + (0, 1)).ravel()
-    splits = enumerate_partitions(count, order)
-    keys = (np.array(splits) * key_of).sum(axis=1)
-    sums = np.zeros(len(splits), dtype=complex)
-    rows, weights = factors[:lead].tolist(), key_of.tolist()
-    for prefix in itertools.product(range(count), repeat=lead):
-        term, key = 1 + 0j, 0
-        for row, source in zip(rows, prefix):
-            term *= row[source]
-            key += weights[source]
-        terms = np.array([term])
-        for row in factors[lead:]:
-            terms = np.multiply.outer(terms, row).ravel()
-        block = np.bincount(parts, terms.view(float), 2 * tail_splits.size)
-        sums[np.searchsorted(keys, key + tail_splits)] += block.view(complex)
-    return dict(zip(splits, sums.tolist()))
+    return value, bound
 
 
 def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
-    """Mth-order correlation by explicit quantum-path summation.
-
-    G = sum over partitions {n_l} of prod_l (n_l! * nbar_l**n_l) times the
-    squared modulus of the coherent sum of the partition's paths.  Nonnegative
-    real.  Guarded at M = 12; use correlation_permanent for larger orders.
-    """
-    phases = [float(d) for d in deltas]
-    order = len(phases)
-    if order < 1:
-        raise ValueError("need at least one detector phase")
-    if order > PATHSUM_MAX_ORDER:
-        raise CapacityError(
-            f"path summation is limited to M <= {PATHSUM_MAX_ORDER} "
-            f"(K**M paths); got M = {order}. "
-            "Use correlation_permanent for larger orders."
-        )
-    alphas = sources.prefactors
-    amplitudes = _split_amplitudes(alphas, phases)
-    total = 0.0
-    for counts in enumerate_partitions(sources.count, order):
-        weight = 1.0
-        for alpha, n in zip(alphas, counts):
-            weight *= math.factorial(n) * sources.nbar[alpha] ** n
-        total += weight * abs(amplitudes[counts]) ** 2
-    return total
+    """Mth-order correlation by the path sum; see `correlation_pathsum_bounded`."""
+    return correlation_pathsum_bounded(sources, deltas)[0]
 
 
 def _sign_choices(counts: Sequence[int]) -> list[list[tuple[int, int]]]:
@@ -198,7 +201,8 @@ def _sign_sums(
         for k, (q, w) in enumerate(choice[1:], 1):
             block = slice(k * size, (k + 1) * size)
             np.add(table[:, :size], (q * column)[:, None], out=table[:, block])
-            np.multiply(weights[:size], w, out=weights[block])
+            # as a float: exact below 2**53, and no int64 overflow past 2**63
+            np.multiply(weights[:size], float(w), out=weights[block])
         # choice 0 (no minus sign) has weight 1
         table[:, :size] += (choice[0][0] * column)[:, None]
         size *= len(choice)
@@ -300,13 +304,12 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
 
     per(A) = 2**-(n-1) sum_s (prod_k s_k) prod_i g_i(s), g_i(s) = sum_j s_j a_ij,
     over the 2**(n-1) sign vectors s in {+1, -1}**n with s_0 = +1
-    (D. G. Glynn, Eur. J. Combin. 31 (2010) 1887).  Bit-identical columns
-    form groups.  The C(m, k) sign vectors that put k minus signs in a group
-    of m equal columns c give the same row sums, with (m - 2k) c in place of
-    the group's signed columns, so they are summed as one term of weight
-    (-1)**k C(m, k): the inclusion-exclusion with multiplicities of
-    H. Kan, J. Multivariate Anal. 99 (2008) 542.  The fixed sign sits in a
-    smallest group, of m_p columns, so the sum has
+    (D. G. Glynn, Eur. J. Combin. 31 (2010) 1887).  The C(m, k) sign vectors
+    that put k minus signs in a group of m bit-identical columns c give the
+    same row sums, with (m - 2k) c for the group's signed columns, so they
+    form one term of weight (-1)**k C(m, k): the inclusion-exclusion with
+    multiplicities of H. Kan, J. Multivariate Anal. 99 (2008) 542.  With the
+    fixed sign in a smallest group, of m_p columns, there are
     m_p / (m_p + 1) * prod_g (m_g + 1) <= 2**(n-1) terms, exactly 2**(n-1)
     when every column is distinct.  A row that occurs r times has the same
     row sum h each time and enters each term as h**r.  The row sums come in
@@ -317,40 +320,33 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     rho_i = sum_j |a_ij| over all n columns:
 
     * A computed row sum h_i = fl(g_i) takes one product (m_g - 2k_g) c_gi
-      per group, each rounding by at most u |m_g - 2k_g| |c_gi| (the integer
-      multiplier is exact; the product is exact when it is 0 or a power of
-      two), and these add up to at most u * rho_i.  It then takes at most
-      n - 1 additions of partial sums no larger than rho_i, each rounding by
-      at most u * rho_i, so |h_i - g_i| <= n eps rho_i.  `entry_error` (a
-      bound on the error of each entry the caller passes) moves g_i by at
-      most n * entry_error more; d_i is the sum of the two.  Entries that
-      are stored equal may differ in the exact matrix, but the row sums of
-      each single sign vector still lie within d_i of the h_i of its term.
-      Then |prod_i g_i - prod_i h_i| <= sum_k d_k prod_(i != k) (|h_i| + d_i)
-      = prod_i (|h_i| + d_i) * sum_i d_i / (|h_i| + d_i), by telescoping
-      the difference one row at a time, a row that occurs r_i times counted
-      r_i times; times |w| for the |w| sign vectors of a term and summed over
-      the terms this is `moved`.  Per term it is about |t| sum_i d_i / |h_i|,
-      small wherever no row sum nearly cancels.  The global form
-      prod_i (rho_i + d_i) - prod_i rho_i scales with prod_i rho_i instead,
-      about 7e7 |per| at M = 18, and would bound the relative error there
-      by about 1e-5.
-    * Each term is a product of n row sums: a power h**r by repeated
-      squaring unfolds into r - 1 multiplications of single factors
-      (`_row_products`), so n - 1 complex multiplications in all, each with
-      relative error at most sqrt(2) * 2u.  The weight w is an exact
-      integer (|w| <= 2**(n-1) < 2**53), and the product with it rounds by
-      at most u.  So the term is off by at most (2 sqrt(2) (n - 1) + 1) u |t|.
-    * The T terms are summed pairwise (`_pairwise_sum` over each block of
-      W, then over the T / W blocks), ceil(log2 W) + ceil(log2(T / W))
-      additions deep.  A group of m columns has m + 1 <= 2**m choices, and
-      the pinned one m_p <= 2**(m_p - 1), so the depth is at most n - 1 and
-      the summation adds at most (n - 1) u sum |t|.  The power-of-two scale
-      is exact.
+      per group, rounding by at most u |m_g - 2k_g| |c_gi| (none when the
+      product is 0 or a power of two), u * rho_i in all, then at most n - 1
+      additions of partial sums no larger than rho_i, so
+      |h_i - g_i| <= n eps rho_i.  `entry_error`, a bound on the error of
+      each entry passed, moves g_i by at most n * entry_error more; d_i is
+      the sum of the two.  Entries stored equal may differ in the exact
+      matrix, but each sign vector's row sums still lie within d_i of the
+      h_i of its term.  Telescoping one row at a time,
+      |prod_i g_i - prod_i h_i| <= prod_i (|h_i| + d_i) sum_i d_i / (|h_i| + d_i),
+      a row that occurs r_i times counted r_i times; times |w| for the |w|
+      sign vectors of a term and summed over the terms this is `moved`,
+      about |t| sum_i d_i / |h_i| per term.  The global form
+      prod_i (rho_i + d_i) - prod_i rho_i would be 7e7 |per| at M = 18.
+    * A term takes n - 1 complex multiplications of single factors however
+      `_row_products` groups them, each of relative error at most
+      sqrt(2) * 2u, and one product with its weight w, which is an exact
+      integer while |w| <= 2**(n-1) < 2**53: (2 sqrt(2) (n - 1) + 1) u |t|.
+      Past n = 53 the G groups' binomials, the products of the weights and
+      the two that join the block tables may round too: (2G + 2) u |t| more.
+    * The T terms are summed pairwise (`_pairwise_sum` over each block, then
+      over the blocks).  A group of m columns has m + 1 <= 2**m choices, and
+      the pinned one m_p <= 2**(m_p - 1), so that is at most n - 1 additions
+      deep: (n - 1) u sum |t|.  The power-of-two scale is exact.
 
     Together, to first order in eps:
     |error| <= 2**-(n-1) [((sqrt(2) + 1/2) (n - 1) + 1/2) eps sum|t| + moved].
-    The factor c = 2n used below exceeds (sqrt(2) + 1/2) (n - 1) + 1/2 by at
+    The c = 2n used below (2n + G + 1 past n = 53) exceeds that factor by at
     least 1.5, which covers the second-order terms.  The bound's own
     arithmetic rounds at a relative O(n eps).
     """
@@ -368,6 +364,12 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     firsts, counts = _repeats(a.T)
     # the fixed sign goes to a smallest group: m_p of its m_p + 1 choices remain
     pinned = counts.index(min(counts))
+    terms = counts[pinned] * math.prod(m + 1 for m in counts) // (counts[pinned] + 1)
+    if terms > PERMANENT_MAX_TERMS:
+        raise CapacityError(
+            f"Glynn's sum over these {len(counts)} column groups has {terms} terms, "
+            f"over PERMANENT_MAX_TERMS = {PERMANENT_MAX_TERMS}"
+        )
     groups = [pinned] + [g for g in range(len(counts)) if g != pinned]
     row_firsts, row_counts = _repeats(a)
     # rows that occur once lead, as `_row_products` expects
@@ -392,7 +394,8 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
         moved += weight @ (d_repeated @ np.reciprocal(reach, out=reach))
     scale = 0.5 ** (n - 1)
     total = complex(_pairwise_sum(np.array(sums))) * scale
-    return total, float(scale * (2 * n * eps * magnitude + moved))
+    c = 2 * n if n <= 53 else 2 * n + len(counts) + 1
+    return total, float(scale * (c * eps * magnitude + moved))
 
 
 def coherence_matrix(sources: SourceArray, deltas: Sequence[float]) -> np.ndarray:
@@ -410,20 +413,16 @@ def correlation_permanent_bounded(
 ) -> tuple[float, float]:
     """Mth-order correlation by the permanent route, with its relative error bound.
 
-    The bound is a posteriori: it is computed from the terms of this very
-    evaluation (see `_glynn`) and covers the rounding of the coherence
-    matrix as well.  Raises NumericalError when it exceeds ORACLE_TOLERANCE,
-    so a value is never returned with fewer correct digits than the oracle
-    checks demand.
+    The bound is a posteriori, from the terms of this very evaluation (see
+    `_glynn`), and covers the rounding of the coherence matrix as well.
+    Raises NumericalError when it exceeds ORACLE_TOLERANCE.
     """
     order = len(deltas)
     if order < 1:
         raise ValueError("need at least one detector phase")
-    if order > PERMANENT_MAX_ORDER:
+    if order * order > PERMANENT_MAX_TERMS:
         raise CapacityError(
-            f"permanent evaluation is limited to M <= {PERMANENT_MAX_ORDER} "
-            f"(up to 2**(M-1) Glynn terms, at distinct detector phases), "
-            f"got M = {order}"
+            f"{order} x {order} coherence matrix exceeds PERMANENT_MAX_TERMS entries"
         )
     matrix = coherence_matrix(sources, deltas)
     # Entry j, k sums K terms nbar_l * e_j * conj(e_k) of unit phasors

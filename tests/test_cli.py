@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 from conftest import older_layout_format
 
-from thermalnoon import fockstate
+from thermalnoon import cli, fockstate
 from thermalnoon.analytic import closed_form
 from thermalnoon.cli import main
 from thermalnoon.curves import default_grid
 from thermalnoon.geometry import DetectorLayout, SourceArray
+from thermalnoon.pathsum import PATHSUM_MAX_TABLE
 from thermalnoon.speckle import SpeckleConfig
 
 DATA = Path(__file__).parent / "data"
@@ -115,10 +116,18 @@ class TestOracleCheckCommand:
         assert report["colocated_closed_form"]
         assert report["pathsum_vs_permanent"]["configs"] == 10
         assert 0.0 < report["permanent_error_bound"] <= report["tolerance"]
+        assert 0.0 < report["pathsum_error_bound"] <= report["tolerance"]
 
-    def test_order_cap_enforced(self, capsys):
-        assert main(["oracle-check", "--max-order", "10", "--seed", "1"]) == 2
-        assert "max-order 8" in capsys.readouterr().err
+    def test_order_cap_enforced(self, monkeypatch, tmp_path, capsys):
+        # two sources fill a table of M + 1 splits: M = 2**20 - 1 is the last
+        argv = ["oracle-check", "--seed", "1", "--max-order"]
+        assert main(argv + [str(PATHSUM_MAX_TABLE)]) == 2
+        assert "over PATHSUM_MAX_TABLE" in capsys.readouterr().err
+        # the same edge, moved where a run is short
+        monkeypatch.setattr(cli, "PATHSUM_MAX_TABLE", 13)
+        out = str(tmp_path / "oracle.json")
+        assert main(argv + ["12", "--samples", "2", "--out", out]) == 0
+        assert main(argv + ["13", "--samples", "2", "--out", out]) == 2
 
     def test_seed_is_required(self):
         with pytest.raises(SystemExit):

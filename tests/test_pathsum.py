@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -12,13 +13,13 @@ from thermalnoon.analytic import closed_form
 from thermalnoon.errors import CapacityError, NumericalError
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import (
-    PATHSUM_MAX_ORDER,
-    PERMANENT_MAX_ORDER,
+    PATHSUM_MAX_TABLE,
+    PERMANENT_MAX_TERMS,
     coherence_matrix,
     correlation_pathsum,
+    correlation_pathsum_bounded,
     correlation_permanent,
     correlation_permanent_bounded,
-    enumerate_partitions,
 )
 
 
@@ -79,14 +80,13 @@ def repeated(kind, n, seed):
 def brute_force_correlation(sources, deltas):
     # reference oracle: expand the partition sum with raw permutation
     # counting (each distinct arrangement once, multiplicity in the weight)
-    order = len(deltas)
     total = 0.0
-    for partition in enumerate_partitions(sources.count, order):
+    for labels in itertools.combinations_with_replacement(
+        range(sources.count), len(deltas)
+    ):
         weight = 1.0
-        labels = []
-        for source, count in enumerate(partition):
+        for source, count in Counter(labels).items():
             weight *= math.factorial(count) * sources.nbar[source] ** count
-            labels.extend([source] * count)
         seen = set()
         amplitude = 0.0 + 0.0j
         for arrangement in itertools.permutations(labels):
@@ -99,40 +99,82 @@ def brute_force_correlation(sources, deltas):
     return total
 
 
-class TestEnumeratePartitions:
+class TestSplitTable:
+    # at zero phase every path is 1, so a split's amplitude is its path count
     def test_two_sources_order_two(self):
-        assert enumerate_partitions(2, 2) == [(2, 0), (1, 1), (0, 2)]
+        amplitudes = pathsum._split_amplitudes((0, 1), (0.0, 0.0))
+        assert amplitudes == pytest.approx({(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
     def test_single_source(self):
-        assert enumerate_partitions(1, 5) == [(5,)]
+        deltas = (0.4, 1.3, 2.2, 0.5, 3.1)
+        splits, amplitudes = pathsum._split_table((0,), deltas)
+        assert splits.tolist() == [[5]]
+        assert amplitudes.tolist() == [1]
 
     @pytest.mark.parametrize("count,order", [(2, 4), (3, 3), (4, 2), (3, 6)])
     def test_counts_and_sums(self, count, order):
-        partitions = enumerate_partitions(count, order)
+        splits, amplitudes = pathsum._split_table(tuple(range(count)), (0.0,) * order)
+        partitions = [tuple(split) for split in splits.tolist()]
         assert len(partitions) == math.comb(order + count - 1, count - 1)
         assert len(set(partitions)) == len(partitions)
-        for partition in partitions:
-            assert len(partition) == count
-            assert sum(partition) == order
-            assert all(n >= 0 for n in partition)
-
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
-    def test_descending_order_gives_ascending_split_keys(self, count):
-        # _split_amplitudes bins splits by searchsorted on these keys
-        for order in range(9):
-            partitions = enumerate_partitions(count, order)
-            assert partitions == sorted(partitions, reverse=True)
-            key_of = -((order + 1) ** np.arange(count - 1, -1, -1))
-            keys = (np.array(partitions) * key_of).sum(axis=1)
-            assert np.all(np.diff(keys) > 0)
+        assert splits.shape == (len(partitions), count)
+        assert (splits >= 0).all() and (splits.sum(axis=1) == order).all()
+        paths = [
+            math.factorial(order) // math.prod(map(math.factorial, split))
+            for split in partitions
+        ]
+        assert amplitudes == pytest.approx(paths, rel=1e-15)
+        assert sum(paths) == count**order
 
     def test_zero_photons_has_single_empty_split(self):
-        assert enumerate_partitions(3, 0) == [(0, 0, 0)]
+        splits, amplitudes = pathsum._split_table((0, 1, 2), ())
+        assert splits.tolist() == [[0, 0, 0]]
+        assert amplitudes.tolist() == [1]
 
-    @pytest.mark.parametrize("count,order", [(0, 2), (-1, 3), (2, -1)])
-    def test_rejects_degenerate_shapes(self, count, order):
-        with pytest.raises(ValueError):
-            enumerate_partitions(count, order)
+    @pytest.mark.parametrize("count,order", [(2, 7), (3, 6), (4, 4)])
+    def test_detector_order_does_not_change_the_value(self, count, order):
+        # the recursion takes the detectors one at a time, in the order given
+        rng = np.random.default_rng(10 * count + order)
+        sources = SourceArray(
+            nbar=tuple(float(v) for v in rng.uniform(0.2, 2.5, size=count))
+        )
+        deltas = rng.uniform(0, 2 * math.pi, size=order)
+        reference = correlation_pathsum(sources, deltas)
+        for _ in range(4):
+            assert correlation_pathsum(sources, rng.permutation(deltas)) == (
+                pytest.approx(reference, rel=1e-13)
+            )
+
+    @pytest.mark.parametrize("count,order", [(2, 40), (3, 20), (4, 12)])
+    def test_traced_memory_is_bounded_by_the_table(self, count, order):
+        # 4**12 = 16.8M paths would take 268 MB as one complex array; the
+        # recursion holds a few tables of (M+1)**(K-1) complex entries
+        sources = SourceArray.equidistant(count)
+        layout = DetectorLayout.spread(order // 2)
+        deltas = layout.detector_phases(0.9)
+        tracemalloc.start()
+        try:
+            value = correlation_pathsum(sources, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (count + 4) * 16 * (order + 1) ** (count - 1) + 65536
+        if count == 2:
+            assert value == pytest.approx(closed_form(layout).g(0.9), rel=1e-12)
+        else:
+            expected = correlation_permanent(sources, deltas)
+            assert value == pytest.approx(expected, rel=1e-9)
+
+    def test_capacity_is_checked_before_the_table_is_built(self):
+        # 33**4 entries would take 19 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError):
+                correlation_pathsum(SourceArray.equidistant(5), (0.0,) * 32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestMultisetPhaseSum:
@@ -291,35 +333,62 @@ class TestCorrelationPathsum:
                 brute_force_correlation(sources, deltas), rel=1e-10
             )
 
-    def test_order_capacity_guard(self):
-        sources = SourceArray()
-        with pytest.raises(CapacityError) as err:
-            correlation_pathsum(sources, (0.0,) * (PATHSUM_MAX_ORDER + 1))
-        assert "correlation_permanent" in str(err.value)
+    def test_table_capacity_guard(self):
+        # (M+1)**(K-1) = 2**20 entries: 21 sources at M = 1, and 5 at M = 31
+        for count, order in ((21, 1), (5, 31)):
+            value = correlation_pathsum(SourceArray.equidistant(count), (0.0,) * order)
+            assert value == pytest.approx(
+                math.factorial(order) * count**order, rel=1e-12
+            )
+        for count, order in ((22, 1), (5, 32)):
+            with pytest.raises(CapacityError, match="PATHSUM_MAX_TABLE"):
+                correlation_pathsum(SourceArray.equidistant(count), (0.0,) * order)
+        assert PATHSUM_MAX_TABLE == 32**4
 
     def test_rejects_empty_detectors(self):
         with pytest.raises(ValueError):
             correlation_pathsum(SourceArray(), ())
 
 
-class TestBlockedPathSum:
-    # K**M paths split into one block of the last b detectors, K**b <=
-    # _PATH_BLOCK, per source prefix of the leading M - b detectors: b = 0,
-    # 1, 3 and M.
-    @pytest.mark.parametrize("count,order", [(2, 7), (3, 6), (4, 4)])
-    def test_block_size_does_not_change_the_value(self, monkeypatch, count, order):
-        rng = np.random.default_rng(10 * count + order)
-        sources = SourceArray(
-            nbar=tuple(float(v) for v in rng.uniform(0.2, 2.5, size=count))
-        )
-        deltas = tuple(float(v) for v in rng.uniform(0, 2 * math.pi, size=order))
-        reference = correlation_pathsum(sources, deltas)
-        for block in (1, count, count**3, count**order + 1):
-            monkeypatch.setattr(pathsum, "_PATH_BLOCK", block)
-            assert correlation_pathsum(sources, deltas) == pytest.approx(
-                reference, rel=1e-14
-            )
+def decimal_phasor(phase):
+    # (cos, sin) of a Decimal phase by the Taylor series, in the caller's
+    # context: the terms pass 1e8 before they shrink, at |phase| <= 20
+    total_re, total_im = Decimal(0), Decimal(0)
+    term_re, term_im, k = Decimal(1), Decimal(0), 0
+    while abs(term_re) + abs(term_im) > Decimal(10) ** -70:
+        total_re, total_im = total_re + term_re, total_im + term_im
+        k += 1
+        term_re, term_im = -term_im * phase / k, term_re * phase / k
+    return total_re, total_im
 
+
+def decimal_correlation(sources, deltas):
+    # the path sum over all K**M paths in 60-digit decimal arithmetic
+    with localcontext() as context:
+        context.prec = 60
+        phasors = [
+            [decimal_phasor(alpha * Decimal(d)) for alpha in sources.prefactors]
+            for d in deltas
+        ]
+        sums = {}
+        for path in itertools.product(range(sources.count), repeat=len(deltas)):
+            re, im = Decimal(1), Decimal(0)
+            for row, source in zip(phasors, path):
+                c, s = row[source]
+                re, im = re * c - im * s, re * s + im * c
+            split = tuple(path.count(l) for l in range(sources.count))
+            old_re, old_im = sums.get(split, (0, 0))
+            sums[split] = (old_re + re, old_im + im)
+        total = Decimal(0)
+        for split, (re, im) in sums.items():
+            weight = Decimal(1)
+            for n, nbar in zip(split, sources.nbar):
+                weight *= math.factorial(n) * Decimal(nbar) ** n
+            total += weight * (re * re + im * im)
+        return total
+
+
+class TestSplitRecursion:
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6, 7])
     def test_three_sources_match_brute_force(self, order):
         rng = np.random.default_rng(60 + order)
@@ -331,28 +400,72 @@ class TestBlockedPathSum:
             brute_force_correlation(sources, deltas), rel=1e-10
         )
 
-    def test_traced_memory_is_bounded_by_the_block(self):
-        # 4**12 = 16.8M paths would take 268 MB as one complex array
-        sources = SourceArray.equidistant(4)
-        deltas = tuple(magic_positions(12))
-        tracemalloc.start()
-        try:
-            value = correlation_pathsum(sources, deltas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
-        assert value == pytest.approx(correlation_permanent(sources, deltas), rel=1e-9)
+    def test_spread_matches_closed_form(self):
+        rng = np.random.default_rng(71)
+        for m in range(1, 25):
+            layout = DetectorLayout.spread(m)
+            for delta1 in rng.uniform(0, 2 * math.pi, size=3):
+                phases = layout.detector_phases(delta1)
+                assert correlation_pathsum(SourceArray(), phases) == pytest.approx(
+                    closed_form(layout).g(delta1), rel=1e-12
+                )
 
-    def test_split_keys_must_fit_int64(self):
-        # keys sum_l n_l * (M+1)**l: 3**39 fits in int64, 3**40 does not
-        deltas = (0.3, 1.2)
-        value = correlation_pathsum(SourceArray.equidistant(39), deltas)
-        assert value == pytest.approx(
-            correlation_permanent(SourceArray.equidistant(39), deltas), rel=1e-12
-        )
-        with pytest.raises(CapacityError):
-            correlation_pathsum(SourceArray.equidistant(40), deltas)
+    def test_colocated_matches_closed_form(self):
+        rng = np.random.default_rng(73)
+        for order in range(2, 49):
+            for m1 in range(1, order):
+                layout = DetectorLayout.colocated(m1, order - m1)
+                delta1 = rng.uniform(0, 2 * math.pi)
+                phases = layout.detector_phases(delta1)
+                assert correlation_pathsum(SourceArray(), phases) == pytest.approx(
+                    closed_form(layout).g(delta1), rel=1e-12
+                )
+
+    def test_bound_covers_the_exact_error(self):
+        # random sources and phases, and the cancelling comb layouts, against
+        # the sum over every path in 60 digits
+        rng = np.random.default_rng(79)
+        cases = [
+            (SourceArray(), DetectorLayout.colocated(3, 3).detector_phases(0.9)),
+            (SourceArray.equidistant(4, 0.7), tuple(magic_positions(5))),
+        ]
+        for _ in range(14):
+            count = int(rng.integers(1, 5))
+            order = int(rng.integers(1, 6 if count == 4 else 7))
+            nbar = tuple(float(v) for v in rng.uniform(0.2, 2.5, size=count))
+            cases.append((SourceArray(nbar=nbar), rng.uniform(0, 2 * math.pi, order)))
+        for sources, deltas in cases:
+            value, bound = correlation_pathsum_bounded(sources, deltas)
+            exact_value = decimal_correlation(sources, deltas)
+            assert abs(Decimal(value) - exact_value) <= Decimal(bound) * Decimal(value)
+            assert 0 < bound <= 1e-12
+
+    def test_bound_above_the_tolerance_is_refused(self, monkeypatch):
+        # colocated(30, 30) cancels too far for the bound to certify 1e-9
+        phases = DetectorLayout.colocated(30, 30).detector_phases(1.1)
+        with pytest.raises(NumericalError, match="path-sum error bound"):
+            correlation_pathsum(SourceArray(), phases)
+        phases = DetectorLayout.colocated(24, 24).detector_phases(1.1)
+        _, bound = correlation_pathsum_bounded(SourceArray(), phases)
+        monkeypatch.setattr(pathsum, "ORACLE_TOLERANCE", bound / 2)
+        with pytest.raises(NumericalError, match=f"error bound {bound:.2e} exceeds"):
+            correlation_pathsum(SourceArray(), phases)
+
+    def test_far_phases_are_refused(self):
+        # 3 * d rounds by up to 1.5 eps * |3 d| with d a million radians out
+        phases = DetectorLayout.colocated(4, 4).detector_phases(0.9) + 1e6
+        with pytest.raises(NumericalError, match="error bound"):
+            correlation_pathsum(SourceArray.equidistant(4), phases)
+
+    def test_factorial_overflow_is_refused(self):
+        # 170! fits in a double and 171! does not
+        sources = SourceArray.equidistant(2, 0.05)
+        value = correlation_pathsum(sources, (0.0,) * 170)
+        assert value == pytest.approx(math.factorial(170) * 0.1**170, rel=1e-12)
+        with pytest.raises(NumericalError, match="double range"):
+            correlation_pathsum(sources, (0.0,) * 171)
+        with pytest.raises(NumericalError, match="double range"):
+            correlation_pathsum(SourceArray(), (0.0,) * 170)
 
 
 class TestPermanent:
@@ -621,5 +734,19 @@ class TestCorrelationPermanent:
             correlation_permanent(SourceArray.equidistant(4), phases)
 
     def test_order_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            correlation_permanent(SourceArray(), (0.0,) * (PERMANENT_MAX_ORDER + 1))
+        # spread(10): 20 distinct phases, 2**19 terms; one more phase doubles it
+        phases = DetectorLayout.spread(10).detector_phases(0.9)
+        value, bound = correlation_permanent_bounded(SourceArray(), phases)
+        expected = closed_form(DetectorLayout.spread(10)).g(0.9)
+        assert abs(value - expected) <= bound * value
+        with pytest.raises(CapacityError, match=f"has {2 * PERMANENT_MAX_TERMS} terms"):
+            correlation_permanent(SourceArray(), (*phases, 0.1))
+
+    def test_matrix_capacity_guard(self, monkeypatch):
+        # co-located detectors sum M terms, but their M x M matrix is built
+        monkeypatch.setattr(pathsum, "PERMANENT_MAX_TERMS", 64)
+        assert correlation_permanent(SourceArray(), (0.0,) * 8) == pytest.approx(
+            math.factorial(8) * 2**8, rel=1e-12
+        )
+        with pytest.raises(CapacityError, match="9 x 9 coherence matrix"):
+            correlation_permanent(SourceArray(), (0.0,) * 9)

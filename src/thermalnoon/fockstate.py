@@ -10,9 +10,9 @@ detectors through delta1 on that state reproduces the co-located correlation:
         = g_moving(projected rho, m1, delta1) * tr(A rho A+)
 
 verify_isomorphism checks that factorization numerically over a delta1 scan:
-it builds one thermal state and one projection, and at every phase of the
-scan evaluates the left side by direct operator algebra on the unprojected
-state and the right side on the projected one.
+it builds one thermal state and one projection, reads each into one moment
+table, and evaluates the left side at every phase of the scan from the
+unprojected state's table and the right side from the projected one's.
 
 A density matrix is stored as its offset bands (see TwoModeDensityMatrix), a
 thermal state as the one band (0, 0).  A lowering operator B is stored as its
@@ -21,6 +21,11 @@ to sum_p e_p(w) a1**(M-p) a2**p, e_p the elementary symmetric polynomials of
 w_j = exp(-1j*delta_j).  Monomial pair (i, j) moves band d of rho to band
 d - (qi - qj, pi - pj), so tr(B rho B+) reads only the bands (d, -d): M+1
 vector-matrix-vector products on a thermal state, and no band is built.
+These products m_ij, the state's normally ordered moments, do not depend on
+the phases: _moments builds them once per state and set of monomials, and
+each phase set is then the contraction sum_ij c_i conj(c_j) m_ij, O((M+1)**2)
+per phase after one O(M * D**2) table.
+
 default_cutoff bounds the discarded share of the order-M factorial moment of
 the thermal pair, 2 * P(Binomial(D+1, 1/(1+nbar)) <= M) <= TAIL_LIMIT with
 M = m1 + m2, not only the kept mass.  No cutoff above FOCK_MAX_CUTOFF is
@@ -29,6 +34,7 @@ accepted, chosen or explicit: past it a CapacityError is raised.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -42,8 +48,9 @@ TAIL_LIMIT = 1e-6
 # D = 1000.  verify_isomorphism keeps 5 alive at its peak for any m1, m2: rho,
 # the three bands of A rho A+ and either project_magic's scratch band or the
 # Hermitian check's temporaries (tracemalloc: 29 MB at D = 600, 81 MB at
-# D = 1000), 0.06 and 0.17 s a one-point scan on a 2-vCPU Xeon; nbar = 100 at
-# m1 = m2 = 2 would need D = 2439 and 0.48 GB.
+# D = 1000).  At m1 = m2 = 2 on a 2-vCPU Xeon a one-point scan takes 0.04 and
+# 0.11 s, and a 181-point scan 0.04 and 0.12 s, since each state is read once;
+# nbar = 100 at m1 = m2 = 2 would need D = 2439 and 0.48 GB.
 FOCK_MAX_CUTOFF = 1000
 
 
@@ -66,15 +73,23 @@ def _require_cutoff(cutoff: object, minimum: int) -> int:
 
 
 def default_cutoff(nbar: float, m1: int = 0, m2: int = 0) -> int:
-    """Smallest per-mode cutoff >= max(30, M) whose order-M tail is <= TAIL_LIMIT."""
+    """Smallest per-mode cutoff >= max(30, M) whose order-M tail is <= TAIL_LIMIT.
+
+    The tail falls as the cutoff grows, so the cutoff is found by bisection.
+    """
     nbar = _require_nbar(nbar)
     order, q = m1 + m2, nbar / (1.0 + nbar)
-    cutoff = max(30, order)
-    while cutoff <= FOCK_MAX_CUTOFF and 2.0 * sum(
-        math.comb(cutoff + 1, k) * (1.0 - q) ** k * q ** (cutoff + 1 - k)
-        for k in range(order + 1)
-    ) > TAIL_LIMIT:
-        cutoff += 1
+
+    def holds(cutoff: int) -> bool:
+        return 2.0 * sum(
+            math.comb(cutoff + 1, k) * (1.0 - q) ** k * q ** (cutoff + 1 - k)
+            for k in range(order + 1)
+        ) <= TAIL_LIMIT
+
+    floor = max(30, order)
+    cutoff = floor + bisect.bisect_left(
+        range(floor, FOCK_MAX_CUTOFF + 1), True, key=holds
+    )
     if cutoff > FOCK_MAX_CUTOFF:
         raise CapacityError(
             f"nbar = {nbar} at M = {order} needs a Fock cutoff above "
@@ -159,14 +174,14 @@ class TwoModeDensityMatrix:
         return {d for d, b in self.bands.items() if np.abs(b).max() > tol}
 
 
-def _ladders(bands: dict, ops) -> tuple[int, np.ndarray, float]:
-    """dim, rows f_q(n) = <n|a**q|n+q> for q <= M, and a scale; ops all have degree M.
+def _ladders(bands: dict, exponents) -> tuple[int, np.ndarray, float]:
+    """dim, rows f_q(n) = <n|a**q|n+q> for q <= M, and a scale; (q, p) of degree M.
 
     Row q holds sqrt((n+q)!/n!) * 2**(-shift*q) for n < dim; each mode's weights
     take the scale back out, so no factor outgrows about dim**(M/2).
     """
     dim = next(iter(bands.values())).shape[0]
-    degree, shift = max(q + p for _, q, p in ops), dim.bit_length() // 2
+    degree, shift = max(q + p for q, p in exponents), dim.bit_length() // 2
     steps = np.sqrt(np.arange(dim) + np.arange(1.0, degree + 1)[:, None]) * 2.0**-shift
     f = np.vstack([np.ones(dim), np.cumprod(steps, axis=0)])
     return dim, f, math.ldexp(1.0, shift * degree)
@@ -178,18 +193,19 @@ def _weights(f: np.ndarray, q: int, qb: int, o: int) -> tuple[int, int, np.ndarr
     return lo, hi, f[q, lo:hi] * f[qb, lo - o : hi - o]
 
 
-def _sandwich(bands: dict, ops) -> dict:
-    """Bands of B rho B+: pair (i, j) of ops moves band d to d - (qi - qj, pi - pj).
+def _sandwich(bands: dict, coefs, exponents) -> dict:
+    """Bands of B rho B+ for B = sum_i c_i a1**qi a2**pi.
 
-    Each term is multiplied in place: the first one into its output slice,
-    later ones through one scratch band that is then added.
+    Pair (i, j) moves band d of rho to d - (qi - qj, pi - pj).  Each term is
+    multiplied in place: the first one into its output slice, later ones
+    through one scratch band that is then added.
     """
-    dim, f, scale = _ladders(bands, ops)
+    dim, f, scale = _ladders(bands, exponents)
     out: dict = {}
     scratch = np.empty((dim, dim), dtype=complex)
     for (d1, d2), x in bands.items():
-        for ci, qi, pi in ops:
-            for cj, qj, pj in ops:
+        for ci, (qi, pi) in zip(coefs, exponents):
+            for cj, (qj, pj) in zip(coefs, exponents):
                 o = (d1 - qi + qj, d2 - pi + pj)
                 lo1, hi1, u = _weights(f, qi, qj, o[0])
                 lo2, hi2, v = _weights(f, pi, pj, o[1])
@@ -208,17 +224,41 @@ def _sandwich(bands: dict, ops) -> dict:
     return out
 
 
-def _sandwich_trace(bands: dict, ops) -> float:
-    """tr(B rho B+): pair (i, j) reads band (qi - qj, pi - pj) = (d, -d) on a view."""
-    _, f, scale = _ladders(bands, ops)
-    total = 0j
-    for ci, qi, pi in ops:
-        for cj, qj, pj in ops:
+def _moments(bands: dict, exponents) -> tuple[dict, float]:
+    """Phase-free table for tr(B rho B+), B a sum of monomials a1**q a2**p; and a scale.
+
+    Entry (i, j) is u . x[qi:, pi:] . (scale v) on the band x = (qi - qj,
+    pi - pj) of rho, a view, for each pair whose band rho holds; the trace
+    of B = sum_i c_i a1**qi a2**pi is then sum_ij c_i conj(c_j) scale m_ij.
+    """
+    _, f, scale = _ladders(bands, exponents)
+    table = {}
+    for i, (qi, pi) in enumerate(exponents):
+        for j, (qj, pj) in enumerate(exponents):
             x = bands.get((qi - qj, pi - pj))
             if x is not None:
                 u, v = _weights(f, qi, qj, 0)[2], _weights(f, pi, pj, 0)[2]
-                total += ci * np.conj(cj) * scale * (u @ (x[qi:, pi:] @ (scale * v)))
-    return float(total.real)
+                table[i, j] = u @ (x[qi:, pi:] @ (scale * v))
+    return table, scale
+
+
+def _contract(table: dict, scale: float, coefs: np.ndarray) -> np.ndarray:
+    """Re sum_ij c_i conj(c_j) scale m_ij for each row c of coefs, pairs in table order.
+
+    Complex products are spelled out, (a + ib)(c + id) = (ac - bd) + i(ad + bc),
+    as numpy rounds them on scalars: its array loop may fuse a multiply-add,
+    and a row's value would then depend on the rows evaluated with it.
+    """
+    i, j = np.array(list(table), dtype=int).reshape(-1, 2).T
+    m = np.array(list(table.values()), dtype=complex)
+    a, b = coefs.real[:, i], coefs.imag[:, i]
+    c, d = coefs.real[:, j], -coefs.imag[:, j]
+    re, im = (a * c - b * d) * scale, (a * d + b * c) * scale
+    terms = re * m.real - im * m.imag
+    total = np.zeros(len(coefs))
+    for term in terms.T:  # one pair at a time, as a running sum
+        total += term
+    return total
 
 
 def thermal_two_mode(nbar: float, cutoff: int | None = None) -> TwoModeDensityMatrix:
@@ -258,14 +298,15 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
         raise TruncationError(
             f"operator power m2 = {m2} exceeds the Fock cutoff {rho.cutoff}"
         )
-    ops = [(1.0, m2, 0), (comb_sign(m2), 0, m2)]
-    norm = _sandwich_trace(rho.bands, ops)
+    coefs, exponents = [1.0, comb_sign(m2)], [(m2, 0), (0, m2)]
+    table, scale = _moments(rho.bands, exponents)
+    norm = float(_contract(table, scale, np.array([coefs], dtype=complex))[0])
     if norm < 1e-30:
         raise ZeroProbabilityError(
             f"detecting {m2} photons at the magic positions has zero probability "
             "for this state"
         )
-    bands = _sandwich(rho.bands, ops)
+    bands = _sandwich(rho.bands, coefs, exponents)
     for band in bands.values():
         band /= norm  # in place: a divided copy would be the call's peak
     return TwoModeDensityMatrix(
@@ -273,21 +314,31 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
     )
 
 
-def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float:
+def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
     """Normally ordered intensity correlation of detectors at the given phases.
 
     Each detector contributes the field E+(delta) = a1 + exp(-1j*delta)*a2.
+    deltas holds one phase per detector; a 2-d array holds one phase set per
+    row, and then one value per row is returned, all from one moment table.
     """
-    phases = [float(d) for d in deltas]
-    if len(phases) > rho.cutoff:
+    phases = np.asarray(deltas, dtype=float)
+    if phases.ndim not in (1, 2):
+        raise ValueError(f"deltas must be a 1-d or 2-d array, got {deltas!r}")
+    rows = np.atleast_2d(phases)
+    order = rows.shape[1]
+    if order > rho.cutoff:
         raise TruncationError(
-            f"operator power {len(phases)} exceeds the Fock cutoff {rho.cutoff}"
+            f"operator power {order} exceeds the Fock cutoff {rho.cutoff}"
         )
-    coefs = [1.0]  # of a1**(M-p) a2**p in prod_j (a1 + w_j a2): e_p(w)
-    for d in phases:
-        coefs = np.convolve(coefs, [1.0, np.exp(-1j * d)])
-    ops = [(c, len(phases) - p, p) for p, c in enumerate(coefs)]
-    return _sandwich_trace(rho.bands, ops)
+    coefs = np.empty((len(rows), order + 1), dtype=complex)
+    for row, phase_set in zip(coefs, rows.tolist()):
+        e = [1.0]  # of a1**(M-p) a2**p in prod_j (a1 + w_j a2): e_p(w)
+        for d in phase_set:
+            e = np.convolve(e, [1.0, np.exp(-1j * d)])
+        row[:] = e
+    table, scale = _moments(rho.bands, [(order - p, p) for p in range(order + 1)])
+    values = _contract(table, scale, coefs)
+    return values if phases.ndim == 2 else float(values[0])
 
 
 def g_moving(rho: TwoModeDensityMatrix, m1: int, delta1: float) -> float:
@@ -355,10 +406,11 @@ def verify_isomorphism(
     """Compare the full (m1+m2)-detector correlation with its projected factorization.
 
     deltas is the delta1 grid of the scan; a single phase is a one-point scan.
-    The thermal state and its projection are built once for the whole scan.
-    At each phase lhs applies all detector fields to the thermal state
-    directly; rhs scans only the moving detectors on the projected state and
-    multiplies by the recorded projection norm.
+    The thermal state and its projection are built once for the whole scan,
+    and each side reads its state once, into one moment table.  lhs contracts
+    the table of the thermal state with every detector's field at each phase;
+    rhs contracts the projected state's table with the moving detectors'
+    fields and multiplies by the recorded projection norm.
     """
     layout = DetectorLayout.colocated(m1, m2)
     phases = np.atleast_1d(np.asarray(deltas, dtype=float))
@@ -367,10 +419,11 @@ def verify_isomorphism(
     if cutoff is None:
         cutoff = default_cutoff(nbar, layout.m1, layout.m2)
     rho = thermal_two_mode(nbar, cutoff)
-    lhs = [g_detectors(rho, layout.detector_phases(d)) for d in phases]
+    lhs = g_detectors(rho, layout.detector_phases(phases)).tolist()
     projected = project_magic(rho, layout.m2)
     norm = projected.projection_norm
-    rhs = [g_moving(projected, layout.m1, d) * norm for d in phases]
+    moving = np.repeat(phases[:, None], layout.m1, axis=1)
+    rhs = (g_detectors(projected, moving) * norm).tolist()
     gaps = [abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(lhs, rhs)]
     return IsomorphismReport(
         nbar=float(nbar),

@@ -174,10 +174,18 @@ class DetectorLayout:
             return "mmp-spread"
         return "custom" if any(self.moving_offsets) else "co-located"
 
-    def detector_phases(self, delta1: float) -> np.ndarray:
-        """All M phases at delta1, moving group first: delta1 + offset, unwrapped."""
-        moving = float(delta1) + np.asarray(self.moving_offsets, dtype=float)
-        return np.concatenate([moving, np.asarray(self.fixed_phases, dtype=float)])
+    def detector_phases(self, delta1: float | np.ndarray) -> np.ndarray:
+        """All M phases at delta1, moving group first: delta1 + offset, unwrapped.
+
+        A 1-d array of delta1 gives one row of M phases per entry.
+        """
+        delta1 = np.asarray(delta1, dtype=float)
+        if delta1.ndim > 1:
+            raise ValueError(f"delta1 must be a number or a 1-d array, got {delta1!r}")
+        phases = np.empty(delta1.shape + (self.order,))
+        phases[..., : self.m1] = delta1[..., None] + np.asarray(self.moving_offsets)
+        phases[..., self.m1 :] = self.fixed_phases
+        return phases
 
     def describe(self) -> str:
         return f"{self.moving_kind}:m1={self.m1},m2={self.m2}"

@@ -154,7 +154,7 @@ def _envelope_factor(config: SpeckleConfig) -> np.ndarray:
     """Per grid point, the product over all M detectors of env(phase)^2."""
     if config.slit_ratio == 0.0:
         return np.ones(config.grid.size)  # point sources: env is exactly 1
-    phases = np.array([config.layout.detector_phases(d) for d in config.grid])
+    phases = config.layout.detector_phases(config.grid)
     return np.prod(_envelope(phases, config.slit_ratio) ** 2, axis=1)
 
 

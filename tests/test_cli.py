@@ -501,6 +501,28 @@ class TestFockCommand:
         assert counts == {"thermal_two_mode": 1, "project_magic": 1}
         assert len(json.loads(out.read_text())["relative_gaps"]) == grid
 
+    @pytest.mark.parametrize("grid", [1, 3, 9])
+    def test_one_moment_table_per_state_and_side(self, monkeypatch, tmp_path, grid):
+        # rho for lhs, A's two monomials on rho for the norm, the projected
+        # state for rhs: each read once, whatever the grid length
+        tables = []
+        moments = fockstate._moments
+
+        def counted(bands, exponents):
+            tables.append((sorted(bands), list(exponents)))
+            return moments(bands, exponents)
+
+        monkeypatch.setattr(fockstate, "_moments", counted)
+        out = tmp_path / "fock.json"
+        argv = ["fock", "--m1", "3", "--m2", "2", "--grid", str(grid)]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert tables == [
+            ([(0, 0)], [(5 - p, p) for p in range(6)]),
+            ([(0, 0)], [(2, 0), (0, 2)]),
+            ([(-2, 2), (0, 0), (2, -2)], [(3 - p, p) for p in range(4)]),
+        ]
+        assert len(json.loads(out.read_text())["relative_gaps"]) == grid
+
     @pytest.mark.parametrize(
         "argv,golden",
         [

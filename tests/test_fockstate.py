@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from thermalnoon import fockstate
 from thermalnoon.analytic import closed_form
 from thermalnoon.errors import CapacityError, TruncationError, ZeroProbabilityError
 from thermalnoon.fockstate import (
@@ -50,6 +51,30 @@ def lowering_pair(cutoff):
     return np.kron(a, eye), np.kron(eye, a)
 
 
+def per_phase_trace(rho, deltas):
+    # the loop reference for g_detectors: one phase set, one monomial pair at
+    # a time, each complex product spelled out in Python floats, which are
+    # rounded one operation at a time on every platform
+    e = [1.0]
+    for delta in deltas:
+        e = np.convolve(e, [1.0, np.exp(-1j * delta)])
+    exponents = [(len(deltas) - p, p) for p in range(len(deltas) + 1)]
+    _, f, scale = fockstate._ladders(rho.bands, exponents)
+    total = 0.0
+    for ci, (qi, pi) in zip(e, exponents):
+        for cj, (qj, pj) in zip(e, exponents):
+            x = rho.bands.get((qi - qj, pi - pj))
+            if x is not None:
+                u = fockstate._weights(f, qi, qj, 0)[2]
+                v = fockstate._weights(f, pi, pj, 0)[2]
+                m = complex(u @ (x[qi:, pi:] @ (scale * v)))
+                a, b = float(ci.real), float(ci.imag)
+                c, d = float(cj.real), -float(cj.imag)
+                re, im = (a * c - b * d) * scale, (a * d + b * c) * scale
+                total += re * m.real - im * m.imag
+    return total
+
+
 def random_state(cutoff, seed):
     # a Hermitian PSD state with weight on every offset band, not only on (d, -d)
     dim = cutoff + 1
@@ -66,6 +91,26 @@ def random_state(cutoff, seed):
             bands[(d1, d2)] = np.zeros((dim, dim), dtype=complex)
             bands[(d1, d2)][ok] = full[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]]
     return TwoModeDensityMatrix(bands=bands, cutoff=cutoff)
+
+
+def linear_cutoff(nbar, order):
+    # the reference scan: step the cutoff up by 1 from the floor until the
+    # order-M tail holds; None where no cutoff up to the cap does
+    q = nbar / (1.0 + nbar)
+    cutoff = max(30, order)
+    while cutoff <= FOCK_MAX_CUTOFF and 2.0 * sum(
+        math.comb(cutoff + 1, k) * (1.0 - q) ** k * q ** (cutoff + 1 - k)
+        for k in range(order + 1)
+    ) > TAIL_LIMIT:
+        cutoff += 1
+    return cutoff if cutoff <= FOCK_MAX_CUTOFF else None
+
+
+def bisected_cutoff(nbar, order):
+    try:
+        return default_cutoff(nbar, order // 2, order - order // 2)
+    except CapacityError:
+        return None
 
 
 class TestDefaultCutoff:
@@ -104,6 +149,37 @@ class TestDefaultCutoff:
         assert default_cutoff(lo, m1, m2) == FOCK_MAX_CUTOFF
         with pytest.raises(CapacityError):
             default_cutoff(hi, m1, m2)
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 13, 35, 100])
+    def test_bisection_matches_a_linear_scan(self, order):
+        # dim sources sit on the max(30, M) floor, bright ones need more than
+        # the cap from M = 13 on; at M = 100 the reference scan of a refused
+        # nbar alone takes 0.2 s, so the brightest ones are left out there
+        brightnesses = (0.0, 0.05, 0.5, 1.0, 2.0, 3.0, 7.5, 20.0, 60.0)
+        for nbar in brightnesses[: 5 if order == 100 else None]:
+            assert bisected_cutoff(nbar, order) == linear_cutoff(nbar, order)
+        assert bisected_cutoff(0.0, order) == max(30, order)
+
+    @pytest.mark.parametrize("order", [4, 40])
+    def test_bisection_matches_a_linear_scan_at_the_cap(self, order):
+        # the brightest nbar whose cutoff is the cap, and the next float up
+        lo, hi = 1.0, 1e3
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            mid = mid if lo < mid < hi else math.nextafter(lo, hi)
+            if bisected_cutoff(mid, order) is None:
+                hi = mid
+            else:
+                lo = mid
+        assert bisected_cutoff(lo, order) == linear_cutoff(lo, order) == FOCK_MAX_CUTOFF
+        assert bisected_cutoff(hi, order) is linear_cutoff(hi, order) is None
+
+    def test_orders_past_the_cap_are_refused(self):
+        # without photons the floor max(30, M) is the cutoff, up to the cap
+        for order in (FOCK_MAX_CUTOFF, FOCK_MAX_CUTOFF + 1):
+            assert bisected_cutoff(0.0, order) == linear_cutoff(0.0, order)
+        assert bisected_cutoff(0.0, FOCK_MAX_CUTOFF) == FOCK_MAX_CUTOFF
+        assert bisected_cutoff(0.0, FOCK_MAX_CUTOFF + 1) is None
 
     def test_certain_photons_are_refused_not_looped_on(self):
         # q = nbar / (1 + nbar) rounds to 1: no cutoff ever holds the tail
@@ -333,6 +409,62 @@ class TestCorrelations:
         finally:
             tracemalloc.stop()
         assert peak < 601**2 * 16
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 5])
+    @pytest.mark.parametrize("name", ["thermal", "projected", "noon"])
+    def test_rows_equal_single_calls(self, name, order):
+        # one moment table for every row, each row to the bit of its own call
+        # and of the per-phase loop, on comb phases and on arbitrary ones
+        rho = {
+            "thermal": lambda: thermal_two_mode(1.0, 36),
+            "projected": lambda: project_magic(thermal_two_mode(1.0, 36), 3),
+            "noon": lambda: noon_state(2, 8),
+        }[name]()
+        rows = np.random.default_rng(order).uniform(-7.0, 7.0, size=(11, order))
+        if order:
+            layout = DetectorLayout.colocated(order // 2, order - order // 2)
+            rows = np.vstack([rows, layout.detector_phases(np.linspace(0, 7, 9))])
+        values = g_detectors(rho, rows)
+        assert isinstance(values, np.ndarray) and values.shape == (len(rows),)
+        singles = [g_detectors(rho, row) for row in rows]
+        assert all(type(v) is float for v in singles)
+        assert values.tolist() == singles
+        assert singles == [per_phase_trace(rho, row) for row in rows]
+
+    def test_one_table_per_call(self, monkeypatch):
+        calls = []
+        moments = fockstate._moments
+        monkeypatch.setattr(
+            fockstate, "_moments", lambda *a: calls.append(a[1]) or moments(*a)
+        )
+        g_detectors(thermal_two_mode(0.5, 20), np.zeros((40, 3)))
+        assert calls == [[(3, 0), (2, 1), (1, 2), (0, 3)]]
+
+    def test_order_above_cutoff_is_refused_before_any_band_product(
+        self, monkeypatch
+    ):
+        rho = thermal_two_mode(0.01, cutoff=3)
+        for name in ("_moments", "_sandwich"):
+            monkeypatch.setattr(fockstate, name, None)  # a call would be a TypeError
+        with pytest.raises(TruncationError):
+            g_detectors(rho, np.zeros((5, 4)))
+        with pytest.raises(TruncationError):
+            verify_isomorphism(0.01, 2, 2, [0.0, 1.0], cutoff=3)
+
+    def test_no_moving_detectors_scan_the_trace(self):
+        rho = thermal_two_mode(0.5, 30)
+        values = g_detectors(rho, np.empty((4, 0)))
+        assert values.tolist() == [g_detectors(rho, [])] * 4
+        assert values[0] == pytest.approx(rho.trace(), rel=1e-14)
+        report = verify_isomorphism(0.5, 0, 2, np.linspace(0.0, 2 * math.pi, 5))
+        assert len(set(report.lhs)) == len(set(report.rhs)) == 1
+        assert report.rhs[0] == pytest.approx(report.projection_norm, rel=1e-14)
+        assert report.max_relative_gap < 1e-12
+
+    @pytest.mark.parametrize("deltas", [0.3, np.zeros((2, 2, 2))])
+    def test_rejects_a_scalar_or_a_3d_array(self, deltas):
+        with pytest.raises(ValueError, match="deltas"):
+            g_detectors(thermal_two_mode(0.5, 20), deltas)
 
     def test_high_order_stays_finite(self):
         # co-located detectors see the one thermal mode (a1 + w a2)/sqrt(2), so

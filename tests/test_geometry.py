@@ -205,6 +205,29 @@ class TestDetectorLayout:
         phases = layout.detector_phases(0.5)
         np.testing.assert_allclose(phases[:3], 0.5 + magic_positions(3))
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            DetectorLayout.colocated(3, 2),
+            DetectorLayout.colocated(2, 0),
+            DetectorLayout.colocated(0, 3),
+            DetectorLayout.spread(3),
+            DetectorLayout(fixed_phases=(0.4,), moving_offsets=(0.0, math.pi, 0.5)),
+        ],
+    )
+    def test_a_delta1_grid_gives_one_row_per_phase(self, layout):
+        grid = np.linspace(-1.0, 7.0, 13)
+        rows = layout.detector_phases(grid)
+        assert rows.shape == (13, layout.order)
+        for delta1, row in zip(grid, rows):
+            assert np.array_equal(row, layout.detector_phases(float(delta1)))
+        assert layout.detector_phases(0.3).shape == (layout.order,)
+        assert layout.detector_phases(grid[:0]).shape == (0, layout.order)
+
+    def test_a_nested_delta1_grid_is_refused(self):
+        with pytest.raises(ValueError, match="delta1"):
+            DetectorLayout.colocated(1, 1).detector_phases(np.zeros((2, 2)))
+
     @pytest.mark.parametrize("m1,m2", [(0, 0), (-1, 2), (2, -1)])
     def test_rejects_empty_or_negative_counts(self, m1, m2):
         with pytest.raises(ValueError):

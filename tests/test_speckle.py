@@ -270,6 +270,22 @@ class TestEnvelope:
         assert np.abs(np.diff(factor)).max() < 0.01 * factor.max()
 
 
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            DetectorLayout.colocated(3, 2),
+            DetectorLayout.spread(3),
+            DetectorLayout(fixed_phases=(0.4,), moving_offsets=(0.0, math.pi, 0.5)),
+        ],
+    )
+    def test_factor_is_the_product_at_each_grid_point(self, layout):
+        # one broadcast of the phase rows, to the bit of a per-point stack
+        config = hbt_config(layout=layout, slit_ratio=0.3, grid=default_grid(361))
+        phases = np.array([layout.detector_phases(d) for d in config.grid])
+        expected = np.prod(_envelope(phases, 0.3) ** 2, axis=1)
+        assert np.array_equal(_envelope_factor(config), expected)
+
+
 class TestSimulateCurve:
     def test_deterministic_for_fixed_seed(self):
         config = hbt_config(frames=20_000, seed=7)

@@ -20,7 +20,6 @@ from .fockstate import (
     TwoModeDensityMatrix,
     default_cutoff,
     g_detectors,
-    g_moving,
     noon_overlap,
     noon_state,
     project_magic,
@@ -76,7 +75,6 @@ __all__ = [
     "dominant_frequency",
     "fit_cosine",
     "g_detectors",
-    "g_moving",
     "magic_positions",
     "noon_overlap",
     "noon_state",

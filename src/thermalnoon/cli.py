@@ -22,11 +22,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analytic import _half_order, closed_form, crossover_threshold
+from .analytic import closed_form, crossover_threshold
 from .curves import default_grid
 from .errors import CapacityError
 from .fockstate import verify_isomorphism
-from .geometry import TWO_PI, DetectorLayout, SourceArray, require_int
+from .geometry import TWO_PI, DetectorLayout, SourceArray, relative_gap
 from .pathsum import (
     ORACLE_TOLERANCE,
     PATHSUM_MAX_TABLE,
@@ -36,10 +36,6 @@ from .pathsum import (
 from .speckle import SpeckleConfig, fit_cosine, simulate_curve
 
 ISOMORPHISM_TOLERANCE = 1e-6
-
-
-def _relative_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -67,24 +63,34 @@ def _sidecar_path(csv_path: str) -> str:
     return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
 
 
+def _layout(args: argparse.Namespace, *required: tuple[str, object]) -> DetectorLayout:
+    """The --layout of --m1 moving and --m2 fixed detectors; all flags must be set."""
+    flags = (("--m1", args.m1), ("--m2", args.m2), *required)
+    missing = [name for name, value in flags if value is None]
+    if missing:
+        raise ValueError(f"missing required flags: {', '.join(missing)}")
+    if args.layout == "spread":
+        if args.m1 != args.m2:
+            raise ValueError("--layout spread requires --m1 == --m2")
+        return DetectorLayout.spread(args.m1)
+    return DetectorLayout.colocated(args.m1, args.m2)
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
-    if args.setup == 1:
-        if args.order is None:
-            raise ValueError("--setup 1 needs --order (even total detector count)")
-        layout = DetectorLayout.spread(_half_order(args.order))
-        out = args.out or f"analytic-spread-M{args.order}.csv"
-    else:
-        if args.m1 is None or args.m2 is None:
-            raise ValueError("--setup 2 needs --m1 and --m2")
-        layout = DetectorLayout.colocated(args.m1, require_int("m2", args.m2, 1))
-        out = args.out or f"analytic-colocated-m1_{args.m1}-m2_{args.m2}.csv"
+    layout = _layout(args)
     form = closed_form(layout)
+    if form is None:
+        raise ValueError(f"layout {layout.describe()} has no closed form")
+    if args.layout == "spread":
+        out = args.out or f"analytic-spread-M{layout.order}.csv"
+    else:
+        out = args.out or f"analytic-colocated-m1_{args.m1}-m2_{args.m2}.csv"
     curve = form.curve(layout, default_grid(args.grid))
-    peak = float(curve.values.max())
+    normalized = curve.normalize()
     _write_csv(
         out,
         ["delta1", "G", "g_norm"],
-        zip(curve.grid, curve.values, curve.values / peak),
+        zip(curve.grid, curve.values, normalized.values),
     )
     sidecar = {
         "c1": form.c1,
@@ -133,7 +139,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
                 two, layout.detector_phases(delta1)
             )
             path_bound = max(path_bound, bound)
-            worst = max(worst, _relative_gap(direct, form.g(delta1)))
+            worst = max(worst, relative_gap(direct, form.g(delta1)))
         report[label].append({**row, "max_rel_gap": worst})
         gaps.append(worst)
 
@@ -146,7 +152,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
         deltas = rng.uniform(0.0, TWO_PI, size=order)
         permanent, bound = correlation_permanent_bounded(sources, deltas)
         direct, own_bound = correlation_pathsum_bounded(sources, deltas)
-        worst = max(worst, _relative_gap(direct, permanent))
+        worst = max(worst, relative_gap(direct, permanent))
         largest_bound = max(largest_bound, bound)
         path_bound = max(path_bound, own_bound)
     report["pathsum_vs_permanent"] = {
@@ -173,24 +179,7 @@ def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
             if key in ("frames", "seed", "workers") and value is not None
         }
         return replace(cfg, **overrides)
-    missing = [
-        name
-        for name, value in (
-            ("--m1", args.m1),
-            ("--m2", args.m2),
-            ("--frames", args.frames),
-            ("--seed", args.seed),
-        )
-        if value is None
-    ]
-    if missing:
-        raise ValueError(f"missing required flags: {', '.join(missing)}")
-    if args.layout == "spread":
-        if args.m1 != args.m2:
-            raise ValueError("--layout spread requires --m1 == --m2")
-        layout = DetectorLayout.spread(args.m1)
-    else:
-        layout = DetectorLayout.colocated(args.m1, args.m2)
+    layout = _layout(args, ("--frames", args.frames), ("--seed", args.seed))
     return SpeckleConfig(
         sources=SourceArray.equidistant(args.sources, args.nbar),
         layout=layout,
@@ -300,6 +289,13 @@ def _cmd_thresholds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_layout_flags(p: argparse.ArgumentParser) -> None:
+    """The flags that _layout reads."""
+    p.add_argument("--m1", type=int, help="moving detectors")
+    p.add_argument("--m2", type=int, help="fixed detectors")
+    p.add_argument("--layout", choices=("colocated", "spread"), default="colocated")
+
+
 # built once: parsing leaves the parser as it was, and main runs more than once in
 # a process (the test suite, the benchmark)
 @functools.cache
@@ -311,10 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("analytic", help="sample a closed-form curve to CSV")
-    p.add_argument("--setup", type=int, choices=(1, 2), required=True)
-    p.add_argument("--order", type=int, help="total detectors M for --setup 1 (even)")
-    p.add_argument("--m1", type=int, help="moving detectors for --setup 2")
-    p.add_argument("--m2", type=int, help="fixed detectors for --setup 2")
+    _add_layout_flags(p)
     p.add_argument("--grid", type=int, default=181, metavar="N")
     p.add_argument("--out", type=str, default=None, metavar="PATH")
     p.set_defaults(handler=_cmd_analytic)
@@ -328,11 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle_check)
 
     p = sub.add_parser("speckle", help="Monte Carlo speckle run")
-    p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--m2", type=int, default=None)
-    p.add_argument(
-        "--layout", choices=("colocated", "spread"), default="colocated"
-    )
+    _add_layout_flags(p)
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--grid", type=int, default=181, metavar="N")

@@ -7,7 +7,7 @@ Fock offsets (+-m2, -+m2), i.e. a mixed N00N-like state.  Scanning m1 further
 detectors through delta1 on that state reproduces the co-located correlation:
 
     G_full(m1 at delta1, m2 at magic positions; rho)
-        = g_moving(projected rho, m1, delta1) * tr(A rho A+)
+        = g_detectors(projected rho, [delta1] * m1) * tr(A rho A+)
 
 verify_isomorphism checks that factorization numerically over a delta1 scan:
 it builds one thermal state and one projection, reads each into one moment
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, TruncationError, ZeroProbabilityError
-from .geometry import DetectorLayout, comb_sign, require_int, require_real
+from .geometry import DetectorLayout, comb_sign, relative_gap, require_int, require_real
 
 TAIL_LIMIT = 1e-6
 # A cost cap on every cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
@@ -162,12 +162,6 @@ class TwoModeDensityMatrix:
     def entry(self, n1: int, n2: int, n1p: int, n2p: int) -> complex:
         band = self.bands.get((n1 - n1p, n2 - n2p))
         return 0j if band is None else complex(band[n1, n2])
-
-    def diagonal_part(self) -> "TwoModeDensityMatrix":
-        """Same populations with every Fock coherence zeroed."""
-        return TwoModeDensityMatrix(
-            {(0, 0): self.bands[(0, 0)]}, self.cutoff, trunc_tail=self.trunc_tail
-        )
 
     def support_offsets(self, tol: float = 1e-12) -> set[tuple[int, int]]:
         """Fock-index offsets (n1-n1', n2-n2') carrying any weight above tol."""
@@ -341,11 +335,6 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
     return values if phases.ndim == 2 else float(values[0])
 
 
-def g_moving(rho: TwoModeDensityMatrix, m1: int, delta1: float) -> float:
-    """Correlation of m1 co-located detectors at delta1: <E-**m1 E+**m1>."""
-    return g_detectors(rho, [float(delta1)] * require_int("m1", m1, 0))
-
-
 def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
     """Overlap <psi|rho|psi> with |psi> = (|m2,0> + (-1)**(m2-1)|0,m2>)/sqrt(2)."""
     m2 = require_int("m2", m2, 1)
@@ -424,7 +413,7 @@ def verify_isomorphism(
     norm = projected.projection_norm
     moving = np.repeat(phases[:, None], layout.m1, axis=1)
     rhs = (g_detectors(projected, moving) * norm).tolist()
-    gaps = [abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(lhs, rhs)]
+    gaps = [relative_gap(a, b) for a, b in zip(lhs, rhs)]
     return IsomorphismReport(
         nbar=float(nbar),
         m1=layout.m1,

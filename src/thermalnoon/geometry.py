@@ -52,6 +52,11 @@ def require_field(data: object, name: str) -> object:
     return data[name]
 
 
+def relative_gap(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 when both are 0."""
+    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
 def magic_positions(m: int) -> np.ndarray:
     """Return the m evenly spaced detector phases {0, 2*pi/m, ..., 2*pi*(m-1)/m}."""
     m = require_int("m", m, 1)
@@ -198,23 +203,8 @@ class DetectorLayout:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorLayout":
-        """Read to_dict's fields, or the older moving_count + moving_kind ones."""
-        fixed = require_field(data, "fixed_phases")
-        if "moving_offsets" in data:
-            return cls(fixed_phases=fixed, moving_offsets=data["moving_offsets"])
-        if "moving_count" not in data:
-            raise ValueError(
-                "config lacks the required field 'moving_offsets' "
-                "(or the older 'moving_count')"
-            )
-        count = require_int("moving_count", data["moving_count"], 0)
-        kind = data.get("moving_kind", "co-located")
-        if kind == "co-located":
-            return cls(fixed_phases=fixed, moving_offsets=(0.0,) * count)
-        if kind != "mmp-spread":
-            raise ValueError(
-                f"moving_kind must be 'co-located' or 'mmp-spread', got {kind!r}"
-            )
-        if count != len(require_reals("fixed_phases", fixed)):
-            raise ValueError("mmp-spread requires equal moving and fixed counts")
-        return cls(fixed_phases=fixed, moving_offsets=magic_positions(count))
+        """Read to_dict's two fields; a missing one is named in the error."""
+        return cls(
+            fixed_phases=require_field(data, "fixed_phases"),
+            moving_offsets=require_field(data, "moving_offsets"),
+        )

@@ -4,18 +4,6 @@ Acceptance tests record one line per criterion; the lines are replayed in
 the terminal summary so they stay visible even when capture is on.
 """
 
-
-def older_layout_format(config_dict):
-    """Rewrite a co-located config dict's layout as moving_count + moving_kind.
-
-    That is the layout format before moving_offsets; from_dict still reads it.
-    """
-    layout = config_dict["layout"]
-    assert not any(layout["moving_offsets"]), "only co-located layouts convert"
-    layout["moving_count"] = len(layout.pop("moving_offsets"))
-    layout["moving_kind"] = "co-located"
-    return config_dict
-
 ACCEPTANCE_LINES = []
 
 

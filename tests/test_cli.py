@@ -5,7 +5,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import older_layout_format
 
 from thermalnoon import cli, fockstate
 from thermalnoon.analytic import closed_form
@@ -28,7 +27,8 @@ def read_csv(path):
 class TestAnalyticCommand:
     def test_spread_curve_files(self, tmp_path):
         out = tmp_path / "spread.csv"
-        assert main(["analytic", "--setup", "1", "--order", "4", "--out", str(out)]) == 0
+        argv = ["analytic", "--layout", "spread", "--m1", "2", "--m2", "2"]
+        assert main(argv + ["--out", str(out)]) == 0
         header, rows = read_csv(out)
         assert header == ["delta1", "G", "g_norm"]
         assert len(rows) == 181
@@ -44,9 +44,7 @@ class TestAnalyticCommand:
 
     def test_colocated_curve_files(self, tmp_path):
         out = tmp_path / "colo.csv"
-        code = main(
-            ["analytic", "--setup", "2", "--m1", "3", "--m2", "2", "--out", str(out)]
-        )
+        code = main(["analytic", "--m1", "3", "--m2", "2", "--out", str(out)])
         assert code == 0
         _, rows = read_csv(out)
         assert rows[0][1] == pytest.approx(768.0)  # 912 - 144 at delta1 = 0
@@ -58,32 +56,53 @@ class TestAnalyticCommand:
 
     def test_flat_configuration_reports_zero_visibility(self, tmp_path):
         out = tmp_path / "flat.csv"
-        main(["analytic", "--setup", "2", "--m1", "1", "--m2", "2", "--out", str(out)])
+        main(["analytic", "--m1", "1", "--m2", "2", "--out", str(out)])
         sidecar = json.loads((tmp_path / "flat.json").read_text())
         assert sidecar["visibility"] == 0.0
 
     def test_default_output_name(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        assert main(["analytic", "--setup", "1", "--order", "4"]) == 0
+        assert main(["analytic", "--layout", "spread", "--m1", "2", "--m2", "2"]) == 0
         assert (tmp_path / "analytic-spread-M4.csv").exists()
         assert (tmp_path / "analytic-spread-M4.json").exists()
+        assert main(["analytic", "--m1", "3", "--m2", "2"]) == 0
+        assert (tmp_path / "analytic-colocated-m1_3-m2_2.csv").exists()
+        assert (tmp_path / "analytic-colocated-m1_3-m2_2.json").exists()
 
-    def test_missing_order_is_an_error(self, tmp_path, capsys):
-        assert main(["analytic", "--setup", "1"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_odd_order_is_an_error(self, tmp_path, capsys):
-        out = tmp_path / "odd.csv"
-        argv = ["analytic", "--setup", "1", "--order", "3", "--out", str(out)]
-        assert main(argv) == 2
+    def test_missing_counts_are_named(self, capsys):
+        assert main(["analytic", "--layout", "spread"]) == 2
         err = capsys.readouterr().err
-        assert "order must be an even integer >= 2, got 3" in err
+        assert "--m1" in err and "--m2" in err
+
+    def test_spread_needs_equal_halves(self, tmp_path, capsys):
+        out = tmp_path / "unequal.csv"
+        argv = ["analytic", "--layout", "spread", "--m1", "3", "--m2", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "requires --m1 == --m2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_layout_without_closed_form_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "none.csv"
+        assert main(["analytic", "--m1", "2", "--m2", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert DetectorLayout.colocated(2, 0).describe() in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--setup", "1", "--order", "4"], ["--order", "4"], ["--layout", "mmp-spread"]],
+        ids=["setup", "order", "unknown-layout"],
+    )
+    def test_setup_flag_is_gone(self, capsys, flags):
+        with pytest.raises(SystemExit) as usage:
+            main(["analytic", "--m1", "2", "--m2", "2", *flags])
+        assert usage.value.code == 2
+        assert "usage" in capsys.readouterr().err
 
     def test_csv_floats_roundtrip_exactly(self, tmp_path):
         # repr() cells must parse back to the same doubles
         out = tmp_path / "exact.csv"
-        main(["analytic", "--setup", "2", "--m1", "2", "--m2", "2", "--out", str(out)])
+        main(["analytic", "--m1", "2", "--m2", "2", "--out", str(out)])
         _, rows = read_csv(out)
         form = closed_form(DetectorLayout.colocated(2, 2))
         for delta1, g_value, _ in rows[:20]:
@@ -249,12 +268,12 @@ class TestSpeckleCommand:
             frames=1000,
             seed=3,
         ).to_dict()
-        older_layout_format(data)["layout"]["moving_count"] = 2.7
+        data["frames"] = 1000.5
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
         out = tmp_path / "x.csv"
         assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
-        assert "moving_count" in capsys.readouterr().err
+        assert "frames" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -262,14 +281,12 @@ class TestSpeckleCommand:
         [
             (None, "frames", True),
             (None, "slit_ratio", "0.3"),
-            ("layout", "moving_count", True),
             ("sources", "nbar", ["1.0"]),
             ("layout", "moving_offsets", [True, False]),
         ],
         ids=[
             "frames-bool",
             "slit-string",
-            "moving-count-bool",
             "nbar-string",
             "moving-offsets-bool",
         ],
@@ -283,8 +300,6 @@ class TestSpeckleCommand:
             frames=1000,
             seed=3,
         ).to_dict()
-        if field == "moving_count":
-            older_layout_format(data)
         (data if section is None else data[section])[field] = value
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
@@ -330,7 +345,6 @@ class TestSpeckleCommand:
             (None, "layout"),
             (None, "sources"),
             ("layout", "fixed_phases"),
-            ("layout", "moving_count"),
             ("sources", "nbar"),
             ("layout", "moving_offsets"),
         ],
@@ -344,8 +358,6 @@ class TestSpeckleCommand:
             frames=1000,
             seed=3,
         ).to_dict()
-        if field == "moving_count":
-            older_layout_format(data)
         del (data if section is None else data[section])[field]
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
@@ -378,21 +390,16 @@ class TestSpeckleCommand:
         err = capsys.readouterr().err
         assert "--m2" in err and "--frames" in err and "--seed" in err
 
-    def test_older_config_file_matches_spread_flags(self, tmp_path):
+    def test_older_config_file_is_refused(self, tmp_path, capsys):
         # written by SpeckleConfig.to_dict() before layouts carried offsets
         legacy = DATA / "legacy-spread-run.json"
         layout = json.loads(legacy.read_text())["layout"]
         assert layout["moving_kind"] == "mmp-spread" and "moving_offsets" not in layout
-        from_config = tmp_path / "config.csv"
-        argv = ["speckle", "--config", str(legacy), "--out", str(from_config)]
-        assert main(argv) == 0
-        from_flags = tmp_path / "flags.csv"
-        argv = ["speckle", "--layout", "spread", "--m1", "2", "--m2", "2"]
-        argv += ["--frames", "20000", "--seed", "5", "--grid", "61"]
-        assert main(argv + ["--out", str(from_flags)]) == 0
-        assert from_config.read_bytes() == from_flags.read_bytes()
-        sidecars = [(tmp_path / f"{n}.json").read_bytes() for n in ("config", "flags")]
-        assert sidecars[0] == sidecars[1]
+        out = tmp_path / "config.csv"
+        assert main(["speckle", "--config", str(legacy), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "moving_offsets" in err and "moving_count" not in err
+        assert not out.exists()
 
     def test_spread_layout_needs_equal_halves(self, tmp_path, capsys):
         code = main(
@@ -583,11 +590,11 @@ class TestGoldenOutputs:
         "argv,golden",
         [
             (["thresholds", "--max-m2", "5"], "thresholds-max-m2-5.json"),
-            (["analytic", "--setup", "1", "--order", "6"], "analytic-spread-M6.json"),
             (
-                ["analytic", "--setup", "2", "--m1", "3", "--m2", "2"],
-                "analytic-colocated-m1_3-m2_2.json",
+                ["analytic", "--layout", "spread", "--m1", "3", "--m2", "3"],
+                "analytic-spread-M6.json",
             ),
+            (["analytic", "--m1", "3", "--m2", "2"], "analytic-colocated-m1_3-m2_2.json"),
         ],
     )
     def test_matches_golden_file(self, tmp_path, argv, golden):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import thermalnoon
 from thermalnoon import fockstate
 from thermalnoon.analytic import closed_form
 from thermalnoon.errors import CapacityError, TruncationError, ZeroProbabilityError
@@ -14,7 +15,6 @@ from thermalnoon.fockstate import (
     TwoModeDensityMatrix,
     default_cutoff,
     g_detectors,
-    g_moving,
     noon_overlap,
     noon_state,
     project_magic,
@@ -383,19 +383,27 @@ class TestCorrelations:
             got = g_detectors(rho, tuple(layout.detector_phases(delta)))
             assert got == pytest.approx(closed_form(layout).g(delta), rel=1e-6)
 
-    def test_g_moving_on_raw_thermal_is_flat(self):
+    def test_moving_pair_on_raw_thermal_is_flat(self):
         # without the fixed-comb projection the moving product shows no
         # interference: 2! * (2 nbar)**2 at every phase
         rho = thermal_two_mode(1.0, cutoff=36)
         for delta in (0.0, 0.9, 2.5):
-            assert g_moving(rho, 2, delta) == pytest.approx(8.0, rel=1e-6)
+            assert g_detectors(rho, [delta] * 2) == pytest.approx(8.0, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "owner,name",
+        [(fockstate, "g_moving"), (TwoModeDensityMatrix, "diagonal_part")],
+        ids=["g_moving", "diagonal_part"],
+    )
+    def test_one_name_per_result(self, owner, name):
+        # stacked phases go through g_detectors; a diagonal state is built inline
+        assert not hasattr(owner, name)
+        assert name not in thermalnoon.__all__
 
     def test_moving_power_guards(self):
         rho = thermal_two_mode(0.5, cutoff=16)
-        with pytest.raises(ValueError):
-            g_moving(rho, -1, 0.0)
         with pytest.raises(TruncationError):
-            g_moving(rho, 17, 0.0)
+            g_detectors(rho, [0.0] * 17)
 
     def test_trace_builds_no_band(self):
         # the trace reads views of rho's bands: it allocates less than one band
@@ -472,7 +480,8 @@ class TestCorrelations:
         order, nbar = 118, 2.0
         rho = thermal_two_mode(nbar, default_cutoff(nbar, 59, 59))
         expected = float(2**order * math.factorial(order)) * nbar**order
-        assert g_moving(rho, order, 0.3) == pytest.approx(expected, rel=TAIL_LIMIT)
+        got = g_detectors(rho, [0.3] * order)
+        assert got == pytest.approx(expected, rel=TAIL_LIMIT)
 
 
 DENSE_STATES = {
@@ -550,7 +559,8 @@ class TestNoonContent:
         rho = noon_state(2, cutoff=8)
         assert noon_overlap(rho, 2) == pytest.approx(1.0, abs=1e-12)
         # stripping the coherences leaves exactly half the overlap
-        assert noon_overlap(rho.diagonal_part(), 2) == pytest.approx(0.5, abs=1e-12)
+        diagonal = TwoModeDensityMatrix({(0, 0): rho.bands[(0, 0)]}, rho.cutoff)
+        assert noon_overlap(diagonal, 2) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("m2", [2, 3])
     def test_pure_noon_modulation(self, m2):
@@ -559,15 +569,17 @@ class TestNoonContent:
         norm = math.factorial(m2)
         for delta in (0.0, 0.4, 1.3, 2.9):
             expected = norm * (1.0 + (-1.0) ** (m2 - 1) * math.cos(m2 * delta))
-            assert g_moving(rho, m2, delta) == pytest.approx(expected, abs=1e-10)
+            got = g_detectors(rho, [delta] * m2)
+            assert got == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("m2", [2, 3])
     def test_pure_noon_at_its_own_cutoff(self, m2):
         # lowering moves offsets past the cutoff: those bands are empty
         tight, roomy = noon_state(m2, cutoff=m2), noon_state(m2, cutoff=8)
         for delta in (0.0, 0.4, 1.3):
-            expected = g_moving(roomy, m2, delta)
-            assert g_moving(tight, m2, delta) == pytest.approx(expected, abs=1e-12)
+            expected = g_detectors(roomy, [delta] * m2)
+            got = g_detectors(tight, [delta] * m2)
+            assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("nbar", [0.1, 0.5])
     def test_projected_thermal_overlap_closed_form(self, nbar):
@@ -579,7 +591,8 @@ class TestNoonContent:
     def test_coherent_exceeds_diagonal_weight(self):
         # the off-diagonal lobes carry genuine coherence
         rho = project_magic(thermal_two_mode(0.5, cutoff=30), 2)
-        assert noon_overlap(rho, 2) > noon_overlap(rho.diagonal_part(), 2)
+        diagonal = TwoModeDensityMatrix({(0, 0): rho.bands[(0, 0)]}, rho.cutoff)
+        assert noon_overlap(rho, 2) > noon_overlap(diagonal, 2)
 
     def test_overlap_bounds(self):
         rho = project_magic(thermal_two_mode(0.5, cutoff=30), 2)
@@ -592,11 +605,6 @@ class TestCountsMustBeIntegers:
     def test_project_magic(self, m2):
         with pytest.raises(ValueError, match="m2 must be an integer"):
             project_magic(thermal_two_mode(0.5, cutoff=16), m2)
-
-    @pytest.mark.parametrize("m1", [True, 2.0])
-    def test_g_moving(self, m1):
-        with pytest.raises(ValueError, match="m1 must be an integer"):
-            g_moving(thermal_two_mode(0.5, cutoff=16), m1, 0.0)
 
     @pytest.mark.parametrize("m2", [True, 2.0])
     def test_noon_overlap(self, m2):

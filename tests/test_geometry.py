@@ -10,6 +10,7 @@ from thermalnoon.geometry import (
     comb_sign,
     magic_positions,
     phase_from_angle,
+    relative_gap,
 )
 
 
@@ -145,16 +146,23 @@ class TestSourceArray:
         assert SourceArray.from_dict(sources.to_dict()) == sources
 
 
+class TestRelativeGap:
+    def test_equal_values_have_no_gap(self):
+        assert relative_gap(0.0, 0.0) == 0.0
+        assert relative_gap(-2.5, -2.5) == 0.0
+
+    @pytest.mark.parametrize("a,b", [(1.0, 1.5), (-3.0, 2.0), (1e-310, 0.0)])
+    def test_is_symmetric_and_scaled_by_the_larger_magnitude(self, a, b):
+        gap = relative_gap(a, b)
+        assert gap == relative_gap(b, a)
+        assert gap == abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+    def test_scale_free(self):
+        assert relative_gap(3.0, 4.0) == 0.25
+        assert relative_gap(3e-200, 4e-200) == pytest.approx(0.25, rel=1e-15)
+
+
 COMB2 = tuple(magic_positions(2))
-
-
-def legacy(fixed, moving_count, moving_kind="co-located"):
-    """A layout dict in the older config format, before moving_offsets."""
-    return {
-        "fixed_phases": list(fixed),
-        "moving_count": moving_count,
-        "moving_kind": moving_kind,
-    }
 
 
 class TestDetectorLayout:
@@ -190,11 +198,6 @@ class TestDetectorLayout:
         phases = layout.detector_phases(0.3)
         np.testing.assert_allclose(phases[:m], 0.3 + magic_positions(m))
         np.testing.assert_allclose(phases[m:], magic_positions(m))
-
-    def test_spread_requires_equal_halves(self):
-        # the older format's mmp-spread kind still demands equal halves
-        with pytest.raises(ValueError, match="equal"):
-            DetectorLayout.from_dict(legacy((0.0, math.pi), 3, "mmp-spread"))
 
     def test_unequal_halves_are_data(self):
         layout = DetectorLayout(
@@ -251,23 +254,13 @@ class TestDetectorLayout:
             )
 
     @pytest.mark.parametrize(
-        "fixed,moving",
-        [
-            ((0.0,), 1.5),
-            ((0.0,), 2.0),
-            ((0.0,), "2"),
-            ((0.0,), None),
-            ((math.nan,), 1),
-            ((0.0, math.inf), 1),
-        ],
-        ids=["fractional", "float", "string", "none", "nan-phase", "inf-phase"],
+        "fixed", [(math.nan,), (0.0, math.inf)], ids=["nan-phase", "inf-phase"]
     )
-    def test_rejects_non_integer_count_and_non_finite_phase(self, fixed, moving):
-        with pytest.raises(ValueError):
-            DetectorLayout.from_dict({"fixed_phases": fixed, "moving_count": moving})
-        if isinstance(moving, int):  # a bad phase is refused as an offset too
-            with pytest.raises(ValueError):
-                DetectorLayout(fixed_phases=(0.0,), moving_offsets=fixed)
+    def test_rejects_non_finite_phase(self, fixed):
+        with pytest.raises(ValueError, match="fixed_phases"):
+            DetectorLayout.from_dict({"fixed_phases": fixed, "moving_offsets": [0.0]})
+        with pytest.raises(ValueError, match="moving_offsets"):  # as an offset too
+            DetectorLayout(fixed_phases=(0.0,), moving_offsets=fixed)
 
     @pytest.mark.parametrize(
         "build,field",
@@ -275,7 +268,6 @@ class TestDetectorLayout:
             (lambda: DetectorLayout.colocated(True, 2), "m1"),
             (lambda: DetectorLayout.colocated(2, True), "m2"),
             (lambda: DetectorLayout.spread(True), "m"),
-            (lambda: DetectorLayout.from_dict(legacy((0.0,), False)), "moving_count"),
             (lambda: DetectorLayout(("0.5",), (0.0,)), "fixed_phases"),
             (lambda: DetectorLayout((True,), (0.0,)), "fixed_phases"),
             (lambda: DetectorLayout(0.5, (0.0,)), "fixed_phases"),
@@ -287,7 +279,6 @@ class TestDetectorLayout:
             "colocated-m1-bool",
             "colocated-m2-bool",
             "spread-bool",
-            "count-bool",
             "phase-string",
             "phase-bool",
             "phases-scalar",
@@ -299,10 +290,6 @@ class TestDetectorLayout:
     def test_rejects_bools_and_strings_naming_the_field(self, build, field):
         with pytest.raises(ValueError, match=field):
             build()
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="moving_kind"):
-            DetectorLayout.from_dict(legacy((0.0,), 1, "orbit"))
 
     def test_missing_moving_field_is_named(self):
         with pytest.raises(ValueError, match="moving_offsets"):
@@ -321,20 +308,37 @@ class TestDetectorLayout:
             assert DetectorLayout.from_dict(data) == layout
 
     @pytest.mark.parametrize(
-        "data,expected",
+        "data",
         [
-            (legacy((0.0, math.pi), 3), DetectorLayout.colocated(3, 2)),
-            (
-                {"fixed_phases": [0.0], "moving_count": 2},
-                DetectorLayout.colocated(2, 1),
-            ),
-            (legacy((), 2), DetectorLayout.colocated(2, 0)),
-            (legacy(magic_positions(3), 3, "mmp-spread"), DetectorLayout.spread(3)),
+            {
+                "fixed_phases": [0.0, math.pi],
+                "moving_count": 3,
+                "moving_kind": "co-located",
+            },
+            {"fixed_phases": [0.0], "moving_count": 2},
+            {"fixed_phases": [], "moving_count": 2, "moving_kind": "co-located"},
+            {
+                "fixed_phases": list(magic_positions(3)),
+                "moving_count": 3,
+                "moving_kind": "mmp-spread",
+            },
         ],
         ids=["colocated", "default-kind", "no-fixed", "spread"],
     )
-    def test_older_format_still_loads(self, data, expected):
-        assert DetectorLayout.from_dict(data) == expected
+    def test_older_format_is_refused(self, data):
+        # moving_count + moving_kind, the format before layouts carried offsets
+        with pytest.raises(ValueError, match="moving_offsets") as refused:
+            DetectorLayout.from_dict(data)
+        assert "moving_count" not in str(refused.value)
+
+    @pytest.mark.parametrize(
+        "offsets",
+        [1.5, "0.5", None, ["0.5"], [None], [True]],
+        ids=["scalar", "string", "none", "entry-string", "entry-none", "entry-bool"],
+    )
+    def test_from_dict_rejects_malformed_offsets(self, offsets):
+        with pytest.raises(ValueError, match="moving_offsets"):
+            DetectorLayout.from_dict({"fixed_phases": [0.0], "moving_offsets": offsets})
 
     @pytest.mark.parametrize(
         "layout,kind",

@@ -4,7 +4,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from conftest import older_layout_format
 
 from thermalnoon.analytic import closed_form
 from thermalnoon.curves import CorrelationCurve, default_grid
@@ -177,14 +176,11 @@ class TestSpeckleConfig:
             (None, "frames", 1000.0),
             (None, "seed", 3.2),
             (None, "workers", 1.5),
-            ("layout", "moving_count", 2.7),
             ("layout", "fixed_phases", [math.nan]),
         ],
     )
     def test_from_dict_never_truncates(self, section, field, value):
         data = hbt_config().to_dict()
-        if field == "moving_count":
-            older_layout_format(data)
         (data if section is None else data[section])[field] = value
         with pytest.raises(ValueError):
             SpeckleConfig.from_dict(data)
@@ -198,7 +194,6 @@ class TestSpeckleConfig:
             (None, "slit_ratio", "0.3"),
             (None, "slit_ratio", True),
             (None, "grid", ["0.0", "1.0"]),
-            ("layout", "moving_count", True),
             ("layout", "fixed_phases", ["0.5"]),
             ("sources", "nbar", ["1.0"]),
             ("sources", "nbar", 1.0),
@@ -212,7 +207,6 @@ class TestSpeckleConfig:
             "slit-string",
             "slit-bool",
             "grid-strings",
-            "moving-count-bool",
             "phase-string",
             "nbar-string",
             "nbar-scalar",
@@ -222,8 +216,6 @@ class TestSpeckleConfig:
     )
     def test_from_dict_rejects_bools_and_strings(self, section, field, value):
         data = hbt_config().to_dict()
-        if field == "moving_count":
-            older_layout_format(data)
         (data if section is None else data[section])[field] = value
         with pytest.raises(ValueError, match=field):
             SpeckleConfig.from_dict(data)

@@ -15,12 +15,16 @@ table, and evaluates the left side at every phase of the scan from the
 unprojected state's table and the right side from the projected one's.
 
 A density matrix is stored as its offset bands (see TwoModeDensityMatrix), a
-thermal state as the one band (0, 0).  A lowering operator B is stored as its
+thermal state as the one band (0, 0).  Bands keep the state's dtype: the
+thermal, projected and N00N states are real and stay float64, and a complex
+state passed in stays complex128.  A lowering operator B is stored as its
 normally ordered monomials c * a1**q * a2**p: M detector fields multiply out
 to sum_p e_p(w) a1**(M-p) a2**p, e_p the elementary symmetric polynomials of
-w_j = exp(-1j*delta_j).  Monomial pair (i, j) moves band d of rho to band
-d - (qi - qj, pi - pj), so tr(B rho B+) reads only the bands (d, -d): M+1
-vector-matrix-vector products on a thermal state, and no band is built.
+w_j = exp(-1j*delta_j), which one recurrence, e_p += w_j * e_(p-1), builds
+for every phase set of a scan at once.  Monomial pair (i, j) moves band d of
+rho to band d - (qi - qj, pi - pj), so tr(B rho B+) reads only the bands
+(d, -d): M+1 vector-matrix-vector products on a thermal state, and no band is
+built.
 These products m_ij, the state's normally ordered moments, do not depend on
 the phases: _moments builds them once per state and set of monomials, and
 each phase set is then the contraction sum_ij c_i conj(c_j) m_ij, O((M+1)**2)
@@ -44,13 +48,14 @@ from .errors import CapacityError, TruncationError, ZeroProbabilityError
 from .geometry import DetectorLayout, comb_sign, relative_gap, require_int, require_real
 
 TAIL_LIMIT = 1e-6
-# A cost cap on every cutoff.  A band is (D+1)**2 * 16 bytes, 16 MB at
-# D = 1000.  verify_isomorphism keeps 5 alive at its peak for any m1, m2: rho,
-# the three bands of A rho A+ and either project_magic's scratch band or the
-# Hermitian check's temporaries (tracemalloc: 29 MB at D = 600, 81 MB at
-# D = 1000).  At m1 = m2 = 2 on a 2-vCPU Xeon a one-point scan takes 0.04 and
-# 0.11 s, and a 181-point scan 0.04 and 0.12 s, since each state is read once;
-# nbar = 100 at m1 = m2 = 2 would need D = 2439 and 0.48 GB.
+# A cost cap on every cutoff.  A real band is (D+1)**2 * 8 bytes, 8 MB at
+# D = 1000.  verify_isomorphism keeps about 5 alive at its peak for any m1, m2:
+# rho, the three bands of A rho A+ and either project_magic's scratch band or
+# one gap of the Hermitian check (tracemalloc: 15 MB at D = 600, 41 MB at
+# D = 1000).  At m1 = m2 = 2 on a 2-vCPU Xeon a one-point scan and a 181-point
+# scan both take 0.013-0.016 s at D = 600 and 0.04-0.045 s at D = 1000, since
+# each state is read once; nbar = 100 at m1 = m2 = 2 would need D = 2439 and
+# 0.24 GB.
 FOCK_MAX_CUTOFF = 1000
 
 
@@ -67,7 +72,7 @@ def _require_cutoff(cutoff: object, minimum: int) -> int:
     if cutoff > FOCK_MAX_CUTOFF:
         raise CapacityError(
             f"cutoff {cutoff} exceeds FOCK_MAX_CUTOFF = {FOCK_MAX_CUTOFF}: "
-            f"each band would take {(cutoff + 1) ** 2 * 16 / 1e6:.0f} MB"
+            f"each real band would take {(cutoff + 1) ** 2 * 8 / 1e6:.0f} MB"
         )
     return cutoff
 
@@ -119,11 +124,16 @@ def _is_hermitian(bands: dict, dim: int) -> bool:
             gap = np.abs(inside)
         else:
             mirror = partner[lo1 - d1 : hi1 - d1, lo2 - d2 : hi2 - d2]
-            # |inside - conj(mirror)| from the real and imaginary parts
+            # |inside - conj(mirror)| from the real and imaginary parts; conj
+            # is the identity on real bands, whose gap is taken in place
             gap = np.subtract(inside.real, mirror.real)
-            np.hypot(gap, np.add(inside.imag, mirror.imag), out=gap)
+            if np.iscomplexobj(inside) or np.iscomplexobj(mirror):
+                np.hypot(gap, np.add(inside.imag, mirror.imag), out=gap)
+            else:
+                np.abs(gap, out=gap)
         if not (gap <= atol).all():
             return False
+        del gap  # before the next band's gap is allocated
     return True
 
 
@@ -132,8 +142,9 @@ class TwoModeDensityMatrix:
     """Density matrix on span{|n1, n2> : n1, n2 <= cutoff}, stored by offset bands.
 
     bands maps (d1, d2) to the array of <n1, n2|rho|n1-d1, n2-d2> over the ket
-    (n1, n2).  trunc_tail records the probability mass the cutoff discarded
-    before renormalization; projection_norm is set by project_magic to the
+    (n1, n2), float64 where the given band is real and complex128 otherwise.
+    trunc_tail records the probability mass the cutoff discarded before
+    renormalization; projection_norm is set by project_magic to the
     pre-normalization trace tr(A rho A+).
     """
 
@@ -143,8 +154,10 @@ class TwoModeDensityMatrix:
     projection_norm: float | None = None
 
     def __post_init__(self) -> None:
-        items = self.bands.items()
-        bands = {tuple(map(int, d)): np.asarray(b, dtype=complex) for d, b in items}
+        bands = {}
+        for d, b in self.bands.items():
+            b = np.asarray(b)  # a real band stays real, anything else complex128
+            bands[tuple(map(int, d))] = b.astype(np.result_type(float, b), copy=False)
         object.__setattr__(self, "bands", bands)
         dim = self.cutoff + 1
         for offset, b in bands.items():
@@ -195,8 +208,9 @@ def _sandwich(bands: dict, coefs, exponents) -> dict:
     through one scratch band that is then added.
     """
     dim, f, scale = _ladders(bands, exponents)
+    dtype = np.result_type(np.asarray(coefs), *{x.dtype for x in bands.values()})
     out: dict = {}
-    scratch = np.empty((dim, dim), dtype=complex)
+    scratch = np.empty((dim, dim), dtype=dtype)
     for (d1, d2), x in bands.items():
         for ci, (qi, pi) in zip(coefs, exponents):
             for cj, (qj, pj) in zip(coefs, exponents):
@@ -207,7 +221,7 @@ def _sandwich(bands: dict, coefs, exponents) -> dict:
                 band = out.get(o)
                 first = band is None
                 if first:
-                    band = out[o] = np.zeros((dim, dim), dtype=complex)
+                    band = out[o] = np.zeros((dim, dim), dtype=dtype)
                     dest = band[lo1:hi1, lo2:hi2]
                 else:
                     dest = scratch[: hi1 - lo1, : hi2 - lo2]
@@ -236,21 +250,24 @@ def _moments(bands: dict, exponents) -> tuple[dict, float]:
     return table, scale
 
 
-def _contract(table: dict, scale: float, coefs: np.ndarray) -> np.ndarray:
-    """Re sum_ij c_i conj(c_j) scale m_ij for each row c of coefs, pairs in table order.
+def _contract(
+    table: dict, scale: float, cre: np.ndarray, cim: np.ndarray
+) -> np.ndarray:
+    """Re sum_ij c_i conj(c_j) scale m_ij, pairs in table order, per column of c.
+
+    c = cre + 1j*cim holds one column of coefficients c_i per phase set.
 
     Complex products are spelled out, (a + ib)(c + id) = (ac - bd) + i(ad + bc),
     as numpy rounds them on scalars: its array loop may fuse a multiply-add,
-    and a row's value would then depend on the rows evaluated with it.
+    and a column's value would then depend on the columns evaluated with it.
     """
     i, j = np.array(list(table), dtype=int).reshape(-1, 2).T
-    m = np.array(list(table.values()), dtype=complex)
-    a, b = coefs.real[:, i], coefs.imag[:, i]
-    c, d = coefs.real[:, j], -coefs.imag[:, j]
+    m = np.array(list(table.values()), dtype=complex)[:, None]
+    a, b, c, d = cre[i], cim[i], cre[j], -cim[j]
     re, im = (a * c - b * d) * scale, (a * d + b * c) * scale
     terms = re * m.real - im * m.imag
-    total = np.zeros(len(coefs))
-    for term in terms.T:  # one pair at a time, as a running sum
+    total = np.zeros(cre.shape[1])
+    for term in terms:  # one pair at a time, as a running sum
         total += term
     return total
 
@@ -294,7 +311,8 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
         )
     coefs, exponents = [1.0, comb_sign(m2)], [(m2, 0), (0, m2)]
     table, scale = _moments(rho.bands, exponents)
-    norm = float(_contract(table, scale, np.array([coefs], dtype=complex))[0])
+    column = np.array(coefs)[:, None]
+    norm = float(_contract(table, scale, column, np.zeros_like(column))[0])
     if norm < 1e-30:
         raise ZeroProbabilityError(
             f"detecting {m2} photons at the magic positions has zero probability "
@@ -306,6 +324,26 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
     return TwoModeDensityMatrix(
         bands, rho.cutoff, trunc_tail=rho.trunc_tail, projection_norm=norm
     )
+
+
+def _field_coefficients(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re and Im of e_p(w), w_j = exp(-1j*delta_j), as (p, row) arrays.
+
+    e_p is the coefficient of a1**(M-p) a2**p in prod_j (a1 + w_j a2), and
+    rows holds one phase set delta_1 .. delta_M per row.
+    Detector j updates every row at once, e_p += w_j * e_(p-1) for p <= j + 1,
+    with the complex product spelled out as in _contract, so that each row's
+    coefficients are rounded as in a call of their own.
+    """
+    w = np.exp(-1j * rows.T)
+    er, ei = np.zeros((2, len(w) + 1, len(rows)))
+    er[0] = 1.0
+    for j, (c, d) in enumerate(zip(w.real, w.imag)):
+        a, b = er[: j + 1], ei[: j + 1]
+        re, im = c * a - d * b, c * b + d * a
+        er[1 : j + 2] += re
+        ei[1 : j + 2] += im
+    return er, ei
 
 
 def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
@@ -324,14 +362,8 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
         raise TruncationError(
             f"operator power {order} exceeds the Fock cutoff {rho.cutoff}"
         )
-    coefs = np.empty((len(rows), order + 1), dtype=complex)
-    for row, phase_set in zip(coefs, rows.tolist()):
-        e = [1.0]  # of a1**(M-p) a2**p in prod_j (a1 + w_j a2): e_p(w)
-        for d in phase_set:
-            e = np.convolve(e, [1.0, np.exp(-1j * d)])
-        row[:] = e
     table, scale = _moments(rho.bands, [(order - p, p) for p in range(order + 1)])
-    values = _contract(table, scale, coefs)
+    values = _contract(table, scale, *_field_coefficients(rows))
     return values if phases.ndim == 2 else float(values[0])
 
 

@@ -51,13 +51,24 @@ def lowering_pair(cutoff):
     return np.kron(a, eye), np.kron(eye, a)
 
 
+def field_coefficients(deltas):
+    # e_p(w) one detector and one coefficient at a time, e_p += w_j e_(p-1)
+    # from the top down, each complex product spelled out in Python floats
+    er, ei = [1.0] + [0.0] * len(deltas), [0.0] * (len(deltas) + 1)
+    for j, delta in enumerate(deltas):
+        w = complex(np.exp(-1j * delta))
+        c, d = w.real, w.imag
+        for p in range(j + 1, 0, -1):
+            a, b = er[p - 1], ei[p - 1]
+            er[p], ei[p] = er[p] + (c * a - d * b), ei[p] + (c * b + d * a)
+    return [complex(re, im) for re, im in zip(er, ei)]
+
+
 def per_phase_trace(rho, deltas):
     # the loop reference for g_detectors: one phase set, one monomial pair at
     # a time, each complex product spelled out in Python floats, which are
     # rounded one operation at a time on every platform
-    e = [1.0]
-    for delta in deltas:
-        e = np.convolve(e, [1.0, np.exp(-1j * delta)])
+    e = field_coefficients(deltas)
     exponents = [(len(deltas) - p, p) for p in range(len(deltas) + 1)]
     _, f, scale = fockstate._ladders(rho.bands, exponents)
     total = 0.0
@@ -91,6 +102,12 @@ def random_state(cutoff, seed):
             bands[(d1, d2)] = np.zeros((dim, dim), dtype=complex)
             bands[(d1, d2)][ok] = full[n1[ok], n2[ok], (n1 - d1)[ok], (n2 - d2)[ok]]
     return TwoModeDensityMatrix(bands=bands, cutoff=cutoff)
+
+
+def complex_copy(rho):
+    # the same state with complex128 bands
+    bands = {d: b.astype(complex) for d, b in rho.bands.items()}
+    return replace(rho, bands=bands)
 
 
 def linear_cutoff(nbar, order):
@@ -188,7 +205,7 @@ class TestDefaultCutoff:
 
     def test_explicit_cutoff_obeys_the_cap(self):
         # 1000 is the largest cutoff either constructor accepts; 1001 is
-        # refused before a band of (D+1)**2 * 16 bytes is allocated
+        # refused before a band of (D+1)**2 * 8 bytes is allocated
         assert thermal_two_mode(0.5, FOCK_MAX_CUTOFF).cutoff == FOCK_MAX_CUTOFF
         assert noon_state(2, FOCK_MAX_CUTOFF).cutoff == FOCK_MAX_CUTOFF
         tracemalloc.start()
@@ -330,6 +347,105 @@ class TestDensityMatrixValidation:
             TwoModeDensityMatrix(bands=bands, cutoff=3)
 
 
+class TestRealStates:
+    """Real states keep real bands; a complex state stays complex and agrees."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: thermal_two_mode(2.0, 72),
+            lambda: project_magic(thermal_two_mode(2.0, 72), 3),
+            lambda: noon_state(2, 8),
+        ],
+        ids=["thermal", "projected", "noon"],
+    )
+    def test_built_states_are_real(self, build):
+        assert {b.dtype for b in build().bands.values()} == {np.dtype(np.float64)}
+
+    def test_complex_input_stays_complex(self):
+        rho = complex_copy(noon_state(2, 8))
+        assert {b.dtype for b in rho.bands.values()} == {np.dtype(np.complex128)}
+        projected = project_magic(complex_copy(thermal_two_mode(0.5, 30)), 2)
+        assert {b.dtype for b in projected.bands.values()} == {
+            np.dtype(np.complex128)
+        }
+
+    def test_integer_bands_turn_float(self):
+        bands = {(0, 0): np.diag([1, 0, 0])}
+        rho = TwoModeDensityMatrix(bands=bands, cutoff=2)
+        assert rho.bands[(0, 0)].dtype == np.float64
+
+    def test_complex_copy_projects_alike(self):
+        rho = thermal_two_mode(2.0, 72)
+        real, cplx = project_magic(rho, 3), project_magic(complex_copy(rho), 3)
+        assert cplx.projection_norm == pytest.approx(real.projection_norm, rel=1e-14)
+        assert real.bands.keys() == cplx.bands.keys()
+        for offset, band in real.bands.items():
+            np.testing.assert_allclose(cplx.bands[offset], band, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("order", [1, 4, 6])
+    def test_complex_copy_gives_the_same_rows(self, order):
+        rows = np.random.default_rng(order).uniform(-7.0, 7.0, size=(9, order))
+        thermal = thermal_two_mode(2.0, 72)
+        for rho in (thermal, project_magic(thermal, 3)):
+            np.testing.assert_allclose(
+                g_detectors(complex_copy(rho), rows),
+                g_detectors(rho, rows),
+                rtol=1e-14,
+                atol=0,
+            )
+
+    def test_complex_copy_gives_the_same_report(self, monkeypatch):
+        grid = np.linspace(0.0, 2 * math.pi, 9)
+        real = verify_isomorphism(2.0, 3, 3, grid)
+        thermal = fockstate.thermal_two_mode
+        monkeypatch.setattr(
+            fockstate, "thermal_two_mode", lambda *a: complex_copy(thermal(*a))
+        )
+        cplx = verify_isomorphism(2.0, 3, 3, grid)
+        for name in ("projection_norm", "noon_overlap"):
+            assert getattr(cplx, name) == pytest.approx(getattr(real, name), rel=1e-14)
+        for name in ("lhs", "rhs"):
+            np.testing.assert_allclose(
+                getattr(cplx, name), getattr(real, name), rtol=1e-14, atol=0
+            )
+        # the gaps are relative already: they agree to 1e-14 absolutely
+        np.testing.assert_allclose(cplx.relative_gaps, real.relative_gaps, atol=1e-14)
+        same = ("nbar", "m1", "m2", "cutoff", "trunc_tail", "support_offsets", "deltas")
+        assert [getattr(cplx, n) for n in same] == [getattr(real, n) for n in same]
+
+    @pytest.mark.parametrize(
+        "kind,step",
+        [("real", 1.0), ("real", -1.0), ("complex", 1.0), ("complex", 1j)],
+        ids=["real-up", "real-down", "complex-real-part", "complex-imaginary-part"],
+    )
+    @pytest.mark.parametrize("mismatch,hermitian", [(2e-10, False), (5e-11, True)])
+    def test_hermitian_check_at_its_edge(self, kind, step, mismatch, hermitian):
+        # |<1,0|rho|0,1> - conj(<0,1|rho|1,0>)| is the mismatch; 1e-10 is the edge
+        rho = noon_state(1, cutoff=3)
+        rho = complex_copy(rho) if kind == "complex" else rho
+        bands = {d: b.copy() for d, b in rho.bands.items()}
+        bands[(1, -1)][1, 0] += step * mismatch
+        assert fockstate._is_hermitian(bands, 4) is hermitian
+        if hermitian:
+            TwoModeDensityMatrix(bands=bands, cutoff=3)
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                TwoModeDensityMatrix(bands=bands, cutoff=3)
+
+    def test_verify_isomorphism_peaks_below_six_real_bands(self):
+        # rho, the three bands of A rho A+ and the scratch band of project_magic
+        # or one Hermitian-check gap: about 5 bands of 601**2 * 8 bytes
+        grid = np.linspace(0.0, 2 * math.pi, 9)
+        tracemalloc.start()
+        try:
+            verify_isomorphism(2.0, 2, 2, grid, cutoff=600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 601**2 * 8
+
+
 class TestProjectMagic:
     @pytest.mark.parametrize("m2", [1, 2, 3])
     def test_support_pattern(self, m2):
@@ -416,7 +532,7 @@ class TestCorrelations:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 601**2 * 16
+        assert peak < 601**2 * 8
 
     @pytest.mark.parametrize("order", [0, 1, 4, 5])
     @pytest.mark.parametrize("name", ["thermal", "projected", "noon"])
@@ -438,6 +554,26 @@ class TestCorrelations:
         assert all(type(v) is float for v in singles)
         assert values.tolist() == singles
         assert singles == [per_phase_trace(rho, row) for row in rows]
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 12, 30])
+    def test_recurrence_matches_convolution(self, order):
+        # e_p(w) against np.convolve of (1, w_j), which rounds differently; for
+        # unit w_j the terms of e_p sum to C(M, p) in modulus, the scale of its
+        # rounding, and on comb phases e_p itself is 0 for most p
+        rng = np.random.default_rng(order)
+        rows = [rng.uniform(-7.0, 7.0, size=order) for _ in range(5)]
+        layouts = [DetectorLayout.colocated(order // 2, order - order // 2)]
+        if order % 2 == 0:
+            layouts.append(DetectorLayout.spread(order // 2))
+        for layout in layouts:
+            rows.extend(layout.detector_phases(np.linspace(0.0, 7.0, 5)))
+        er, ei = fockstate._field_coefficients(np.array(rows))
+        scale = np.array([math.comb(order, p) for p in range(order + 1)])
+        for k, row in enumerate(rows):
+            e = [1.0]
+            for delta in row:
+                e = np.convolve(e, [1.0, np.exp(-1j * delta)])
+            assert (np.abs(er[:, k] + 1j * ei[:, k] - e) <= 1e-14 * scale).all()
 
     def test_one_table_per_call(self, monkeypatch):
         calls = []

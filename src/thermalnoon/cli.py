@@ -243,25 +243,13 @@ def _cmd_fock(args: argparse.Namespace) -> int:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
     grid = np.linspace(0.0, TWO_PI, args.grid)
     report = verify_isomorphism(args.nbar, args.m1, args.m2, grid, args.cutoff)
-    m2 = report.m2
-    support_ok = set(report.support_offsets) <= {(0, 0), (m2, -m2), (-m2, m2)}
-    max_gap = report.max_relative_gap
-    payload = {
-        "nbar": report.nbar,
-        "m1": report.m1,
-        "m2": report.m2,
-        "cutoff": report.cutoff,
-        "trunc_tail": report.trunc_tail,
-        "projection_norm": report.projection_norm,
-        "support_offsets": list(report.support_offsets),
-        "support_ok": support_ok,
-        "noon_overlap": report.noon_overlap,
-        "grid": list(report.deltas),
-        "relative_gaps": list(report.relative_gaps),
-        "max_relative_gap": max_gap,
-        "tolerance": ISOMORPHISM_TOLERANCE,
-        "pass": support_ok and max_gap <= ISOMORPHISM_TOLERANCE,
-    }
+    payload = {k: v for k, v in vars(report).items() if k not in ("lhs", "rhs")}
+    payload["grid"] = payload.pop("deltas")
+    payload["support_ok"] = report.support_ok
+    payload["max_relative_gap"] = report.max_relative_gap
+    payload["tolerance"] = ISOMORPHISM_TOLERANCE
+    within = report.max_relative_gap <= ISOMORPHISM_TOLERANCE
+    payload["pass"] = report.support_ok and within
     _emit_json(payload, args.out)
     return 0 if payload["pass"] else 1
 

@@ -10,9 +10,10 @@ detectors through delta1 on that state reproduces the co-located correlation:
         = g_detectors(projected rho, [delta1] * m1) * tr(A rho A+)
 
 verify_isomorphism checks that factorization numerically over a delta1 scan:
-it builds one thermal state and one projection, reads each into one moment
-table, and evaluates the left side at every phase of the scan from the
-unprojected state's table and the right side from the projected one's.
+it builds one thermal state and one projection, and reads two moment tables,
+one per state: the left side at every phase of the scan comes from the
+thermal state's table, the right side from the projected state's.  The norm
+tr(A rho A+) is the trace of the projected state before it is divided by it.
 
 A density matrix is stored as its offset bands (see TwoModeDensityMatrix), a
 thermal state as the one band (0, 0).  Bands keep the state's dtype: the
@@ -176,9 +177,15 @@ class TwoModeDensityMatrix:
         band = self.bands.get((n1 - n1p, n2 - n2p))
         return 0j if band is None else complex(band[n1, n2])
 
-    def support_offsets(self, tol: float = 1e-12) -> set[tuple[int, int]]:
-        """Fock-index offsets (n1-n1', n2-n2') carrying any weight above tol."""
-        return {d for d, b in self.bands.items() if np.abs(b).max() > tol}
+    def support_offsets(self) -> set[tuple[int, int]]:
+        """Fock-index offsets (n1-n1', n2-n2') carrying any weight above 1e-12."""
+        return {d for d, b in self.bands.items() if np.abs(b).max() > 1e-12}
+
+
+def _require_power(power: int, rho: TwoModeDensityMatrix) -> None:
+    """A TruncationError where a field power would reach past rho's cutoff."""
+    if power > rho.cutoff:
+        raise TruncationError(f"power {power} exceeds the Fock cutoff {rho.cutoff}")
 
 
 def _ladders(bands: dict, exponents) -> tuple[int, np.ndarray, float]:
@@ -300,25 +307,19 @@ def project_magic(rho: TwoModeDensityMatrix, m2: int) -> TwoModeDensityMatrix:
     """State after detecting m2 photons at the magic positions.
 
     Applies the collapsed field product A = a1**m2 + (-1)**(m2-1)*a2**m2 and
-    renormalizes; the discarded norm tr(A rho A+) is kept on the result as
+    renormalizes by the trace of A rho A+, which is kept on the result as
     projection_norm.  Projecting a state that cannot supply m2 photons from
     either mode (e.g. the vacuum) is a zero-probability event.
     """
     m2 = require_int("m2", m2, 1)
-    if m2 > rho.cutoff:
-        raise TruncationError(
-            f"operator power m2 = {m2} exceeds the Fock cutoff {rho.cutoff}"
-        )
-    coefs, exponents = [1.0, comb_sign(m2)], [(m2, 0), (0, m2)]
-    table, scale = _moments(rho.bands, exponents)
-    column = np.array(coefs)[:, None]
-    norm = float(_contract(table, scale, column, np.zeros_like(column))[0])
+    _require_power(m2, rho)
+    bands = _sandwich(rho.bands, [1.0, comb_sign(m2)], [(m2, 0), (0, m2)])
+    norm = float(np.sum(bands[(0, 0)]).real)  # tr(A rho A+)
     if norm < 1e-30:
         raise ZeroProbabilityError(
             f"detecting {m2} photons at the magic positions has zero probability "
             "for this state"
         )
-    bands = _sandwich(rho.bands, coefs, exponents)
     for band in bands.values():
         band /= norm  # in place: a divided copy would be the call's peak
     return TwoModeDensityMatrix(
@@ -356,12 +357,11 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
     phases = np.asarray(deltas, dtype=float)
     if phases.ndim not in (1, 2):
         raise ValueError(f"deltas must be a 1-d or 2-d array, got {deltas!r}")
+    if not np.isfinite(phases).all():
+        raise ValueError(f"deltas must be finite, got {deltas!r}")
     rows = np.atleast_2d(phases)
     order = rows.shape[1]
-    if order > rho.cutoff:
-        raise TruncationError(
-            f"operator power {order} exceeds the Fock cutoff {rho.cutoff}"
-        )
+    _require_power(order, rho)
     table, scale = _moments(rho.bands, [(order - p, p) for p in range(order + 1)])
     values = _contract(table, scale, *_field_coefficients(rows))
     return values if phases.ndim == 2 else float(values[0])
@@ -370,10 +370,7 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
 def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
     """Overlap <psi|rho|psi> with |psi> = (|m2,0> + (-1)**(m2-1)|0,m2>)/sqrt(2)."""
     m2 = require_int("m2", m2, 1)
-    if m2 > rho.cutoff:
-        raise TruncationError(
-            f"N00N occupation {m2} exceeds the Fock cutoff {rho.cutoff}"
-        )
+    _require_power(m2, rho)
     sign = comb_sign(m2)
     value = 0.5 * (
         rho.entry(m2, 0, m2, 0)
@@ -418,7 +415,13 @@ class IsomorphismReport:
 
     @property
     def max_relative_gap(self) -> float:
-        return max(self.relative_gaps)
+        return float(np.max(self.relative_gaps))
+
+    @property
+    def support_ok(self) -> bool:
+        """The projected state lies on the offsets (0, 0) and +-(m2, -m2)."""
+        m2 = self.m2
+        return set(self.support_offsets) <= {(0, 0), (m2, -m2), (-m2, m2)}
 
 
 def verify_isomorphism(
@@ -428,10 +431,10 @@ def verify_isomorphism(
 
     deltas is the delta1 grid of the scan; a single phase is a one-point scan.
     The thermal state and its projection are built once for the whole scan,
-    and each side reads its state once, into one moment table.  lhs contracts
-    the table of the thermal state with every detector's field at each phase;
-    rhs contracts the projected state's table with the moving detectors'
-    fields and multiplies by the recorded projection norm.
+    and each is read once, into one moment table.  lhs contracts the thermal
+    state's table with every detector's field at each phase; rhs contracts the
+    projected state's table with the moving detectors' fields and multiplies
+    by the projection norm, the trace of A rho A+ before renormalization.
     """
     layout = DetectorLayout.colocated(m1, m2)
     phases = np.atleast_1d(np.asarray(deltas, dtype=float))
@@ -440,12 +443,11 @@ def verify_isomorphism(
     if cutoff is None:
         cutoff = default_cutoff(nbar, layout.m1, layout.m2)
     rho = thermal_two_mode(nbar, cutoff)
-    lhs = g_detectors(rho, layout.detector_phases(phases)).tolist()
+    rows = layout.detector_phases(phases)
+    lhs = g_detectors(rho, rows)
     projected = project_magic(rho, layout.m2)
     norm = projected.projection_norm
-    moving = np.repeat(phases[:, None], layout.m1, axis=1)
-    rhs = (g_detectors(projected, moving) * norm).tolist()
-    gaps = [relative_gap(a, b) for a, b in zip(lhs, rhs)]
+    rhs = g_detectors(projected, rows[:, : layout.m1]) * norm
     return IsomorphismReport(
         nbar=float(nbar),
         m1=layout.m1,
@@ -453,10 +455,10 @@ def verify_isomorphism(
         cutoff=rho.cutoff,
         trunc_tail=rho.trunc_tail,
         projection_norm=norm,
-        support_offsets=tuple(sorted(projected.support_offsets(tol=1e-12))),
+        support_offsets=tuple(sorted(projected.support_offsets())),
         noon_overlap=noon_overlap(projected, layout.m2),
         deltas=tuple(float(d) for d in phases),
-        lhs=tuple(lhs),
-        rhs=tuple(rhs),
-        relative_gaps=tuple(gaps),
+        lhs=tuple(lhs.tolist()),
+        rhs=tuple(rhs.tolist()),
+        relative_gaps=tuple(relative_gap(lhs, rhs).tolist()),
     )

@@ -52,9 +52,9 @@ def require_field(data: object, name: str) -> object:
     return data[name]
 
 
-def relative_gap(a: float, b: float) -> float:
-    """|a - b| relative to the larger magnitude; 0 when both are 0."""
-    return abs(a - b) / max(abs(a), abs(b), 1e-300)
+def relative_gap(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
+    """|a - b| relative to the larger magnitude, elementwise; 0 where both are 0."""
+    return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
 
 
 def magic_positions(m: int) -> np.ndarray:

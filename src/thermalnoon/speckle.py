@@ -343,8 +343,6 @@ def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
         samples = values
     period = len(samples) * step
     spectrum = np.abs(np.fft.rfft(samples))
-    if spectrum.size < 2:
-        return None
     k = 1 + int(np.argmax(spectrum[1:]))
     return int(round(k * TWO_PI / period))
 

@@ -227,7 +227,7 @@ def test_criterion_8_projection_support_and_factorization():
     failures = []
     for m2 in (1, 2, 3):
         rho = project_magic(thermal_two_mode(0.5, cutoff=30), m2)
-        offsets = rho.support_offsets(tol=1e-12)
+        offsets = rho.support_offsets()
         expected = {(0, 0), (m2, -m2), (-m2, m2)}
         if offsets != expected:
             failures.append(f"m2={m2} support {sorted(offsets)}")

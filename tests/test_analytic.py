@@ -210,6 +210,10 @@ class TestSetup2:
         with pytest.raises(ValueError):
             ClosedForm(c1=4, c2=8, parity_sign=-1, frequency=2)
 
+    def test_parity_sign_must_be_a_sign(self):
+        with pytest.raises(ValueError, match="parity_sign"):
+            ClosedForm(c1=8, c2=4, parity_sign=0, frequency=2)
+
 
 class TestCrossoverThreshold:
     @pytest.mark.parametrize("m2,expected", [(2, 3), (3, 5), (4, 6), (5, 7)])

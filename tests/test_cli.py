@@ -510,8 +510,8 @@ class TestFockCommand:
 
     @pytest.mark.parametrize("grid", [1, 3, 9])
     def test_one_moment_table_per_state_and_side(self, monkeypatch, tmp_path, grid):
-        # rho for lhs, A's two monomials on rho for the norm, the projected
-        # state for rhs: each read once, whatever the grid length
+        # rho for lhs and the projected state for rhs, each read once whatever
+        # the grid length; the norm is the projected state's trace, no table
         tables = []
         moments = fockstate._moments
 
@@ -525,7 +525,6 @@ class TestFockCommand:
         assert main([*argv, "--out", str(out)]) == 0
         assert tables == [
             ([(0, 0)], [(5 - p, p) for p in range(6)]),
-            ([(0, 0)], [(2, 0), (0, 2)]),
             ([(-2, 2), (0, 0), (2, -2)], [(3 - p, p) for p in range(4)]),
         ]
         assert len(json.loads(out.read_text())["relative_gaps"]) == grid

@@ -68,6 +68,13 @@ class TestCorrelationCurve:
         with pytest.raises(ValueError):
             make_curve([1.0, 2.0, 3.0], stderr=np.array([0.1, 0.1]))
 
+    @pytest.mark.parametrize(
+        "batch_means", [np.ones(3), np.ones((2, 2)), np.ones((2, 3, 1))]
+    )
+    def test_rejects_batch_means_shape_mismatch(self, batch_means):
+        with pytest.raises(ValueError, match="batch_means"):
+            make_curve([1.0, 2.0, 3.0], batch_means=batch_means)
+
     def test_rejects_normalized_flag_when_peak_is_not_one(self):
         with pytest.raises(ValueError):
             make_curve([1.0, 2.0, 3.0], normalized=True)

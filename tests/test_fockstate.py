@@ -451,7 +451,7 @@ class TestProjectMagic:
     def test_support_pattern(self, m2):
         # the projected state lives on photon-exchange sidebands only
         rho = project_magic(thermal_two_mode(0.5, cutoff=30), m2)
-        offsets = rho.support_offsets(tol=1e-12)
+        offsets = rho.support_offsets()
         assert offsets == {(0, 0), (m2, -m2), (-m2, m2)}
 
     def test_projected_state_is_physical(self):
@@ -605,6 +605,23 @@ class TestCorrelations:
         assert report.rhs[0] == pytest.approx(report.projection_norm, rel=1e-14)
         assert report.max_relative_gap < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_non_finite_phases_are_refused_before_any_band_product(
+        self, monkeypatch, bad, at
+    ):
+        rho = thermal_two_mode(0.5, 20)
+        for name in ("_moments", "_sandwich"):
+            monkeypatch.setattr(fockstate, name, None)  # a call would be a TypeError
+        deltas = [0.1, 0.3]
+        deltas[at] = bad
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            g_detectors(rho, deltas)
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            g_detectors(rho, np.array([[0.2, 0.4], deltas]))
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            verify_isomorphism(0.5, 2, 2, deltas)
+
     @pytest.mark.parametrize("deltas", [0.3, np.zeros((2, 2, 2))])
     def test_rejects_a_scalar_or_a_3d_array(self, deltas):
         with pytest.raises(ValueError, match="deltas"):
@@ -734,6 +751,11 @@ class TestNoonContent:
         rho = project_magic(thermal_two_mode(0.5, cutoff=30), 2)
         assert 0.0 <= noon_overlap(rho, 2) <= 1.0 + 1e-12
 
+    def test_occupation_above_cutoff_is_refused(self):
+        rho = noon_state(2, cutoff=8)
+        with pytest.raises(TruncationError, match="Fock cutoff 8"):
+            noon_overlap(rho, rho.cutoff + 1)
+
 
 class TestCountsMustBeIntegers:
     # a bool or a float is not a photon or detector count
@@ -806,8 +828,15 @@ class TestIsomorphism:
         report = verify_isomorphism(0.5, 2, 3, [0.0, 1.0])
         projected = project_magic(thermal_two_mode(0.5, report.cutoff), 3)
         assert report.support_offsets == ((-3, 3), (0, 0), (3, -3))
+        assert report.support_ok
         assert report.noon_overlap == noon_overlap(projected, 3)
         assert report.projection_norm == projected.projection_norm
+
+    def test_support_outside_the_comb_offsets_fails(self):
+        report = verify_isomorphism(0.5, 2, 2, [0.3])
+        assert report.support_ok
+        stray = replace(report, support_offsets=(*report.support_offsets, (1, -1)))
+        assert not stray.support_ok
 
     @pytest.mark.parametrize("deltas", [[], [[0.1, 0.2]], np.zeros((2, 2))])
     def test_rejects_an_empty_or_nested_grid(self, deltas):

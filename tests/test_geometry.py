@@ -161,6 +161,24 @@ class TestRelativeGap:
         assert relative_gap(3.0, 4.0) == 0.25
         assert relative_gap(3e-200, 4e-200) == pytest.approx(0.25, rel=1e-15)
 
+    def test_elementwise_matches_each_scalar_call_to_the_bit(self):
+        rng = np.random.default_rng(20)
+        a = np.concatenate(
+            [rng.normal(size=50), [0.0, 0.0, 1e-300, -3e-300, 5e-310, -2.0, 7.0]]
+        )
+        b = np.concatenate(
+            [rng.normal(size=50), [0.0, 1.0, 2e-300, 3e-300, 0.0, 2.0, -7.0]]
+        )
+        gaps = relative_gap(a, b)
+        assert gaps.shape == a.shape
+        for x, y, gap in zip(a.tolist(), b.tolist(), gaps.tolist()):
+            assert gap == relative_gap(x, y)
+            assert gap == abs(x - y) / max(abs(x), abs(y), 1e-300)
+
+    def test_a_nan_gap_stays_nan(self):
+        gaps = relative_gap(np.array([0.3, np.nan]), np.array([0.3, 0.3]))
+        assert np.isnan(gaps).tolist() == [False, True]
+
 
 COMB2 = tuple(magic_positions(2))
 

@@ -521,6 +521,10 @@ class TestBlockedGlynn:
     def test_empty_matrix_has_unit_permanent(self):
         assert permanent(np.zeros((0, 0), dtype=complex)) == 1
 
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            pathsum._glynn(np.ones((2, 3), dtype=complex))
+
     def test_zero_row_gives_zero(self):
         matrix = np.ones((5, 5), dtype=complex)
         matrix[2] = 0.0
@@ -725,6 +729,10 @@ class TestCorrelationPermanent:
             lhs = correlation_pathsum(sources, deltas)
             rhs = correlation_permanent(sources, deltas)
             assert rhs == pytest.approx(lhs, rel=1e-9)
+
+    def test_needs_a_detector(self):
+        with pytest.raises(ValueError, match="at least one detector"):
+            correlation_permanent_bounded(SourceArray(), [])
 
     def test_far_phases_are_refused(self):
         # phases 3 * d three million radians out round by up to 3e-10; the

@@ -595,6 +595,14 @@ class TestFitCosine:
         with pytest.raises(ValueError):
             fit_cosine(curve, 1)
 
+    def test_rejects_a_curve_without_positive_offset(self):
+        grid = default_grid(181)
+        curve = CorrelationCurve(
+            grid=grid, values=np.zeros(grid.size), order=2, layout="test"
+        )
+        with pytest.raises(ValueError, match="fitted offset must be positive"):
+            fit_cosine(curve, 2)
+
     def test_bootstrap_spread_reproducible(self):
         curve = simulate_curve(hbt_config(frames=40_000, seed=3))
         first = fit_cosine(curve, 1)
@@ -697,6 +705,19 @@ class TestDominantFrequency:
         grid = np.linspace(0, math.pi, 91)
         values = 10.0 + np.cos(2 * grid)
         assert dominant_frequency(grid, values) == 2
+
+    @pytest.mark.parametrize(
+        "stop", [2 * math.pi, 1.5 * math.pi], ids=["endpoint", "open"]
+    )
+    def test_four_points_are_enough(self, stop):
+        # a duplicated 2*pi endpoint leaves 3 samples, and rfft 2 bins of them
+        grid = np.linspace(0.0, stop, 4)
+        frequency = dominant_frequency(grid, 10.0 + np.cos(grid))
+        assert type(frequency) is int
+        assert frequency == 1
+
+    def test_three_points_are_too_few(self):
+        assert dominant_frequency(np.linspace(0.0, 2 * math.pi, 3), np.ones(3)) is None
 
     def test_nonuniform_grid_unsupported(self):
         grid = np.array([0.0, 0.1, 0.5, 2.0, 6.0])

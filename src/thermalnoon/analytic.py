@@ -1,20 +1,19 @@
-"""Closed forms for the two detector schemes with N00N-like fringes.
+"""Closed forms for the two detector schemes with N00N-like fringes, derived.
 
-Both schemes split M = m1 + m2 detectors into a moving group scanned through
-delta1 and a group fixed at the m2 magic positions:
+M = m1 + m2 detectors: a moving group scanned through delta1 and a group fixed
+at the m2 magic positions.  Detector j sees a1 + z_j*a2, z_j = exp(-1j*delta_j);
+with e_p the coefficient of x**p in prod_j (1 + z_j*x), two thermal sources at
+nbar = 1 give G = sum_p p!*(M-p)!*|e_p|**2.  A comb of m detectors at
+phases w + 2*pi*i/m collapses its factors to 1 + s*w**m*x**m, s = comb_sign(m):
+the fixed comb gives 1 + s*x**m2, each co-located moving detector is a comb of
+one, 1 + z*x with z = exp(-1j*delta1), and the spread moving group (m1 == m2)
+is one comb, 1 + s*z**m1*x**m1.  So e_p = n_p*z**p + s*n_(p-m2)*z**(p-m2) with
+integer n_p, and G = c1 + parity_sign*c2*cos(m2*delta1) exactly; c2 = 0 (flat)
+for fewer than m2 co-located moving detectors.
 
-  * equal-halves spread scheme (m1 == m2 == M/2, moving group at the moving
-    magic positions): G = c1 + c2*cos((M/2)*delta1) with
-    c1 = 2*((M/2)!)**2*(C(M, M/2) + 1) and c2 = 2*((M/2)!)**2;
-  * co-located scheme (m1 detectors stacked at delta1):
-    G = c1 + (-1)**(m2-1)*c2*cos(m2*delta1) with
-    c1 = 2*m1!*m2!*sum_k C(m1, k)*C(m2+k, k) and
-    c2 = 2**(m1-m2+1)*(m1!)**2/(m1-m2)! for m1 >= m2, else 0.
-
-Both are one ClosedForm; closed_form(layout) picks it for a layout.  All
-coefficients are exact integers; visibilities are exact rationals c2/c1.
-Values assume two sources with nbar = 1 (combinatorial units); curves in any
-other normalization only rescale.
+closed_form(layout) derives that ClosedForm.  Coefficients are exact integers
+and visibilities exact rationals c2/c1.  Values are in combinatorial units
+(nbar = 1); any other normalization only rescales.
 """
 
 from __future__ import annotations
@@ -65,40 +64,35 @@ class ClosedForm:
         )
 
 
-def _half_order(order: int) -> int:
-    """M/2 for an even total detector count M >= 2."""
-    if require_int("order", order, 2) % 2:
-        raise ValueError(f"order must be an even integer >= 2, got {order!r}")
-    return int(order) // 2
-
-
-# Cached: the forms are immutable and keyed by detector counts, and building
-# one costs more than evaluating G from it, which callers do in loops.
+# Cached: the forms are immutable and keyed by comb sizes, and deriving one
+# costs more than evaluating G from it, which callers do in loops.
 @functools.cache
-def _spread(m: int) -> ClosedForm:
-    c2 = 2 * math.factorial(m) ** 2
-    c1 = c2 * (math.comb(2 * m, m) + 1)
-    return ClosedForm(c1=c1, c2=c2, parity_sign=1, frequency=m)
+def _derive(moving_combs: tuple[int, ...], m2: int) -> ClosedForm:
+    """Moving combs of the given sizes and a fixed comb of m2 >= 1; see the module doc.
 
-
-@functools.cache
-def _colocated(m1: int, m2: int) -> ClosedForm:
-    """m1 >= 0 co-located moving detectors and m2 >= 1 fixed ones.
-
-    The interference term needs at least m2 photons from each source, which is
-    impossible for m1 < m2; c2 is zero there and the curve is constant.
+    moving holds the integers n_p: each moving term carries z**p with its x**p.
     """
-    c1 = (
-        2
-        * math.factorial(m1)
-        * math.factorial(m2)
-        * sum(math.comb(m1, k) * math.comb(m2 + k, k) for k in range(m1 + 1))
-    )
-    if m1 >= m2:
-        c2 = 2 ** (m1 - m2 + 1) * math.factorial(m1) ** 2 // math.factorial(m1 - m2)
-    else:
-        c2 = 0
-    return ClosedForm(c1=c1, c2=c2, parity_sign=comb_sign(m2), frequency=m2)
+    moving = [1]
+    for m in moving_combs:
+        moving += [0] * m
+        for p in range(len(moving) - 1, m - 1, -1):
+            moving[p] += comb_sign(m) * moving[p - m]
+    unshifted, shifted = moving + [0] * m2, [0] * m2 + moving
+    order = len(shifted) - 1
+    weights = (math.factorial(p) * math.factorial(order - p) for p in range(order + 1))
+    terms = list(zip(weights, unshifted, shifted))
+    c1 = sum(w * (a * a + b * b) for w, a, b in terms)
+    cross = sum(w * a * b for w, a, b in terms)
+    sign = comb_sign(m2) * (-1 if cross < 0 else 1)
+    return ClosedForm(c1=c1, c2=2 * abs(cross), parity_sign=sign, frequency=m2)
+
+
+def _equal_halves(order: int) -> ClosedForm:
+    """spread(M/2), a moving and a fixed comb of M/2 each, for an even M >= 2."""
+    m, odd = divmod(require_int("order", order, 2), 2)
+    if odd:
+        raise ValueError(f"order must be an even integer >= 2, got {order!r}")
+    return _derive((m,), m)
 
 
 # Cached by the frozen layout: recognising it builds two layouts to compare,
@@ -109,9 +103,9 @@ def closed_form(layout: DetectorLayout) -> ClosedForm | None:
     """The closed form of spread(m) or colocated(m1, m2 >= 1); None for others."""
     m1, m2 = layout.m1, layout.m2
     if m1 >= 1 and layout == DetectorLayout.spread(m1):
-        return _spread(m1)
+        return _derive((m1,), m1)
     if m2 >= 1 and layout == DetectorLayout.colocated(m1, m2):
-        return _colocated(m1, m2)
+        return _derive((1,) * m1, m2)
     return None
 
 
@@ -121,9 +115,9 @@ def crossover_threshold(m2: int) -> int:
     Both visibilities are exact rationals, so the comparison is exact.
     """
     m2 = require_int("m2", m2, 1)
-    reference = _spread(m2).visibility
+    reference = _derive((m2,), m2).visibility
     for m1 in range(1, 20 * m2 + 40):
-        if _colocated(m1, m2).visibility > reference:
+        if _derive((1,) * m1, m2).visibility > reference:
             return m1
     raise RuntimeError(f"no crossover found for m2 = {m2}")  # pragma: no cover
 
@@ -137,29 +131,29 @@ def crossover_threshold(m2: int) -> int:
 # go once the benchmark is keyed on closed_form (see ROADMAP.md).
 def setup1_coeffs(order: int) -> tuple[int, int]:
     """Exact (c1, c2) for the equal-halves spread scheme of the given order."""
-    form = _spread(_half_order(order))
+    form = _equal_halves(order)
     return form.c1, form.c2
 
 
 def setup1_g(order: int, delta1: float) -> float:
     """Correlation of the equal-halves spread scheme at scan phase delta1."""
-    return _spread(_half_order(order)).g(delta1)
+    return _equal_halves(order).g(delta1)
 
 
 def setup1_visibility(order: int) -> Fraction:
     """Exact fringe visibility ((M/2)!)**2 / (((M/2)!)**2 + M!) of the spread scheme."""
-    return _spread(_half_order(order)).visibility
+    return _equal_halves(order).visibility
 
 
 def setup1_curve(order: int, grid: np.ndarray | None = None) -> CorrelationCurve:
     """Sample the equal-halves closed form on a delta1 grid."""
-    m = _half_order(order)
-    return _spread(m).curve(DetectorLayout.spread(m), grid)
+    form = _equal_halves(order)
+    return form.curve(DetectorLayout.spread(form.frequency), grid)
 
 
 def setup2_coeffs(m1: int, m2: int) -> ClosedForm:
     """Exact coefficients for m1 co-located moving detectors and m2 fixed ones."""
-    return _colocated(require_int("m1", m1, 0), require_int("m2", m2, 1))
+    return _derive((1,) * require_int("m1", m1, 0), require_int("m2", m2, 1))
 
 
 def setup2_g(m1: int, m2: int, delta1: float) -> float:

@@ -438,8 +438,8 @@ def verify_isomorphism(
     """
     layout = DetectorLayout.colocated(m1, m2)
     phases = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if phases.ndim != 1 or phases.size == 0:
-        raise ValueError(f"deltas must be one phase or a 1-d grid, got {deltas!r}")
+    if phases.ndim != 1 or phases.size == 0 or not np.isfinite(phases).all():
+        raise ValueError(f"deltas must be finite, one phase or a 1-d grid: {deltas!r}")
     if cutoff is None:
         cutoff = default_cutoff(nbar, layout.m1, layout.m2)
     rho = thermal_two_mode(nbar, cutoff)

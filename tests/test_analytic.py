@@ -15,8 +15,8 @@ from thermalnoon.analytic import (
     setup2_g,
 )
 from thermalnoon.curves import default_grid
-from thermalnoon.geometry import DetectorLayout, SourceArray
-from thermalnoon.pathsum import correlation_pathsum
+from thermalnoon.geometry import DetectorLayout, SourceArray, relative_gap
+from thermalnoon.pathsum import correlation_pathsum, correlation_pathsum_bounded
 
 
 def spread(m):
@@ -294,3 +294,78 @@ class TestClosedFormOfLayout:
         assert closed_form(built) is first
         assert closed_form(DetectorLayout.colocated(3, 2)) is first
         assert closed_form.cache_info().hits >= hits + 2
+
+
+# The paper's two closed forms, transcribed as published.  The program derives
+# both from the comb collapse instead; these are the exact reference for it.
+def paper_spread(m):
+    """c1 = 2*(m!)**2*(C(2m, m) + 1) and c2 = 2*(m!)**2, in phase, frequency m."""
+    c2 = 2 * math.factorial(m) ** 2
+    c1 = c2 * (math.comb(2 * m, m) + 1)
+    return ClosedForm(c1=c1, c2=c2, parity_sign=1, frequency=m)
+
+
+def paper_colocated(m1, m2):
+    """c1 = 2*m1!*m2!*sum_k C(m1, k)*C(m2+k, k), c2 = 2**(m1-m2+1)*(m1!)**2/(m1-m2)!.
+
+    c2 is 0 for m1 < m2; the fringe at frequency m2 has the sign (-1)**(m2-1).
+    """
+    c1 = (
+        2
+        * math.factorial(m1)
+        * math.factorial(m2)
+        * sum(math.comb(m1, k) * math.comb(m2 + k, k) for k in range(m1 + 1))
+    )
+    c2 = 0
+    if m1 >= m2:
+        c2 = 2 ** (m1 - m2 + 1) * math.factorial(m1) ** 2 // math.factorial(m1 - m2)
+    return ClosedForm(c1=c1, c2=c2, parity_sign=(-1) ** (m2 - 1), frequency=m2)
+
+
+class TestDerivationMatchesPaperFormulas:
+    @pytest.mark.parametrize("m", range(1, 31))
+    def test_spread(self, m):
+        assert spread(m) == paper_spread(m)
+        assert setup1_coeffs(2 * m) == (paper_spread(m).c1, paper_spread(m).c2)
+
+    @pytest.mark.parametrize("m2", range(1, 21))
+    def test_colocated(self, m2):
+        for m1 in range(41):
+            assert colocated(m1, m2) == paper_colocated(m1, m2), (m1, m2)
+            assert setup2_coeffs(m1, m2) == paper_colocated(m1, m2), (m1, m2)
+
+    def test_reference_range_holds_flat_forms_and_both_signs(self):
+        forms = [paper_colocated(m1, m2) for m2 in range(1, 21) for m1 in range(41)]
+        # m2 flat forms (m1 = 0 ... m2 - 1) for each comb size m2
+        assert sum(form.c2 == 0 for form in forms) == sum(range(1, 21))
+        assert {form.parity_sign for form in forms if form.c2} == {-1, 1}
+
+    @pytest.mark.parametrize("m2", [2, 3, 4, 5, 8])
+    def test_crossover_matches_the_paper_formulas(self, m2):
+        reference = paper_spread(m2).visibility
+        m1 = next(
+            m1
+            for m1 in range(1, 20 * m2 + 40)
+            if paper_colocated(m1, m2).visibility > reference
+        )
+        assert crossover_threshold(m2) == m1
+
+
+# M = 58, past the M = 40 that oracle-check covers: the path sum still
+# certifies its value here, and the derived form must sit within that bound.
+EDGE = [
+    DetectorLayout.spread(29),
+    DetectorLayout.colocated(40, 18),
+    DetectorLayout.colocated(29, 29),
+    DetectorLayout.colocated(10, 48),
+]
+
+
+@pytest.mark.parametrize("layout", EDGE, ids=DetectorLayout.describe)
+def test_derived_form_within_pathsum_bound_at_order_58(layout):
+    form = closed_form(layout)
+    for delta in (0.3, 1.1, 2.5):
+        value, bound = correlation_pathsum_bounded(
+            SourceArray(), layout.detector_phases(delta)
+        )
+        assert relative_gap(form.g(delta), value) <= bound

@@ -178,7 +178,7 @@ class TestOracleCheckCommand:
 
 
 class TestSpeckleCommand:
-    def run_speckle(self, out, workers="1", seed="3"):
+    def run_speckle(self, out, workers="1", seed="3", extra=()):
         return main(
             [
                 "speckle",
@@ -196,6 +196,7 @@ class TestSpeckleCommand:
                 workers,
                 "--out",
                 str(out),
+                *extra,
             ]
         )
 
@@ -260,6 +261,34 @@ class TestSpeckleCommand:
         )
         assert code == 0
         assert from_flags.read_bytes() == from_config.read_bytes()
+
+    def test_slit_ratio_flag_matches_config_field(self, tmp_path, capsys):
+        config = SpeckleConfig(
+            sources=SourceArray.equidistant(2, 1.0),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=20000,
+            seed=3,
+            grid=default_grid(61),
+            slit_ratio=0.2,
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        from_flags = tmp_path / "flags.csv"
+        from_config = tmp_path / "config.csv"
+        assert self.run_speckle(from_flags, extra=("--slit-ratio", "0.2")) == 0
+        code = main(
+            ["speckle", "--config", str(config_path), "--out", str(from_config)]
+        )
+        assert code == 0
+        assert from_flags.read_bytes() == from_config.read_bytes()
+        # and the slit changes the curve: the flag is not ignored
+        assert self.run_speckle(tmp_path / "point.csv") == 0
+        assert (tmp_path / "point.csv").read_bytes() != from_flags.read_bytes()
+        capsys.readouterr()
+        whole = tmp_path / "whole.csv"
+        assert self.run_speckle(whole, extra=("--slit-ratio", "1.0")) == 2
+        assert "slit_ratio" in capsys.readouterr().err
+        assert not whole.exists()
 
     def test_config_file_number_is_not_truncated(self, tmp_path, capsys):
         data = SpeckleConfig(

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -621,6 +622,14 @@ class TestCorrelations:
             g_detectors(rho, np.array([[0.2, 0.4], deltas]))
         with pytest.raises(ValueError, match="deltas must be finite"):
             verify_isomorphism(0.5, 2, 2, deltas)
+
+    def test_isomorphism_refuses_a_non_finite_grid_before_building_the_state(
+        self, monkeypatch
+    ):
+        # a call would be a TypeError, not the ValueError that names the grid
+        monkeypatch.setattr(fockstate, "thermal_two_mode", None)
+        with pytest.raises(ValueError, match=re.escape("grid: [0.3, nan]")):
+            verify_isomorphism(0.5, 2, 2, [0.3, math.nan], cutoff=1000)
 
     @pytest.mark.parametrize("deltas", [0.3, np.zeros((2, 2, 2))])
     def test_rejects_a_scalar_or_a_3d_array(self, deltas):

@@ -15,12 +15,14 @@ intensity, and so a product, can come out a few rounding errors below zero.
 The moving detectors sit at delta1 + offset, with one offset per distinct
 position and a multiplicity for each (co-located: offset 0 taken m1 times;
 spread: the magic comb, once each), so a frame's moving product is a
-trigonometric polynomial of degree D = m1*(K-1) in delta1.  Each frame is
-therefore sampled only at the N = 2D+1 nodes theta_n = 2*pi*n/N, and each
-batch's node sums are mapped to the grid at the end by exact trigonometric
-(Dirichlet-kernel) interpolation; the cost per frame does not depend on the
-grid size.  The single-slit factor env(delta) = sin(x)/x with
-x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
+trigonometric polynomial of degree D = m1*(K-1) in delta1.  When a shift by
+2*pi/p maps the offsets onto themselves (p = m for the comb of m, 1 when
+co-located), it has period 2*pi/p and degree D' = floor(D/p) in p*delta1.
+So each frame is sampled only at the N = 2D'+1 nodes theta_n = 2*pi*n/(p*N),
+and each batch's node sums are mapped to the grid at the end by exact
+trigonometric (Dirichlet-kernel) interpolation in p*delta1; the cost per frame
+does not depend on the grid size.  The single-slit factor env(delta) = sin(x)/x
+with x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
 applied after interpolation as the per-grid-point factor prod_d env(phase_d)^2
 over the detector phases of layout.detector_phases(delta1).
 
@@ -29,20 +31,25 @@ of fixed sizes; batch b draws from its own counter-based substream
 Philox(key=seed, counter lane b) in chunks of up to CHUNK_FRAMES frames, each
 chunk taking standard normals of shape (chunk frames, 2K) as the real then
 imaginary parts of the amplitudes; batch partial sums are combined in batch
-order.  Within a chunk every array is real and laid out (row, frame): each
-node's product is summed over the chunk's frames as one contiguous row, and
-the chunk sums are added in draw order, with no BLAS call anywhere.  The
-layout decides only the rounding; which normals each frame gets and the
-batch order are fixed by the seed as above.  The result is bit-identical for
-any worker count, and the batch means feed the stderr estimate and the
-bootstrap in fit_cosine.
+order.  Work units, fixed by the batch sizes alone, run the batches: those that
+fit in one chunk together share it, each in its own slice, in batch order; a
+larger or a one-frame batch is a unit of its own.  A unit re-keys one Philox to
+lane b for batch b, the stream of a new Philox(key=seed, counter lane b).
+Within a chunk every array is real and laid out (row, frame): each node's
+product is summed over a batch's frames as one contiguous row, and a batch's
+chunk sums are added in draw order, with no BLAS call anywhere.  The layout
+decides only the rounding; the seed fixes which normals each frame gets and
+the batch order.  The result is bit-identical for any worker count, and the
+batch means feed the stderr estimate and the bootstrap in fit_cosine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -123,9 +130,22 @@ def _batch_sizes(frames: int) -> list[int]:
     return [base + 1] * rem + [base] * (n - rem)
 
 
+@functools.cache
+def _period(moving_offsets: tuple[float, ...]) -> int:
+    """Largest p whose shift by 2*pi/p maps the moving offsets onto themselves."""
+    offsets, counts = np.unique(moving_offsets, return_counts=True)
+    for p in range(len(moving_offsets), 1, -1):
+        gap = (offsets[:, None] + TWO_PI / p - offsets) % TWO_PI
+        # within 1e-12 rad, each offset must land on one of its multiplicity
+        if np.array_equal((np.minimum(gap, TWO_PI - gap) <= 1e-12) @ counts, counts):
+            return p
+    return 1
+
+
 def _node_count(config: SpeckleConfig) -> int:
-    """2D+1 nodes fix a trigonometric polynomial of degree D = m1*(K-1)."""
-    return 2 * config.layout.m1 * (config.sources.count - 1) + 1
+    """2D'+1 nodes fix the moving product: degree D' = floor(m1*(K-1)/p) in p*delta1."""
+    degree = config.layout.m1 * (config.sources.count - 1)
+    return 2 * (degree // _period(config.layout.moving_offsets)) + 1
 
 
 def _basis_table(config: SpeckleConfig, offsets: np.ndarray) -> np.ndarray:
@@ -136,11 +156,9 @@ def _basis_table(config: SpeckleConfig, offsets: np.ndarray) -> np.ndarray:
     (c0, Re Y_d, Im Y_d) weighted by the column's rows.
     """
     count = _node_count(config)
-    nodes = TWO_PI * np.arange(count) / count
+    nodes = TWO_PI * np.arange(count) / (count * _period(config.layout.moving_offsets))
     moving = (offsets[:, None] + nodes[None, :]).ravel()
-    phases = np.concatenate(
-        [moving, np.asarray(config.layout.fixed_phases, dtype=float)]
-    )
+    phases = np.concatenate([moving, config.layout.fixed_phases])
     angles = np.arange(1, config.sources.count)[:, None] * phases[None, :]
     return np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
 
@@ -158,11 +176,12 @@ def _envelope_factor(config: SpeckleConfig) -> np.ndarray:
     return np.prod(_envelope(phases, config.slit_ratio) ** 2, axis=1)
 
 
-def _node_weights(grid: np.ndarray, nodes: int) -> np.ndarray:
-    """weights[g, n]: Dirichlet kernel of degree (nodes-1)/2 at grid[g] - theta_n."""
+def _node_weights(config: SpeckleConfig) -> np.ndarray:
+    """weights[g, n]: Dirichlet kernel, degree (N-1)/2, at p*(grid[g] - theta_n)."""
+    nodes, p = _node_count(config), _period(config.layout.moving_offsets)
     theta = TWO_PI * np.arange(nodes) / nodes
     harmonics = np.arange(1, (nodes - 1) // 2 + 1)
-    gap = grid[:, None] - theta[None, :]
+    gap = p * config.grid[:, None] - theta[None, :]
     return (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
 
 
@@ -173,28 +192,28 @@ def _chunk_node_sums(
     counts: np.ndarray,
     nodes: int,
     work: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """One chunk's sum over frames of the M-detector intensity product, per node.
+    slices: list[slice],
+) -> list[np.ndarray]:
+    """Per slice of a chunk's frames, the node sums of the M-detector intensity product.
 
     normals holds the chunk's standard normals, (frames, 2K); scale holds
-    sqrt(nbar_l / 2), sqrt(nbar_l / 2) and -sqrt(nbar_l / 2), the factors of
-    the rows x_l, y_l and -x_l.  table holds the basis rows 1, 2cos(d*delta)
+    sqrt(nbar_l / 2) twice, the factors of the rows x_l and y_l; the rows
+    -x_l follow by negation.  table holds the basis rows 1, 2cos(d*delta)
     and 2sin(d*delta), d = 1..K-1, over the phase columns.  Every array is
     laid out (row, frame), so numpy's inner loops run over frames, and
-    integer powers are taken by repeated squaring.  work holds the batch's
+    integer powers are taken by repeated squaring.  work holds the unit's
     flat buffers for the parts, the coefficients, the intensities and the
     product, each with room for the chunk's (rows, frames) as a contiguous
-    block.
+    block.  slices picks each batch's frames of the chunk.
     """
     frames, k = normals.shape[0], normals.shape[1] // 2
     parts, coefs, intensity, product = (
         w[: rows * frames].reshape(rows, frames)
         for w, rows in zip(work, (3 * k, table.shape[0], table.shape[1], nodes))
     )
-    # a_l = x_l + 1j*y_l, and the rows (y_l, -x_l) are -1j*a_l; one row at a
-    # time, as numpy copies a small chunk before a whole-array transpose
-    for row, column, factor in zip(parts, (*normals.T, *normals.T[:k]), scale):
-        np.multiply(column, factor, out=row)
+    # a_l = x_l + 1j*y_l, and the rows (y_l, -x_l) are -1j*a_l
+    np.multiply(normals.T, scale[:, None], out=parts[: 2 * k])
+    np.negative(parts[:k], out=parts[2 * k :])
     a, turned = parts[: 2 * k].reshape(2, k, frames), parts[k:].reshape(2, k, frames)
     # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m)
     for d in range(k):
@@ -216,42 +235,62 @@ def _chunk_node_sums(
             if not count:
                 break
             np.multiply(power, power, out=power)
-    return product.sum(axis=1)
+    return [product[:, part].sum(axis=1) for part in slices]
 
 
-def _run_batch(
+def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
+    """Consecutive (batch, frames) that share a chunk; a larger batch is alone."""
+    units, room = [], 0
+    for b, size in enumerate(sizes):
+        # a one-frame batch is alone too: numpy sums a length-1 frame axis in
+        # another order, which only a chunk of its own keeps
+        if size > room or size == 1:
+            units.append([])
+            room = CHUNK_FRAMES
+        units[-1].append((b, size))
+        room -= size
+    return units
+
+
+def _run_unit(
     config: SpeckleConfig,
     table: np.ndarray,
     counts: np.ndarray,
-    batch_index: int,
-    batch_frames: int,
+    unit: list[tuple[int, int]],
 ) -> np.ndarray:
-    rng = np.random.Generator(
-        np.random.Philox(key=config.seed, counter=[0, 0, 0, batch_index])
-    )
+    """Node sums of a work unit's batches, (batches, nodes) in batch order."""
     k = config.sources.count
     nodes = _node_count(config)
-    scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
-    scale = np.concatenate([scale, scale, -scale])
-    # allocated once per batch: fresh per-chunk temporaries made the allocator
-    # return their pages and fault them in again for every chunk
-    width = min(CHUNK_FRAMES, batch_frames)
-    draws = np.empty(2 * k * width)
-    work = tuple(
-        np.empty(rows * width) for rows in (3 * k, *table.shape, nodes)
-    )
-    sums = np.zeros(nodes)
-    remaining = batch_frames
-    while remaining:
-        f = min(CHUNK_FRAMES, remaining)
-        normals = draws[: 2 * k * f].reshape(f, 2 * k)
-        rng.standard_normal(normals.shape, out=normals)
-        sums += _chunk_node_sums(normals, scale, table, counts, nodes, work)
-        remaining -= f
-    if not np.all(np.isfinite(sums)):
-        raise AccumulatorOverflowError(
-            f"batch {batch_index} accumulated non-finite values"
-        )
+    scale = np.sqrt(np.array(config.sources.nbar + config.sources.nbar) / 2.0)
+    # one block per unit: per-chunk temporaries, or one buffer each, made the
+    # allocator return their pages and fault them in again for every chunk
+    width = min(CHUNK_FRAMES, sum(size for _, size in unit))
+    rows = [r * width for r in (2 * k, 3 * k, *table.shape, nodes)]
+    block = np.empty(sum(rows))
+    draws, *work = (block[end - r : end] for r, end in zip(rows, accumulate(rows)))
+    draws = draws.reshape(width, 2 * k)
+    # one Philox re-keyed per batch: a new one builds an OS-entropy SeedSequence
+    bit_generator = np.random.Philox(key=config.seed)
+    rng, state = np.random.Generator(bit_generator), bit_generator.state
+    sums = np.zeros((len(unit), nodes))
+    filled, slices = 0, []
+    for row, (b, size) in enumerate(unit):
+        state["state"]["counter"][3] = b
+        bit_generator.state = state
+        while size:
+            f = min(width - filled, size)
+            rng.standard_normal((f, 2 * k), out=draws[filled : filled + f])
+            slices.append(slice(filled, filled + f))
+            filled, size = filled + f, size - f
+            if filled == width or not size and row == len(unit) - 1:
+                # the chunk's slices: one per batch, up to this one
+                sums[row + 1 - len(slices) : row + 1] += _chunk_node_sums(
+                    draws[:filled], scale, table, counts, nodes, work, slices
+                )
+                filled, slices = 0, []
+    for (b, _), finite in zip(unit, np.isfinite(sums).all(axis=1)):
+        if not finite:
+            raise AccumulatorOverflowError(f"batch {b} accumulated non-finite values")
     return sums
 
 
@@ -264,33 +303,24 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     # distinct moving-detector offsets from delta1, and the detectors at each
     offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
     table = _basis_table(config, offsets)
-
     sizes = _batch_sizes(config.frames)
+    run = functools.partial(_run_unit, config, table, counts)
     if config.workers == 1:
-        node_sums = [
-            _run_batch(config, table, counts, b, size)
-            for b, size in enumerate(sizes)
-        ]
+        unit_sums = list(map(run, _work_units(sizes)))
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            node_sums = list(
-                pool.map(
-                    lambda args: _run_batch(config, table, counts, *args),
-                    list(enumerate(sizes)),
-                )
-            )
-    weights = _node_weights(config.grid, _node_count(config))
+            unit_sums = list(pool.map(run, _work_units(sizes)))
+    weights = _node_weights(config)
     # (batches, grid), combined in batch order; the node-to-grid map is an
     # explicit broadcast and a sum over the nodes, not BLAS
-    sums = (np.stack(node_sums)[:, None, :] * weights[None, :, :]).sum(axis=2)
+    sums = (np.vstack(unit_sums)[:, None, :] * weights[None, :, :]).sum(axis=2)
     sums *= _envelope_factor(config)[None, :]
     # every frame's product is nonnegative at every phase up to rounding of
     # its intensities; that and the interpolation can leave a near-zero point
     # a few rounding errors of the node sums below 0
     np.maximum(sums, 0.0, out=sums)
     values = sums.sum(axis=0) / config.frames
-    size_arr = np.asarray(sizes, dtype=float)
-    batch_means = sums / size_arr[:, None]
+    batch_means = sums / np.asarray(sizes, dtype=float)[:, None]
     if len(sizes) >= 2:
         stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(sizes))
     else:

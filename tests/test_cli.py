@@ -350,7 +350,7 @@ class TestSpeckleCommand:
         def no_frames(*args):
             raise AssertionError("a frame was drawn")
 
-        monkeypatch.setattr(speckle, "_run_batch", no_frames)
+        monkeypatch.setattr(speckle, "_run_unit", no_frames)
         data = SpeckleConfig(
             sources=SourceArray(),
             layout=DetectorLayout.colocated(2, 2),

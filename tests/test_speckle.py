@@ -16,9 +16,12 @@ from thermalnoon.speckle import (
     MAX_BATCHES,
     SpeckleConfig,
     _basis_table,
+    _batch_sizes,
     _envelope,
     _envelope_factor,
-    _run_batch,
+    _period,
+    _run_unit,
+    _work_units,
     dominant_frequency,
     fit_cosine,
     simulate_curve,
@@ -67,6 +70,14 @@ def brute_force_curve(config):
     batch_means = np.array(batch_means)
     values = (batch_means * np.array(sizes)[:, None]).sum(axis=0) / config.frames
     return values, batch_means
+
+
+def shifted_comb():
+    """The moving comb of 3 shifted by 0.1 rad, with the fixed comb of 2."""
+    return DetectorLayout(
+        fixed_phases=tuple(magic_positions(2)),
+        moving_offsets=tuple(0.1 + magic_positions(3)),
+    )
 
 
 def dark_middle_source():
@@ -298,6 +309,20 @@ class TestSimulateCurve:
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.batch_means, threaded.batch_means)
 
+    @pytest.mark.parametrize("frames", [20_001, 30])
+    def test_uneven_small_batches_never_depend_on_workers(self, frames):
+        # 20_001 frames: one 1001-frame batch and 1000-frame ones, four to a
+        # chunk; 30 frames: ten 2-frame batches share a chunk, ten 1-frame
+        # batches run alone
+        runs = [
+            simulate_curve(hbt_config(frames=frames, seed=13, workers=workers))
+            for workers in (1, 2, 3)
+        ]
+        for run in runs[1:]:
+            assert run.values.tobytes() == runs[0].values.tobytes()
+            assert run.stderr.tobytes() == runs[0].stderr.tobytes()
+            assert run.batch_means.tobytes() == runs[0].batch_means.tobytes()
+
     def test_batch_count_capped(self):
         curve = simulate_curve(hbt_config(frames=4_000, seed=3, grid=default_grid(9)))
         assert curve.batch_means.shape[0] == MAX_BATCHES
@@ -379,6 +404,15 @@ class TestSimulateCurve:
         "sources,layout,frames,extra",
         [
             (SourceArray(), DetectorLayout.colocated(5, 2), 100_000, {}),
+            # comb layouts sample one period: p = 3, 4 and 3 below
+            (SourceArray.equidistant(3), DetectorLayout.spread(3), 20_000, {}),
+            (
+                SourceArray(nbar=(0.7, 1.0, 1.3, 0.4)),
+                DetectorLayout.spread(4),
+                20_000,
+                {},
+            ),
+            (SourceArray.equidistant(3), shifted_comb(), 20_000, {}),
             (SourceArray(), DetectorLayout.spread(3), 20_000, {"slit_ratio": 0.3}),
             (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 20_000, {}),
             (SourceArray(), DetectorLayout.colocated(0, 3), 20_000, {}),
@@ -420,6 +454,9 @@ class TestSimulateCurve:
         ],
         ids=[
             "colocated-5-2",
+            "spread-3-k3",
+            "spread-4-k4-unequal",
+            "shifted-comb-k3",
             "spread-3-slit",
             "k3-2-2",
             "m1-0",
@@ -448,7 +485,7 @@ class TestSimulateCurve:
 
     def test_batch_memory_is_bounded(self):
         # colocated(5, 2), K = 2: 13 phase columns, 11 nodes and 3 basis rows.
-        # A batch holds, per frame, the normals (4 floats), the parts x, y, -x
+        # A work unit holds, per frame, the normals (4 floats), the parts x, y, -x
         # (6 floats), the coefficients c0, Re Y_1, Im Y_1 (3 floats), the
         # intensities (13 floats) and the product (11 floats): 37 floats, 296 B.
         # No chunk allocates more.  So 296 B x 4096 = 1.21 MB, and 64 kB for
@@ -462,13 +499,17 @@ class TestSimulateCurve:
         offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
         table = _basis_table(config, offsets)
         assert table.shape == (3, 13)
-        tracemalloc.start()
-        try:
-            _run_batch(config, table, counts, 0, config.frames)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 296 * CHUNK_FRAMES + 64 * 1024
+        # 40k frames: two 2000-frame batches share one 4000-frame chunk
+        packed = _work_units(_batch_sizes(40_000))[0]
+        assert packed == [(0, 2000), (1, 2000)]
+        for unit in ([(0, config.frames)], packed):
+            tracemalloc.start()
+            try:
+                _run_unit(config, table, counts, unit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 296 * CHUNK_FRAMES + 64 * 1024
 
     def test_single_frame_curves_match_brute_force(self):
         # one frame's curve can nearly vanish at some phase, where the
@@ -532,6 +573,87 @@ class TestSimulateCurve:
             AccumulatorOverflowError
         ):
             simulate_curve(config)
+
+
+class TestWorkUnits:
+    @pytest.mark.parametrize(
+        "frames", [1, 7, 30, 39, 40, 20_001, 40_000, 81_920, 81_921, 1_000_000]
+    )
+    def test_units_hold_every_batch_in_order(self, frames):
+        sizes = _batch_sizes(frames)
+        units = _work_units(sizes)
+        assert [batch for unit in units for batch in unit] == list(enumerate(sizes))
+        for unit in units:
+            if len(unit) > 1:
+                assert sum(size for _, size in unit) <= CHUNK_FRAMES
+                assert min(size for _, size in unit) > 1
+
+    @pytest.mark.parametrize(
+        "frames,lengths",
+        [
+            (20_001, [4] * 5),
+            (40_000, [2] * 10),
+            (30, [10] + [1] * 10),
+            (100_000, [1] * 20),
+            (6, [1] * 6),
+        ],
+    )
+    def test_unit_lengths(self, frames, lengths):
+        assert [len(unit) for unit in _work_units(_batch_sizes(frames))] == lengths
+
+    def test_shared_chunk_gives_each_batch_its_own_sums(self):
+        # a batch's node sums do not depend on the batches that share its
+        # chunk: bit for bit the sums of the batch run alone
+        config = hbt_config(
+            frames=20_001, seed=17, layout=DetectorLayout.colocated(3, 2)
+        )
+        offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
+        table = _basis_table(config, offsets)
+        unit = _work_units(_batch_sizes(config.frames))[0]
+        together = _run_unit(config, table, counts, unit)
+        for row, batch in enumerate(unit):
+            alone = _run_unit(config, table, counts, [batch])
+            assert alone.tobytes() == together[row : row + 1].tobytes()
+
+
+class TestPeriod:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_spread_comb_of_m(self, m):
+        assert _period(DetectorLayout.spread(m).moving_offsets) == m
+
+    @pytest.mark.parametrize("m1", range(0, 9))
+    def test_colocated_is_one(self, m1):
+        assert _period(DetectorLayout.colocated(m1, 2).moving_offsets) == 1
+
+    @pytest.mark.parametrize(
+        "offsets,period",
+        [
+            (tuple(0.1 + magic_positions(3)), 3),
+            ((0.0, math.pi, 0.0, math.pi), 2),
+            ((0.0, math.pi), 2),
+            ((0.0, math.pi + 1e-9), 1),
+            # the shift must keep each offset's multiplicity
+            ((0.0, 0.0, math.pi), 1),
+        ],
+    )
+    def test_custom_offsets(self, offsets, period):
+        assert _period(offsets) == period
+
+    @pytest.mark.parametrize(
+        "sources,layout,columns",
+        [
+            # 3 offsets x 3 nodes in [0, 2*pi/3), plus the 3 fixed detectors
+            (SourceArray(), DetectorLayout.spread(3), 12),
+            # 11 nodes at offset 0, plus the 2 fixed detectors
+            (SourceArray(), DetectorLayout.colocated(5, 2), 13),
+            (SourceArray(), DetectorLayout.spread(2), 8),
+            (SourceArray(), DetectorLayout.spread(4), 16),
+        ],
+    )
+    def test_phase_columns(self, sources, layout, columns):
+        config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
+        offsets, _ = np.unique(layout.moving_offsets, return_counts=True)
+        assert _basis_table(config, offsets).shape[1] == columns
 
 
 class TestFitCosine:

@@ -14,7 +14,9 @@ correlation_permanent evaluates the same quantity as the permanent of the M x M
 mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k)),
 which is what the Gaussian moment theorem gives for independent thermal
 sources, by Glynn's formula with co-located detectors summed as
-multiplicities (`_glynn`).  PERMANENT_MAX_TERMS caps its cost.
+multiplicities (`_glynn`).  With phases measured from the centre of the
+source line the matrix is real when nbar is mirror-symmetric, and the sum
+then runs in float64.  PERMANENT_MAX_TERMS caps its cost.
 
 The two routes share no code and serve as oracles for each other.  Both
 bound their own error a posteriori and raise NumericalError when the bound
@@ -36,8 +38,9 @@ from .geometry import SourceArray
 # per detector: 0.26 s at K = 5, M = 31 (32**4), 0.9 s at K = 4, M = 100.
 # K = 2 and 3 never reach it: M! leaves the double range past M = 170.
 PATHSUM_MAX_TABLE = 1 << 20
-# 2**19 Glynn terms, M = 20 at distinct phases (0.1 s), and as many entries of
-# the M x M coherence matrix, which is built before its groups are found.
+# 2**19 Glynn terms, M = 20 at distinct phases (0.06 s in float64, 0.09 s in
+# complex128), and as many entries of the M x M coherence matrix, which is
+# built before its groups are found.
 PERMANENT_MAX_TERMS = 1 << 19
 # Relative accuracy the cross-route oracle checks demand.
 ORACLE_TOLERANCE = 1e-9
@@ -164,48 +167,40 @@ def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
     return correlation_pathsum_bounded(sources, deltas)[0]
 
 
-def _sign_choices(counts: Sequence[int]) -> list[list[tuple[int, int]]]:
-    """Per group of equal columns, (m - 2k, (-1)**k C(m, k)) for k = 0 ... m.
+def _sign_groups(counts: Sequence[int]) -> list[tuple[int, int]]:
+    """Per group of equal columns, its size m and its count of free signs.
 
     When k of the m signs of a group of m equal columns c are -1, the group
     adds (m - 2k) c to every row sum, and C(m, k) sign vectors of parity
     (-1)**k do so.  Group 0 holds the column whose sign is fixed at +1, so
     its k = 0 ... m - 1 minus signs fall among the other m - 1 columns.
     """
-    out = []
-    for group, m in enumerate(counts):
-        free = m - 1 if group == 0 else m
-        out.append(
-            [(m - 2 * k, (-1) ** k * math.comb(free, k)) for k in range(free + 1)]
-        )
-    return out
+    return [(m, m - 1 if g == 0 else m) for g, m in enumerate(counts)]
 
 
 def _sign_sums(
-    columns: np.ndarray, choices: Sequence[Sequence[tuple[int, int]]]
+    columns: np.ndarray, groups: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums sum_g q_g columns[:, g] for every choice of (q_g, w_g); prod_g w_g.
+    """Row sums sum_g q_g columns[:, g] for every choice of q_g; prod_g w_g.
 
-    Column c of the (rows, prod_g len(choices[g])) table takes choice k_g of
-    group g, where c = k_0 + len(choices[0]) * (k_1 + len(choices[1]) * ...).
-    Each sum takes one rounded product q_g * columns[:, g] and one addition
-    per group.  With the choices (+1, 1) and (-1, -1) of a single column
-    this is the table of its two signs.
+    Group g of size m with f free signs has the choices k = 0 ... f, with
+    factor q = m - 2k and weight w = (-1)**k C(f, k).  Column c of the
+    (rows, prod_g (f_g + 1)) table takes choice k_g of group g, where
+    c = k_0 + (f_0 + 1) * (k_1 + (f_1 + 1) * ...).  Each sum takes one
+    rounded product q_g * columns[:, g] and one addition per group: a
+    group's choices extend the table of the groups before it in one
+    broadcast, choice k being block k.  With the factors (+1, -1) of a
+    single column this is the table of its two signs.
     """
-    width = math.prod(map(len, choices))
-    table = np.empty((columns.shape[0], width), dtype=columns.dtype)
-    table[:, 0] = 0
-    weights = np.ones(width)
-    size = 1
-    for column, choice in zip(columns.T, choices):
-        for k, (q, w) in enumerate(choice[1:], 1):
-            block = slice(k * size, (k + 1) * size)
-            np.add(table[:, :size], (q * column)[:, None], out=table[:, block])
-            # as a float: exact below 2**53, and no int64 overflow past 2**63
-            np.multiply(weights[:size], float(w), out=weights[block])
-        # choice 0 (no minus sign) has weight 1
-        table[:, :size] += (choice[0][0] * column)[:, None]
-        size *= len(choice)
+    table = np.zeros((columns.shape[0], 1), dtype=columns.dtype)
+    weights = np.ones(1)
+    for column, (m, free) in zip(columns.T, groups):
+        products = column[:, None] * (m - 2 * np.arange(free + 1))
+        table = table[:, None, :] + products[:, :, None]
+        table = table.reshape(columns.shape[0], -1)
+        # as floats: exact below 2**53, and no int64 overflow past 2**63
+        w = [float((-1) ** k * math.comb(free, k)) for k in range(free + 1)]
+        weights = (np.array(w)[:, None] * weights).ravel()
     return table, weights
 
 
@@ -229,8 +224,8 @@ def _sign_blocks(
     per-term bound can follow.  With every count 1 the choices are the two
     signs of each column.  `rows` is overwritten by the next block.
     """
-    choices = _sign_choices(counts)
-    radix = [len(choice) for choice in choices]
+    groups = _sign_groups(counts)
+    radix = [free + 1 for _, free in groups]
     b, width = 1, radix[0]
     while b < len(radix) and width * radix[b] <= 1 << _LOW_COLUMNS:
         width *= radix[b]
@@ -240,9 +235,13 @@ def _sign_blocks(
     while h < len(radix) and (half * radix[h]) ** 2 <= rest:
         half *= radix[h]
         h += 1
-    low, low_weight = _sign_sums(columns[:, :b], choices[:b])
-    mid, mid_weight = _sign_sums(columns[:, b:h], choices[b:h])
-    top, top_weight = _sign_sums(columns[:, h:], choices[h:])
+    low, low_weight = _sign_sums(columns[:, :b], groups[:b])
+    if b == len(radix):
+        # one block: adding the empty groups' zero sums would change no bit
+        yield low, low_weight
+        return
+    mid, mid_weight = _sign_sums(columns[:, b:h], groups[b:h])
+    top, top_weight = _sign_sums(columns[:, h:], groups[h:])
     rows = np.empty_like(low)
     for top_sum, top_w in zip(top.T, top_weight):
         for mid_sum, mid_w in zip(mid.T, mid_weight):
@@ -280,27 +279,34 @@ def _pairwise_sum(values: np.ndarray) -> np.generic:
     """Sum by halving; an odd count carries its last value to the next round.
 
     Each value passes through at most ceil(log2(len(values))) additions,
-    which is what the error bound in `_glynn` counts.
+    which is what the error bound in `_glynn` counts.  The halves are added
+    in place, so `values` is overwritten.
     """
-    while values.size > 1:
-        half = (values.size + 1) // 2
-        head = values[:half].copy()
-        head[: values.size - half] += values[half:]
-        values = head
+    size = values.size
+    while size > 1:
+        half = (size + 1) // 2
+        values[: size - half] += values[half:size]
+        size = half
     return values[0]
 
 
 def _repeats(vectors: np.ndarray) -> tuple[list[int], list[int]]:
     """First index and count of each set of bit-identical vectors, in order."""
+    # one C-order copy of every vector, cut into one key per vector
+    raw = vectors.tobytes()
+    step = len(raw) // len(vectors)
     groups: dict[bytes, list[int]] = {}
-    for i, vector in enumerate(vectors):
-        groups.setdefault(vector.tobytes(), []).append(i)
+    for i in range(len(vectors)):
+        groups.setdefault(raw[i * step : (i + 1) * step], []).append(i)
     firsts = [group[0] for group in groups.values()]
     return firsts, [len(group) for group in groups.values()]
 
 
 def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float]:
-    """Glynn permanent in complex128, with an absolute error bound.
+    """Glynn permanent in the matrix's own dtype, with an absolute error bound.
+
+    A real matrix is summed in float64 and any other in complex128, through
+    the same code; the value is returned as a complex number either way.
 
     per(A) = 2**-(n-1) sum_s (prod_k s_k) prod_i g_i(s), g_i(s) = sum_j s_j a_ij,
     over the 2**(n-1) sign vectors s in {+1, -1}**n with s_0 = +1
@@ -333,10 +339,11 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
       sign vectors of a term and summed over the terms this is `moved`,
       about |t| sum_i d_i / |h_i| per term.  The global form
       prod_i (rho_i + d_i) - prod_i rho_i would be 7e7 |per| at M = 18.
-    * A term takes n - 1 complex multiplications of single factors however
+    * A term takes n - 1 multiplications of single factors however
       `_row_products` groups them, each of relative error at most
-      sqrt(2) * 2u, and one product with its weight w, which is an exact
-      integer while |w| <= 2**(n-1) < 2**53: (2 sqrt(2) (n - 1) + 1) u |t|.
+      sqrt(2) * 2u when complex and u when real, and one product with its
+      weight w, which is an exact integer while |w| <= 2**(n-1) < 2**53:
+      at most (2 sqrt(2) (n - 1) + 1) u |t|.
       Past n = 53 the G groups' binomials, the products of the weights and
       the two that join the block tables may round too: (2G + 2) u |t| more.
     * The T terms are summed pairwise (`_pairwise_sum` over each block, then
@@ -347,10 +354,12 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     Together, to first order in eps:
     |error| <= 2**-(n-1) [((sqrt(2) + 1/2) (n - 1) + 1/2) eps sum|t| + moved].
     The c = 2n used below (2n + G + 1 past n = 53) exceeds that factor by at
-    least 1.5, which covers the second-order terms.  The bound's own
-    arithmetic rounds at a relative O(n eps).
+    least 1.5, which covers the second-order terms; a real sum rounds less,
+    so the same c serves both dtypes.  The bound's own arithmetic rounds at
+    a relative O(n eps).
     """
-    a = np.asarray(matrix, dtype=np.complex128)
+    a = np.asarray(matrix)
+    a = a.astype(np.result_type(a, float), copy=False)
     n = a.shape[0]
     if a.shape != (n, n):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
@@ -376,7 +385,7 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     order = sorted(range(len(row_counts)), key=row_counts.__getitem__)
     rows_kept = [row_firsts[i] for i in order]
     repeats = [row_counts[i] for i in order]
-    columns = a[np.ix_(rows_kept, [firsts[g] for g in groups])]
+    columns = a[np.array(rows_kept)[:, None], [firsts[g] for g in groups]]
     d = n * (eps * rho[rows_kept] + entry_error)
     d_repeated = np.array(repeats) * d
     sums = []
@@ -399,13 +408,62 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
 
 
 def coherence_matrix(sources: SourceArray, deltas: Sequence[float]) -> np.ndarray:
-    """Mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*alpha_l*(d_j - d_k))."""
-    j = np.zeros((len(deltas), len(deltas)), dtype=complex)
-    phases = np.asarray([float(d) for d in deltas], dtype=float)
-    for alpha, nbar in zip(sources.prefactors, sources.nbar):
-        e = np.exp(1j * (alpha * phases))
-        j += nbar * np.outer(e, e.conj())
-    return j
+    """Mutual coherence matrix J[j, k] = sum_l nbar_l * exp(1j*s_l*(d_j - d_k)).
+
+    Source l's phase is measured from the centre of the source line,
+    s_l = alpha_l - (K - 1)/2: a diagonal unitary similarity of the matrix
+    with alpha_l in place of s_l, so the permanent is the same.  When nbar
+    reads the same in both directions, the terms of l and K - 1 - l are
+    conjugate and J is real: float64, each such pair one term
+    2 nbar_l (c_j c_k + s_j s_k) with c = cos(s_l d) and s = sin(s_l d).
+    Otherwise J is complex128.
+    """
+    phases = np.asarray(deltas, dtype=float)
+    count = sources.count
+    shifts = [a - (count - 1) / 2 for a in sources.prefactors]
+    if sources.nbar == sources.nbar[::-1]:
+        # the sources up to the centre; a pair's weight 2 nbar_l is exact
+        half = (count + 1) // 2
+        angles = np.multiply.outer(shifts[:half], phases)
+        pairs = zip(sources.nbar, shifts, np.cos(angles), np.sin(angles))
+        return sum(
+            n * (2 if shift else 1) * (c[:, None] * c + s[:, None] * s)
+            for n, shift, c, s in pairs
+        )
+    phasors = np.exp(1j * np.multiply.outer(shifts, phases))
+    return sum(n * (e[:, None] * e.conj()) for n, e in zip(sources.nbar, phasors))
+
+
+def _entry_error(sources: SourceArray, phases: np.ndarray, real: bool) -> float:
+    """A bound on the rounding error of each entry of `coherence_matrix`.
+
+    A complex entry j, k sums K terms w_l e_j conj(e_k), w_l = nbar_l; a real
+    one sums ceil(K/2) terms w_l (c_j c_k + s_j s_k), w_l = 2 nbar_l for a
+    pair; e = c + 1j s = exp(1j * s_l * d) are unit phasors,
+    s_l = l - (K - 1)/2, u = eps / 2, and the w_l add up to sum nbar.
+
+    * Each phasor is within eps (libm's exp, cos and sin are good to about
+      an ulp), plus u * |s_l * d| from the rounding of the phase s_l * d
+      unless |s_l| is 0 or a power of two, so never at K = 2, 3 or 5.  The
+      exact product of two phasors is then within (2 + phase) eps,
+      phase = max |s_l * d| over the rounded phases.
+    * The complex product adds 2 sqrt(2) u (Higham lemma 3.5), the real
+      one's two products and their sum 2u, and the scaling by w_l u unless
+      every w_l is a power of two: a term is within (3.42 + phase) eps * w_l
+      complex or (3 + phase) eps * w_l real, plus 0.5 eps * w_l if scaled.
+    * Each addition after the first adds u * sum nbar.
+
+    One ulp per component puts a phasor within sqrt(2) u, not eps: the
+    0.58 eps per term between them covers the second-order terms.
+    """
+    gaps = [abs(2 * a - (sources.count - 1)) for a in sources.prefactors]
+    inexact = max((g for g in gaps if g & (g - 1)), default=0)
+    phase = inexact / 2 * float(np.abs(phases).max()) if inexact else 0.0
+    terms = (sources.count + 1) // 2 if real else sources.count
+    # 2 nbar_l is a power of two exactly when nbar_l is
+    scaled = any(math.frexp(n)[0] != 0.5 for n in sources.nbar)
+    term = (3 if real else 3.42) + phase + scaled / 2
+    return (term + (terms - 1) / 2) * np.finfo(float).eps * sum(sources.nbar)
 
 
 def correlation_permanent_bounded(
@@ -417,25 +475,18 @@ def correlation_permanent_bounded(
     `_glynn`), and covers the rounding of the coherence matrix as well.
     Raises NumericalError when it exceeds ORACLE_TOLERANCE.
     """
-    order = len(deltas)
+    phases = np.asarray(deltas, dtype=float)
+    order = len(phases)
     if order < 1:
         raise ValueError("need at least one detector phase")
     if order * order > PERMANENT_MAX_TERMS:
         raise CapacityError(
             f"{order} x {order} coherence matrix exceeds PERMANENT_MAX_TERMS entries"
         )
-    matrix = coherence_matrix(sources, deltas)
-    # Entry j, k sums K terms nbar_l * e_j * conj(e_k) of unit phasors
-    # e = exp(1j * alpha_l * d), u = eps / 2.  Each phasor is within eps
-    # (libm's exp is good to about an ulp), plus u * |alpha * d| from the
-    # rounding of the phase alpha * d.  The product and the scaling add
-    # 2 sqrt(2) u + u, so a term is within (3.92 + phase) eps * nbar_l, and
-    # the K - 1 additions add (K - 1) u * sum nbar.
-    info = np.finfo(matrix.dtype)
-    phase = max(sources.prefactors) * max(abs(float(d)) for d in deltas)
-    entry_error = (phase + 3.5 + sources.count / 2) * info.eps * sum(sources.nbar)
+    matrix = coherence_matrix(sources, phases)
+    entry_error = _entry_error(sources, phases, np.isrealobj(matrix))
     value, error = _glynn(matrix, entry_error)
-    bound = error / max(abs(value.real), info.tiny)
+    bound = error / max(abs(value.real), np.finfo(float).tiny)
     if not bound <= ORACLE_TOLERANCE:
         raise NumericalError(
             f"permanent error bound {bound:.2e} exceeds {ORACLE_TOLERANCE:g} "
@@ -447,7 +498,8 @@ def correlation_permanent_bounded(
 def correlation_permanent(sources: SourceArray, deltas: Sequence[float]) -> float:
     """Mth-order correlation as the permanent of the mutual coherence matrix.
 
-    Independent of correlation_pathsum.  Evaluated in complex128 on every
+    Independent of correlation_pathsum.  Evaluated in float64 for
+    mirror-symmetric brightness and in complex128 otherwise, on every
     platform; raises NumericalError when the a-posteriori error bound of
     `correlation_permanent_bounded` exceeds ORACLE_TOLERANCE.
     """

@@ -77,6 +77,22 @@ def repeated(kind, n, seed):
     return matrix
 
 
+def uncentred_matrix(sources, deltas):
+    # the coherence matrix with phases alpha_l * d rather than centred ones:
+    # complex128 at any brightness, with the same permanent
+    phases = np.asarray(deltas, dtype=float)
+    matrix = np.zeros((len(phases), len(phases)), dtype=complex)
+    for alpha, nbar in zip(sources.prefactors, sources.nbar):
+        e = np.exp(1j * (alpha * phases))
+        matrix += nbar * np.outer(e, e.conj())
+    return matrix
+
+
+def bits(array):
+    # the stored bits, so that -0.0 and 0.0 differ
+    return np.ascontiguousarray(array).view(np.uint8)
+
+
 def brute_force_correlation(sources, deltas):
     # reference oracle: expand the partition sum with raw permutation
     # counting (each distinct arrangement once, multiplicity in the weight)
@@ -489,6 +505,68 @@ class TestPermanent:
             assert permanent(matrix) == pytest.approx(expected, rel=1e-10)
 
 
+def reference_sign_sums(columns, choices):
+    # the per-choice loop that the broadcast in `_sign_sums` replaced
+    width = math.prod(map(len, choices))
+    table = np.empty((columns.shape[0], width), dtype=columns.dtype)
+    table[:, 0] = 0
+    weights = np.ones(width)
+    size = 1
+    for column, choice in zip(columns.T, choices):
+        for k, (q, w) in enumerate(choice[1:], 1):
+            block = slice(k * size, (k + 1) * size)
+            np.add(table[:, :size], (q * column)[:, None], out=table[:, block])
+            np.multiply(weights[:size], float(w), out=weights[block])
+        table[:, :size] += (choice[0][0] * column)[:, None]
+        size *= len(choice)
+    return table, weights
+
+
+def reference_repeats(vectors):
+    # the per-row loop that `_repeats` replaced
+    groups = {}
+    for i, vector in enumerate(vectors):
+        groups.setdefault(vector.tobytes(), []).append(i)
+    firsts = [group[0] for group in groups.values()]
+    return firsts, [len(group) for group in groups.values()]
+
+
+class TestSignTables:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize(
+        "counts", [(1, 3, 2, 1), (1,) * 7, (5,)], ids=["grouped", "distinct", "one"]
+    )
+    def test_broadcast_matches_the_per_choice_loop(self, counts, dtype):
+        rng = np.random.default_rng(len(counts))
+        columns = rng.normal(size=(6, len(counts))) / 3
+        if dtype is np.complex128:
+            columns = columns + 1j * rng.normal(size=columns.shape) / 3
+        columns[0] = 0.0
+        columns[1, 0] = -0.0
+        # the choices (m - 2k, (-1)**k C(free, k)) of the old `_sign_choices`
+        free = (counts[0] - 1,) + counts[1:]
+        choices = [
+            [(m - 2 * k, (-1) ** k * math.comb(f, k)) for k in range(f + 1)]
+            for m, f in zip(counts, free)
+        ]
+        groups = pathsum._sign_groups(counts)
+        assert groups == list(zip(counts, free))
+        table, weights = pathsum._sign_sums(columns, groups)
+        want_table, want_weights = reference_sign_sums(columns, choices)
+        assert table.dtype == want_table.dtype and table.shape == want_table.shape
+        assert np.array_equal(bits(table), bits(want_table))
+        assert np.array_equal(bits(weights), bits(want_weights))
+
+    @pytest.mark.parametrize("kind", ["distinct", "columns", "rows", "both", "ones"])
+    def test_repeats_match_the_per_row_loop(self, kind):
+        matrix = repeated(kind, 9, 21)
+        # bit-identical, not equal in value: -0.0 is a vector of its own
+        matrix[:, 4] = 0.0
+        matrix[:, 5] = -0.0
+        for vectors in (matrix, matrix.T, matrix.real, matrix.real.T):
+            assert pathsum._repeats(vectors) == reference_repeats(vectors)
+
+
 class TestBlockedGlynn:
     # The first column's sign is fixed, so n = 7 and 8 with 1 or 3 low
     # columns draw 5 to 6 or 3 to 4 high columns from the half tables; with
@@ -506,6 +584,25 @@ class TestBlockedGlynn:
         value = permanent(matrix)
         assert isinstance(value, complex)
         assert value == pytest.approx(brute_force_permanent(matrix), rel=1e-10)
+
+    @pytest.mark.parametrize("kind", ["distinct", "columns", "rows", "both", "ones"])
+    def test_real_matrix_is_summed_in_float64(self, monkeypatch, kind):
+        # a real matrix keeps its dtype through the row sums and products,
+        # and its permanent is still returned as a complex number
+        monkeypatch.setattr(pathsum, "_LOW_COLUMNS", 3)
+        matrix = repeated(kind, 7, 107).real
+        dtypes = []
+        row_products = pathsum._row_products
+
+        def recorded(rows, repeats):
+            dtypes.append(rows.dtype)
+            return row_products(rows, repeats)
+
+        monkeypatch.setattr(pathsum, "_row_products", recorded)
+        value = permanent(matrix)
+        assert isinstance(value, complex) and value.imag == 0
+        assert value == pytest.approx(brute_force_permanent(matrix), rel=1e-10)
+        assert set(dtypes) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("kind", ["columns", "rows", "both", "ones"])
     def test_grouped_sum_is_within_its_bound_of_the_exact_value(
@@ -576,16 +673,28 @@ class TestBlockedGlynn:
         assert rounded > 0  # the case does exercise rounding
 
     def test_bound_covers_the_exact_error(self):
-        # a cancelling case: the coherence matrix of a co-located (4, 2) layout
+        # a cancelling case: the coherence matrix of a co-located (4, 2)
+        # layout, complex with its phases taken from source 0
+        phases = DetectorLayout.colocated(4, 2).detector_phases(0.9)
+        self.check_bound_covers_the_exact_error(
+            uncentred_matrix(SourceArray(), phases), len(phases)
+        )
+
+    def test_bound_covers_the_exact_error_real(self):
+        # the same layout's centred coherence matrix, summed in float64
         phases = DetectorLayout.colocated(4, 2).detector_phases(0.9)
         matrix = coherence_matrix(SourceArray(), phases)
+        assert matrix.dtype == np.float64
+        self.check_bound_covers_the_exact_error(matrix, len(phases))
+
+    @staticmethod
+    def check_bound_covers_the_exact_error(matrix, n):
         value, error = pathsum._glynn(matrix)
         want_re, want_im = exact_permanent(matrix)
         assert abs(exact(value.real) - want_re) <= Fraction(error)
         assert abs(exact(value.imag) - want_im) <= Fraction(error)
         assert error < 1e-6 * abs(float(want_re))
         # rounding scales with eps * sum |term|; a bound below that is no bound
-        n = len(phases)
         signs = itertools.product((1, -1), repeat=n - 1)
         terms = [np.prod(matrix @ np.array((1,) + s)) / 2 ** (n - 1) for s in signs]
         assert error >= np.finfo(float).eps * sum(abs(t) for t in terms)
@@ -605,8 +714,16 @@ class TestBlockedGlynn:
         # a term of weight w stands for |w| sign vectors, and a row that
         # occurs r times for r rows: the bound must add up as if every sign
         # vector and row were taken one by one
-        n, entry_error = 6, 1e-9
-        matrix = repeated(kind, n, 9)
+        self.check_bound_over_sign_vectors(repeated(kind, 6, 9))
+
+    @pytest.mark.parametrize("kind", ["distinct", "columns", "rows", "both", "ones"])
+    def test_grouped_bound_is_the_bound_over_sign_vectors_real(self, kind):
+        # the same in float64, with the same c = 2n
+        self.check_bound_over_sign_vectors(repeated(kind, 6, 9).real)
+
+    @staticmethod
+    def check_bound_over_sign_vectors(matrix):
+        n, entry_error = len(matrix), 1e-9
         _, error = pathsum._glynn(matrix, entry_error)
         eps = np.finfo(float).eps
         d = n * (eps * np.abs(matrix).sum(axis=1) + entry_error)
@@ -644,8 +761,9 @@ class TestBlockedGlynn:
         assert max(widths) <= 1 << pathsum._LOW_COLUMNS
 
     def test_traced_memory_is_bounded_by_the_block(self):
-        # 2**19 terms at M = 20 would take 8.4 MB as one complex vector, and
-        # their 20 row sums 168 MB; a block holds 2**10 of them
+        # 2**19 terms at M = 20 would take 4.2 MB as one float64 vector (the
+        # equal-brightness matrix is real), and their 20 row sums 84 MB; a
+        # block holds 2**10 of them
         phases = DetectorLayout.spread(10).detector_phases(0.9)
         tracemalloc.start()
         try:
@@ -697,8 +815,111 @@ class TestPermanentOracle:
         with pytest.raises(NumericalError, match=f"error bound {bound:.2e} exceeds"):
             correlation_permanent(SourceArray(), phases)
 
+    @pytest.mark.parametrize(
+        "layout,delta1",
+        ORACLE_LAYOUTS,
+        ids=[f"M{lay.order}-{lay.m1}_{lay.m2}" for lay, _ in ORACLE_LAYOUTS],
+    )
+    def test_real_and_complex_sums_agree_within_their_bounds(self, layout, delta1):
+        matrix = coherence_matrix(SourceArray(), layout.detector_phases(delta1))
+        assert matrix.dtype == np.float64
+        real, real_error = pathsum._glynn(matrix)
+        value, error = pathsum._glynn(matrix.astype(np.complex128))
+        assert abs(real - value) <= real_error + error
+
+    def test_colocated_9_16_is_certified(self):
+        # M = 25 and 327680 terms, past the distinct-phase cap of M = 20: the
+        # real sum at centred phases bounds it at about 2e-10
+        layout = DetectorLayout.colocated(9, 16)
+        value, bound = correlation_permanent_bounded(
+            SourceArray(), layout.detector_phases(1.35299)
+        )
+        gap = abs(value - closed_form(layout).g(1.35299)) / value
+        assert gap <= bound <= 1e-9
+
+
+def decimal_pi():
+    # pi in the caller's context, by the series of the decimal module's recipes
+    total, term, n, na, d, da, last = Decimal(3), Decimal(3), 1, 0, 0, 24, 0
+    while total != last:
+        last = total
+        n, na = n + na, na + 8
+        d, da = d + da, da + 32
+        term = term * n / d
+        total += term
+    return total
+
 
 class TestCoherenceMatrix:
+    @pytest.mark.parametrize(
+        "nbar,dtype",
+        [
+            ((1.0,), np.float64),
+            ((1.0, 1.0), np.float64),
+            ((0.5, 2.0, 0.5), np.float64),
+            ((0.7, 1.3, 1.3, 0.7), np.float64),
+            ((1.0, 1.5), np.complex128),
+            ((0.5, 2.0, 1.0), np.complex128),
+            ((0.7, 1.3, 0.7, 0.7), np.complex128),
+        ],
+    )
+    def test_real_exactly_for_mirror_symmetric_brightness(self, nbar, dtype):
+        sources = SourceArray(nbar=nbar)
+        phases = DetectorLayout.colocated(3, 2).detector_phases(0.9)
+        matrix = coherence_matrix(sources, phases)
+        assert matrix.dtype == dtype
+        # a diagonal unitary similarity of the uncentred matrix
+        uncentred = uncentred_matrix(sources, phases)
+        np.testing.assert_allclose(np.abs(matrix), np.abs(uncentred), rtol=1e-14)
+        assert permanent(matrix) == pytest.approx(permanent(uncentred), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "nbar",
+        [
+            (1.0, 1.0),
+            (0.6, 1.7),
+            (0.5, 2.0, 0.5),
+            (0.5, 2.0, 1.0),
+            (0.7, 1.3, 1.3, 0.7),
+            (0.7, 1.3, 0.9, 2.5),
+        ],
+    )
+    def test_entries_lie_within_the_entry_error(self, nbar):
+        # against the centred matrix in 60 digits, at phases up to 1e6 rad:
+        # K = 2 and 3 round no phase, K = 4 rounds (3/2) d
+        sources = SourceArray(nbar=nbar)
+        rng = np.random.default_rng(len(nbar))
+        phases = np.concatenate(
+            [rng.uniform(-1e6, 1e6, size=3), rng.uniform(0, 2 * math.pi, size=3)]
+        )
+        matrix = coherence_matrix(sources, phases)
+        real = matrix.dtype == np.float64
+        allowed = Decimal(pathsum._entry_error(sources, phases, real))
+        half = Decimal(sources.count - 1) / 2
+        with localcontext() as context:
+            context.prec = 60
+            turn = 2 * decimal_pi()
+            phasors = []
+            for d in phases:
+                row = []
+                for alpha in sources.prefactors:
+                    angle = (alpha - half) * Decimal(d)
+                    row.append(decimal_phasor(angle - turn * round(angle / turn)))
+                phasors.append(row)
+            for j, k in itertools.product(range(len(phases)), repeat=2):
+                want_re = want_im = Decimal(0)
+                for nbar_l, (c_j, s_j), (c_k, s_k) in zip(
+                    sources.nbar, phasors[j], phasors[k]
+                ):
+                    want_re += Decimal(nbar_l) * (c_j * c_k + s_j * s_k)
+                    want_im += Decimal(nbar_l) * (s_j * c_k - c_j * s_k)
+                entry = complex(matrix[j, k])
+                off_re = Decimal(entry.real) - want_re
+                off_im = Decimal(entry.imag) - want_im
+                assert (off_re**2 + off_im**2).sqrt() <= allowed
+                if real:
+                    assert abs(want_im) < Decimal(10) ** -40
+
     def test_balanced_pair_coincident(self):
         sources = SourceArray()
         matrix = coherence_matrix(sources, (0.0, 0.0))

@@ -82,21 +82,10 @@ def _split_table(
         moved = [block[down] * phasor for phasor in row]
         for up, term in zip(ups, moved):
             block[up] += term
-    taken = np.zeros((), dtype=int)
-    for _ in range(axes):
-        taken = np.add.outer(taken, np.arange(order + 1))
-    full = np.asarray(taken <= order)  # an array even when K = 1
+    # an array even when K = 1 and the sum of no index arrays is 0
+    full = np.asarray(sum(np.indices(table.shape, sparse=True)) <= order)
     lead = np.argwhere(full)
     return np.column_stack([lead, order - lead.sum(axis=1)]), table[full]
-
-
-def _split_amplitudes(
-    alphas: Sequence[int], phases: Sequence[float]
-) -> dict[tuple[int, ...], complex]:
-    """{split: amplitude} for every photon-number split, from `_split_table`."""
-    splits, amplitudes = _split_table(alphas, phases)
-    amplitudes *= np.exp(1j * alphas[-1] * math.fsum(phases))
-    return dict(zip(map(tuple, splits.tolist()), amplitudes.tolist()))
 
 
 def correlation_pathsum_bounded(
@@ -125,12 +114,14 @@ def correlation_pathsum_bounded(
 
     Raises NumericalError when the bound exceeds ORACLE_TOLERANCE, or where
     M!, a weight or a term leaves the double range; CapacityError above
-    PATHSUM_MAX_TABLE.
+    PATHSUM_MAX_TABLE; ValueError for a non-finite phase.
     """
     phases = [float(d) for d in deltas]
     order, count = len(phases), sources.count
     if order < 1:
         raise ValueError("need at least one detector phase")
+    if not all(map(math.isfinite, phases)):
+        raise ValueError(f"deltas must be finite, got {deltas!r}")
     alphas = sources.prefactors
     eps = np.finfo(float).eps
     gaps = [alphas[-1] - a for a in alphas]
@@ -167,17 +158,6 @@ def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
     return correlation_pathsum_bounded(sources, deltas)[0]
 
 
-def _sign_groups(counts: Sequence[int]) -> list[tuple[int, int]]:
-    """Per group of equal columns, its size m and its count of free signs.
-
-    When k of the m signs of a group of m equal columns c are -1, the group
-    adds (m - 2k) c to every row sum, and C(m, k) sign vectors of parity
-    (-1)**k do so.  Group 0 holds the column whose sign is fixed at +1, so
-    its k = 0 ... m - 1 minus signs fall among the other m - 1 columns.
-    """
-    return [(m, m - 1 if g == 0 else m) for g, m in enumerate(counts)]
-
-
 def _sign_sums(
     columns: np.ndarray, groups: Sequence[tuple[int, int]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -187,10 +167,11 @@ def _sign_sums(
     factor q = m - 2k and weight w = (-1)**k C(f, k).  Column c of the
     (rows, prod_g (f_g + 1)) table takes choice k_g of group g, where
     c = k_0 + (f_0 + 1) * (k_1 + (f_1 + 1) * ...).  Each sum takes one
-    rounded product q_g * columns[:, g] and one addition per group: a
-    group's choices extend the table of the groups before it in one
-    broadcast, choice k being block k.  With the factors (+1, -1) of a
-    single column this is the table of its two signs.
+    rounded product q_g * columns[:, g] and one addition per group, the
+    first to an exact 0: a group's choices extend the table of the groups
+    before it in one broadcast, choice k being block k.  No group leaves
+    one column of 0, of weight 1.  With the factors (+1, -1) of a single
+    column this is the table of its two signs.
     """
     table = np.zeros((columns.shape[0], 1), dtype=columns.dtype)
     weights = np.ones(1)
@@ -209,47 +190,37 @@ def _sign_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Glynn's row sums over the minus-sign counts of groups of equal columns.
 
-    Group g repeats the column columns[:, g] counts[g] times, and group 0
-    holds the column whose sign is fixed at +1.  Yields (rows, weights) per
-    block: column c of the (rows, width) array `rows` in the i-th block
-    holds sum_g (m_g - 2 k_g) columns[:, g] for the choice numbered
+    Group g repeats the column columns[:, g] m_g = counts[g] times, each of
+    its signs free but in group 0, which holds the column whose sign is
+    fixed at +1; `_sign_sums` gives each group's choices and weights.
+    Yields (rows, weights) per block: column c of the (rows, width) array
+    `rows` in the i-th block holds the row sums of the choice numbered
     c + width * i, in the mixed radix of `_sign_sums` over all groups in
-    order, and `weights` holds prod_g (-1)**k_g C(m_g, k_g), the signed count
-    of the sign vectors with those row sums.  Group 0 and the groups after
-    it whose choices number at most 2**_LOW_COLUMNS together form one table;
-    the row sums of the other groups are drawn from two half tables, so
-    every row sum is one rounded product per group and at most one addition
-    per group after the first.  No row sum is carried from block to block, as a
-    Gray-code walk would carry it: that adds one rounding per step, which no
-    per-term bound can follow.  With every count 1 the choices are the two
-    signs of each column.  `rows` is overwritten by the next block.
+    order, and `weights` the signed count of its sign vectors.  Group 0 and
+    the groups after it whose choices number at most 2**_LOW_COLUMNS form
+    the low table and the others the high table; block i adds column i of
+    the high table to the low table, so every row sum is one rounded
+    product per group and at most one addition per group after the first.
+    One block adds a column of +0, which changes no bit: no sum built up
+    from +0 is -0.  No row sum is carried from block to block, as a
+    Gray-code walk would carry it: that adds one rounding per step, which
+    no per-term bound can follow.  `rows` is overwritten by the next block.
     """
-    groups = _sign_groups(counts)
+    groups = [(m, m - 1 if g == 0 else m) for g, m in enumerate(counts)]
     radix = [free + 1 for _, free in groups]
     b, width = 1, radix[0]
     while b < len(radix) and width * radix[b] <= 1 << _LOW_COLUMNS:
         width *= radix[b]
         b += 1
-    rest = math.prod(radix[b:])
-    h, half = b, 1
-    while h < len(radix) and (half * radix[h]) ** 2 <= rest:
-        half *= radix[h]
-        h += 1
     low, low_weight = _sign_sums(columns[:, :b], groups[:b])
-    if b == len(radix):
-        # one block: adding the empty groups' zero sums would change no bit
-        yield low, low_weight
-        return
-    mid, mid_weight = _sign_sums(columns[:, b:h], groups[b:h])
-    top, top_weight = _sign_sums(columns[:, h:], groups[h:])
+    high, high_weight = _sign_sums(columns[:, b:], groups[b:])
     rows = np.empty_like(low)
-    for top_sum, top_w in zip(top.T, top_weight):
-        for mid_sum, mid_w in zip(mid.T, mid_weight):
-            # broadcast by copy, then add like-shaped arrays: a broadcasting
-            # add runs about 1.5x slower on these shapes
-            np.copyto(rows, (mid_sum + top_sum)[:, None])
-            rows += low
-            yield rows, low_weight * (mid_w * top_w)
+    for high_sum, high_w in zip(high.T, high_weight):
+        # broadcast by copy, then add like-shaped arrays: a broadcasting add,
+        # or a new array per block, runs about 1.5x slower on these shapes
+        np.copyto(rows, high_sum[:, None])
+        rows += low
+        yield rows, low_weight * high_w
 
 
 def _row_products(rows: np.ndarray, repeats: Sequence[int]) -> np.ndarray:
@@ -344,8 +315,8 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
       sqrt(2) * 2u when complex and u when real, and one product with its
       weight w, which is an exact integer while |w| <= 2**(n-1) < 2**53:
       at most (2 sqrt(2) (n - 1) + 1) u |t|.
-      Past n = 53 the G groups' binomials, the products of the weights and
-      the two that join the block tables may round too: (2G + 2) u |t| more.
+      Past n = 53 the G binomials, the G weight products within the two
+      tables and the one joining them may round too: (2G + 2) u |t| more.
     * The T terms are summed pairwise (`_pairwise_sum` over each block, then
       over the blocks).  A group of m columns has m + 1 <= 2**m choices, and
       the pinned one m_p <= 2**(m_p - 1), so that is at most n - 1 additions
@@ -356,7 +327,8 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     The c = 2n used below (2n + G + 1 past n = 53) exceeds that factor by at
     least 1.5, which covers the second-order terms; a real sum rounds less,
     so the same c serves both dtypes.  The bound's own arithmetic rounds at
-    a relative O(n eps).
+    a relative O(n eps).  A sum that overflows, or meets inf - inf, raises
+    NumericalError at once.
     """
     a = np.asarray(matrix)
     a = a.astype(np.result_type(a, float), copy=False)
@@ -391,20 +363,26 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     sums = []
     magnitude = moved = 0.0
     reach = None
-    for rows, weights in _sign_blocks(columns, [counts[g] for g in groups]):
-        terms = _row_products(rows, repeats)
-        terms *= weights
-        magnitude += np.abs(terms).sum()
-        sums.append(_pairwise_sum(terms))
-        reach = np.abs(rows, out=reach)
-        reach += d[:, None]
-        weight = _row_products(reach, repeats)
-        weight *= np.abs(weights)
-        moved += weight @ (d_repeated @ np.reciprocal(reach, out=reach))
     scale = 0.5 ** (n - 1)
-    total = complex(_pairwise_sum(np.array(sums))) * scale
     c = 2 * n if n <= 53 else 2 * n + len(counts) + 1
-    return total, float(scale * (c * eps * magnitude + moved))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for rows, weights in _sign_blocks(columns, [counts[g] for g in groups]):
+                terms = _row_products(rows, repeats)
+                terms *= weights
+                magnitude += np.abs(terms).sum()
+                sums.append(_pairwise_sum(terms))
+                reach = np.abs(rows, out=reach)
+                reach += d[:, None]
+                weight = _row_products(reach, repeats)
+                weight *= np.abs(weights)
+                moved += weight @ (d_repeated @ np.reciprocal(reach, out=reach))
+            total = complex(_pairwise_sum(np.array(sums))) * scale
+            return total, float(scale * (c * eps * magnitude + moved))
+    except FloatingPointError as exc:
+        raise NumericalError(
+            f"permanent at M = {n} leaves the double range ({exc})"
+        ) from None
 
 
 def coherence_matrix(sources: SourceArray, deltas: Sequence[float]) -> np.ndarray:
@@ -473,12 +451,15 @@ def correlation_permanent_bounded(
 
     The bound is a posteriori, from the terms of this very evaluation (see
     `_glynn`), and covers the rounding of the coherence matrix as well.
-    Raises NumericalError when it exceeds ORACLE_TOLERANCE.
+    Raises NumericalError when it exceeds ORACLE_TOLERANCE or the sum leaves
+    the double range; ValueError for a non-finite phase.
     """
     phases = np.asarray(deltas, dtype=float)
     order = len(phases)
     if order < 1:
         raise ValueError("need at least one detector phase")
+    if not np.isfinite(phases).all():
+        raise ValueError(f"deltas must be finite, got {deltas!r}")
     if order * order > PERMANENT_MAX_TERMS:
         raise CapacityError(
             f"{order} x {order} coherence matrix exceeds PERMANENT_MAX_TERMS entries"

@@ -6,12 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from thermalnoon import cli, fockstate
+from thermalnoon import cli, fockstate, pathsum
 from thermalnoon.analytic import closed_form
 from thermalnoon.cli import main
 from thermalnoon.curves import default_grid
 from thermalnoon.geometry import DetectorLayout, SourceArray
-from thermalnoon.pathsum import PATHSUM_MAX_TABLE
 from thermalnoon.speckle import SpeckleConfig
 
 DATA = Path(__file__).parent / "data"
@@ -138,15 +137,31 @@ class TestOracleCheckCommand:
         assert 0.0 < report["pathsum_error_bound"] <= report["tolerance"]
 
     def test_order_cap_enforced(self, monkeypatch, tmp_path, capsys):
-        # two sources fill a table of M + 1 splits: M = 2**20 - 1 is the last
+        # no cap of its own: at --seed 1 the path sum's error bound refuses
+        # spread(31), M = 62, and no layout after it is built, not even the
+        # 19900 co-located ones of --max-order 200
+        built = set()
+        for name in ("spread", "colocated"):
+
+            def recorded(*args, make=getattr(DetectorLayout, name), name=name):
+                built.add((name, args))
+                return make(*args)
+
+            monkeypatch.setattr(DetectorLayout, name, staticmethod(recorded))
         argv = ["oracle-check", "--seed", "1", "--max-order"]
-        assert main(argv + [str(PATHSUM_MAX_TABLE)]) == 2
-        assert "over PATHSUM_MAX_TABLE" in capsys.readouterr().err
-        # the same edge, moved where a run is short
-        monkeypatch.setattr(cli, "PATHSUM_MAX_TABLE", 13)
+        for max_order in ("1048576", "200"):
+            built.clear()
+            assert main(argv + [max_order]) == 2
+            err = capsys.readouterr().err
+            assert "path-sum error bound" in err and "M = 62" in err
+            assert built == {("spread", (m,)) for m in range(1, 32)}
+        # the path sum's table cap is the other edge: two sources fill M + 1
+        # splits, and the random K <= 3 configurations up to 7**2 = 49
+        monkeypatch.setattr(pathsum, "PATHSUM_MAX_TABLE", 49)
         out = str(tmp_path / "oracle.json")
-        assert main(argv + ["12", "--samples", "2", "--out", out]) == 0
-        assert main(argv + ["13", "--samples", "2", "--out", out]) == 2
+        assert main(argv + ["48", "--samples", "1", "--out", out]) == 0
+        assert main(argv + ["49", "--samples", "1", "--out", out]) == 2
+        assert "exceeds PATHSUM_MAX_TABLE = 49" in capsys.readouterr().err
 
     def test_seed_is_required(self):
         with pytest.raises(SystemExit):

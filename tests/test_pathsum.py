@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -88,6 +89,14 @@ def uncentred_matrix(sources, deltas):
     return matrix
 
 
+def split_amplitudes(alphas, phases):
+    # {split: amplitude} for every photon-number split, from `_split_table`,
+    # with the unit phase of source K-1 that the table divides out put back
+    splits, amplitudes = pathsum._split_table(alphas, phases)
+    amplitudes *= np.exp(1j * alphas[-1] * math.fsum(phases))
+    return dict(zip(map(tuple, splits.tolist()), amplitudes.tolist()))
+
+
 def bits(array):
     # the stored bits, so that -0.0 and 0.0 differ
     return np.ascontiguousarray(array).view(np.uint8)
@@ -118,7 +127,7 @@ def brute_force_correlation(sources, deltas):
 class TestSplitTable:
     # at zero phase every path is 1, so a split's amplitude is its path count
     def test_two_sources_order_two(self):
-        amplitudes = pathsum._split_amplitudes((0, 1), (0.0, 0.0))
+        amplitudes = split_amplitudes((0, 1), (0.0, 0.0))
         assert amplitudes == pytest.approx({(2, 0): 1, (1, 1): 2, (0, 2): 1})
 
     def test_single_source(self):
@@ -197,23 +206,23 @@ class TestMultisetPhaseSum:
     def test_all_same_label_is_single_arrangement(self):
         # only one distinct arrangement, so the sum is a pure phase
         deltas = (0.4, 1.3, 2.2)
-        value = pathsum._split_amplitudes((1,), deltas)[(3,)]
+        value = split_amplitudes((1,), deltas)[(3,)]
         assert value == pytest.approx(np.exp(1j * sum(deltas)), abs=1e-12)
 
     def test_zero_labels_give_unity(self):
-        value = pathsum._split_amplitudes((0,), (0.1, 0.9, 3.0, 5.5))[(4,)]
+        value = split_amplitudes((0,), (0.1, 0.9, 3.0, 5.5))[(4,)]
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_balanced_pair_cancels_at_magic_positions(self):
         # the {0,1} multiset interferes destructively on the magic comb
-        value = pathsum._split_amplitudes((0, 1), tuple(magic_positions(2)))[(1, 1)]
+        value = split_amplitudes((0, 1), tuple(magic_positions(2)))[(1, 1)]
         assert abs(value) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_uniform_multiset_on_magic_comb_alternates_sign(self, m):
         # sum of the comb is pi*(m-1), so the lone arrangement carries
         # the parity factor (-1)**(m-1)
-        value = pathsum._split_amplitudes((1,), tuple(magic_positions(m)))[(m,)]
+        value = split_amplitudes((1,), tuple(magic_positions(m)))[(m,)]
         assert value == pytest.approx((-1.0) ** (m - 1), abs=1e-12)
 
     def test_matches_brute_force_on_random_inputs(self):
@@ -233,7 +242,7 @@ class TestMultisetPhaseSum:
                 )
             values = sorted(set(labels))
             split = tuple(labels.count(v) for v in values)
-            assert pathsum._split_amplitudes(values, deltas)[split] == pytest.approx(
+            assert split_amplitudes(values, deltas)[split] == pytest.approx(
                 expected, abs=1e-10
             )
 
@@ -249,13 +258,13 @@ class TestMultisetPhaseSum:
                 arrangements //= math.factorial(repeat)
             values = sorted(counts)
             split = tuple(counts[v] for v in values)
-            value = pathsum._split_amplitudes(values, deltas)[split]
+            value = split_amplitudes(values, deltas)[split]
             assert abs(value) <= arrangements + 1e-9
 
     def test_rejects_length_mismatch(self):
         # a split of two photons has no paths over one detector
         with pytest.raises(KeyError):
-            pathsum._split_amplitudes((0, 1), (0.0,))[(1, 1)]
+            split_amplitudes((0, 1), (0.0,))[(1, 1)]
 
 
 class TestCorrelationPathsum:
@@ -483,6 +492,16 @@ class TestSplitRecursion:
         with pytest.raises(NumericalError, match="double range"):
             correlation_pathsum(SourceArray(), (0.0,) * 170)
 
+    def test_permanent_overflow_is_refused(self):
+        # with no minus sign among the 150 equal columns, their rows sum to
+        # about 300, and 150 such factors pass 1e308 in the first block
+        phases = DetectorLayout.colocated(150, 10).detector_phases(0.9)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError, match="M = 160 leaves the double range"):
+                correlation_permanent_bounded(SourceArray(), phases)
+        assert caught == []
+
 
 class TestPermanent:
     def test_identity(self):
@@ -549,9 +568,7 @@ class TestSignTables:
             [(m - 2 * k, (-1) ** k * math.comb(f, k)) for k in range(f + 1)]
             for m, f in zip(counts, free)
         ]
-        groups = pathsum._sign_groups(counts)
-        assert groups == list(zip(counts, free))
-        table, weights = pathsum._sign_sums(columns, groups)
+        table, weights = pathsum._sign_sums(columns, list(zip(counts, free)))
         want_table, want_weights = reference_sign_sums(columns, choices)
         assert table.dtype == want_table.dtype and table.shape == want_table.shape
         assert np.array_equal(bits(table), bits(want_table))
@@ -569,7 +586,7 @@ class TestSignTables:
 
 class TestBlockedGlynn:
     # The first column's sign is fixed, so n = 7 and 8 with 1 or 3 low
-    # columns draw 5 to 6 or 3 to 4 high columns from the half tables; with
+    # columns draw 5 to 6 or 3 to 4 high columns from the high table; with
     # 8 low columns the same sizes, and n = 1, have no high columns at all.
     # Groups of equal columns shift those splits: a group of m columns takes
     # m + 1 choices of its minus-sign count where a distinct column takes 2.
@@ -633,8 +650,9 @@ class TestBlockedGlynn:
     def test_row_sums_lie_within_the_assumed_error(self, monkeypatch, counts):
         # the error bound assumes |computed g_i - exact g_i| <= n eps rho_i,
         # rho_i = sum_j |a_ij| over all n columns.  Four low choices leave
-        # the other groups to both half tables; the group of 3 adds the
-        # rounded products 3c and -3c.
+        # the other groups to the high table, whose sums of several groups
+        # join the low table's; the group of 3 adds the rounded products 3c
+        # and -3c.
         monkeypatch.setattr(pathsum, "_LOW_COLUMNS", 2)
         n, groups = sum(counts), len(counts)
         rng = np.random.default_rng(3)
@@ -759,6 +777,23 @@ class TestBlockedGlynn:
         correlation_permanent(SourceArray(), layout.detector_phases(0.9))
         assert sum(widths) == terms
         assert max(widths) <= 1 << pathsum._LOW_COLUMNS
+
+    @pytest.mark.parametrize(
+        "layout", [DetectorLayout.colocated(3, 13), DetectorLayout.spread(8)]
+    )
+    def test_blocking_moves_the_value_only_within_its_bounds(self, monkeypatch, layout):
+        # M = 16: 16384 or 32768 terms, cut into 16 to 4096 blocks of 8 to
+        # 1024 by the width of the low table
+        phases = layout.detector_phases(0.7)
+        expected = closed_form(layout).g(0.7)
+        results = []
+        for low_columns in (3, 6, 10):
+            monkeypatch.setattr(pathsum, "_LOW_COLUMNS", low_columns)
+            value, bound = correlation_permanent_bounded(SourceArray(), phases)
+            assert abs(value - expected) <= bound * value
+            results.append((value, bound * value))
+        for (a, a_error), (b, b_error) in itertools.combinations(results, 2):
+            assert abs(a - b) <= a_error + b_error
 
     def test_traced_memory_is_bounded_by_the_block(self):
         # 2**19 terms at M = 20 would take 4.2 MB as one float64 vector (the
@@ -979,3 +1014,24 @@ class TestCorrelationPermanent:
         )
         with pytest.raises(CapacityError, match="9 x 9 coherence matrix"):
             correlation_permanent(SourceArray(), (0.0,) * 9)
+
+
+class TestNonFinitePhases:
+    @pytest.mark.parametrize(
+        "route",
+        [correlation_pathsum_bounded, correlation_permanent_bounded],
+        ids=["pathsum", "permanent"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_is_an_input_error(self, monkeypatch, route, bad, where):
+        # refused before any table or matrix is built
+        def no_work(*args):
+            raise AssertionError("built from a non-finite phase")
+
+        monkeypatch.setattr(pathsum, "_split_table", no_work)
+        monkeypatch.setattr(pathsum, "coherence_matrix", no_work)
+        deltas = [0.1, 0.4, 2.5]
+        deltas[where] = bad
+        with pytest.raises(ValueError, match="deltas must be finite"):
+            route(SourceArray(), deltas)

@@ -95,10 +95,6 @@ def _equal_halves(order: int) -> ClosedForm:
     return _derive((m,), m)
 
 
-# Cached by the frozen layout: recognising it builds two layouts to compare,
-# which costs over ten times the G(delta1) that loop callers then evaluate.
-# Bounded, since custom layouts are keys too.
-@functools.lru_cache(maxsize=256)
 def closed_form(layout: DetectorLayout) -> ClosedForm | None:
     """The closed form of spread(m) or colocated(m1, m2 >= 1); None for others."""
     m1, m2 = layout.m1, layout.m2

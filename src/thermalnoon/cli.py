@@ -172,6 +172,18 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
     if args.config is not None:
+        # the file describes the run; only how it is drawn may be overridden
+        run_flags = ("m1", "m2", "layout", "nbar", "sources", "grid", "slit_ratio")
+        given = [
+            f"--{flag.replace('_', '-')}"
+            for flag in run_flags
+            if getattr(args, flag) is not None
+        ]
+        if given:
+            raise ValueError(
+                f"--config describes the run; drop {', '.join(given)} "
+                "(only --frames, --seed and --workers override it)"
+            )
         with open(args.config) as fh:
             data = json.load(fh)
         cfg = SpeckleConfig.from_dict(data)
@@ -183,12 +195,15 @@ def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
         return replace(cfg, **overrides)
     layout = _layout(args, ("--frames", args.frames), ("--seed", args.seed))
     return SpeckleConfig(
-        sources=SourceArray.equidistant(args.sources, args.nbar),
+        sources=SourceArray.equidistant(
+            args.sources if args.sources is not None else 2,
+            args.nbar if args.nbar is not None else 1.0,
+        ),
         layout=layout,
         frames=args.frames,
         seed=args.seed,
-        grid=default_grid(args.grid),
-        slit_ratio=args.slit_ratio,
+        grid=default_grid(args.grid) if args.grid is not None else default_grid(),
+        slit_ratio=args.slit_ratio if args.slit_ratio is not None else 0.0,
         workers=args.workers if args.workers is not None else 1,
     )
 
@@ -310,15 +325,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, metavar="PATH")
     p.set_defaults(handler=_cmd_oracle_check)
 
+    # unset flags stay None, so that --config can refuse the ones it would drop
     p = sub.add_parser("speckle", help="Monte Carlo speckle run")
     _add_layout_flags(p)
+    p.set_defaults(layout=None)
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid", type=int, default=181, metavar="N")
-    p.add_argument("--nbar", type=float, default=1.0, metavar="X")
-    p.add_argument("--sources", type=int, default=2, metavar="K")
+    p.add_argument("--grid", type=int, default=None, metavar="N")
+    p.add_argument("--nbar", type=float, default=None, metavar="X")
+    p.add_argument("--sources", type=int, default=None, metavar="K")
     p.add_argument("--workers", type=int, default=None, metavar="W")
-    p.add_argument("--slit-ratio", type=float, default=0.0)
+    p.add_argument("--slit-ratio", type=float, default=None)
     p.add_argument("--fit-frequency", type=int, default=None)
     p.add_argument("--config", type=str, default=None, metavar="JSON")
     p.add_argument("--out", type=str, default=None, metavar="PATH")

@@ -288,12 +288,10 @@ class TestClosedFormOfLayout:
             assert form.g(delta) == pytest.approx(expected, rel=1e-10)
 
     def test_equal_layouts_share_one_cached_form(self):
-        hits = closed_form.cache_info().hits
         built = DetectorLayout(fixed_phases=(0.0, math.pi), moving_offsets=(0.0,) * 3)
         first = closed_form(DetectorLayout.colocated(3, 2))
         assert closed_form(built) is first
         assert closed_form(DetectorLayout.colocated(3, 2)) is first
-        assert closed_form.cache_info().hits >= hits + 2
 
 
 # The paper's two closed forms, transcribed as published.  The program derives

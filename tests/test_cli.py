@@ -320,6 +320,39 @@ class TestSpeckleCommand:
         assert "frames" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_file_refuses_the_flags_it_would_drop(self, tmp_path, capsys):
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        run = ["speckle", "--config", str(config_path), "--out", str(out)]
+        dropped = [
+            ("--nbar", "5"),
+            ("--sources", "3"),
+            ("--m1", "4"),
+            ("--m2", "4"),
+            ("--layout", "spread"),
+            ("--slit-ratio", "0.5"),
+            ("--grid", "11"),
+        ]
+        assert main(run + [v for pair in dropped for v in pair]) == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag, _ in dropped)
+        assert not out.exists()
+        # the former default, given explicitly, is refused as well
+        assert main(run + ["--layout", "colocated"]) == 2
+        assert "--layout" in capsys.readouterr().err
+        assert not out.exists()
+        # how the run is drawn may still be overridden
+        assert main(run + ["--frames", "500", "--seed", "4", "--workers", "1"]) == 0
+        sidecar = json.loads(out.with_suffix(".json").read_text())
+        assert (sidecar["frames"], sidecar["seed"]) == (500, 4)
+
     @pytest.mark.parametrize(
         "section,field,value",
         [

@@ -604,18 +604,18 @@ class TestBlockedGlynn:
 
     @pytest.mark.parametrize("kind", ["distinct", "columns", "rows", "both", "ones"])
     def test_real_matrix_is_summed_in_float64(self, monkeypatch, kind):
-        # a real matrix keeps its dtype through the row sums and products,
-        # and its permanent is still returned as a complex number
+        # a real matrix keeps its dtype through the row sums, products and
+        # sums of terms, and its permanent is still returned as a complex number
         monkeypatch.setattr(pathsum, "_LOW_COLUMNS", 3)
         matrix = repeated(kind, 7, 107).real
         dtypes = []
-        row_products = pathsum._row_products
+        pairwise_sum = pathsum._pairwise_sum
 
-        def recorded(rows, repeats):
-            dtypes.append(rows.dtype)
-            return row_products(rows, repeats)
+        def recorded(values):
+            dtypes.append(values.dtype)
+            return pairwise_sum(values)
 
-        monkeypatch.setattr(pathsum, "_row_products", recorded)
+        monkeypatch.setattr(pathsum, "_pairwise_sum", recorded)
         value = permanent(matrix)
         assert isinstance(value, complex) and value.imag == 0
         assert value == pytest.approx(brute_force_permanent(matrix), rel=1e-10)
@@ -985,6 +985,27 @@ class TestCorrelationPermanent:
             lhs = correlation_pathsum(sources, deltas)
             rhs = correlation_permanent(sources, deltas)
             assert rhs == pytest.approx(lhs, rel=1e-9)
+
+    def test_agrees_with_pathsum_on_repeated_phases(self):
+        # every phase drawn from a pool of three, so rows and columns of the
+        # coherence matrix repeat and Glynn's grouped terms are exercised, in
+        # float64 and complex128 alike; the two routes meet within the sum of
+        # their own bounds
+        rng = np.random.default_rng(25)
+        complex_runs = most_repeated = 0
+        for _ in range(200):
+            count = int(rng.integers(1, 4))
+            nbar = tuple(float(v) for v in rng.choice([0.5, 1.0, 2.0], size=count))
+            order = int(rng.integers(2, 13))
+            pool = rng.uniform(0, 2 * math.pi, size=3)
+            deltas = tuple(float(v) for v in rng.choice(pool, size=order))
+            sources = SourceArray(nbar=nbar)
+            perm, perm_bound = correlation_permanent_bounded(sources, deltas)
+            path, path_bound = correlation_pathsum_bounded(sources, deltas)
+            assert abs(perm - path) <= perm_bound * abs(perm) + path_bound * abs(path)
+            complex_runs += nbar != nbar[::-1]
+            most_repeated = max(most_repeated, *Counter(deltas).values())
+        assert complex_runs > 0 and most_repeated > 4
 
     def test_needs_a_detector(self):
         with pytest.raises(ValueError, match="at least one detector"):

@@ -250,7 +250,9 @@ def _repeats(vectors: np.ndarray) -> tuple[list[int], list[int]]:
     return firsts, [len(group) for group in groups.values()]
 
 
-def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float]:
+def _glynn(
+    matrix: np.ndarray, entry_error: float = 0.0, limit: float = math.inf
+) -> tuple[complex, float]:
     """Glynn permanent in the matrix's own dtype, with an absolute error bound.
 
     A real matrix is summed in float64 and any other in complex128, through
@@ -306,7 +308,8 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
     least 1.5, which covers the second-order terms; a real sum rounds less,
     so the same c serves both dtypes.  The bound's own arithmetic rounds at
     a relative O(n eps).  A sum that overflows, or meets inf - inf, raises
-    NumericalError at once.
+    NumericalError at once.  So does a bound that passes `limit` before the
+    last block: sum |t| and `moved` only grow, so the final bound would too.
     """
     a = np.asarray(matrix)
     a = a.astype(np.result_type(a, float), copy=False)
@@ -354,6 +357,11 @@ def _glynn(matrix: np.ndarray, entry_error: float = 0.0) -> tuple[complex, float
                 weight = np.multiply.reduce(reach[factors], axis=0)
                 weight *= np.abs(weights)
                 moved += weight @ (d_repeated @ np.reciprocal(reach, out=reach))
+                if scale * (c * eps * magnitude + moved) > limit:
+                    raise NumericalError(
+                        f"permanent error bound passes {limit:.2e} at M = {n} "
+                        "before the sum is done"
+                    )
             total = complex(_pairwise_sum(np.array(sums))) * scale
             return total, float(scale * (c * eps * magnitude + moved))
     except FloatingPointError as exc:
@@ -421,6 +429,24 @@ def _entry_error(sources: SourceArray, phases: np.ndarray, real: bool) -> float:
     return (term + (terms - 1) / 2) * np.finfo(float).eps * sum(sources.nbar)
 
 
+def _permanent_ceiling(diagonal: np.ndarray, entry_error: float) -> float:
+    """An upper bound on |perm(J)| for the exact coherence matrix J.
+
+    J is positive semidefinite, and perm(J) = E[prod_j |z_j|^2] for a
+    circular Gaussian z of covariance J (the Gaussian moment theorem).
+    Hoelder's inequality over the M factors, with E|z_j|^(2M) = M! J_jj^M,
+    gives perm(J) <= M! prod_j J_jj, with equality when J has rank one.
+    Each exact J_jj is within entry_error of the stored one.  The sum and
+    two products per factor round by at most 3M u in all, u = eps / 2,
+    which the factor 1 + 2M eps covers; past the double range it is inf.
+    """
+    ceiling = 1.0
+    # in Python floats, which pass the double range to inf without a warning
+    for j, entry in enumerate((np.abs(diagonal) + entry_error).tolist(), 1):
+        ceiling *= j * entry
+    return ceiling * (1 + 2 * len(diagonal) * np.finfo(float).eps)
+
+
 def correlation_permanent_bounded(
     sources: SourceArray, deltas: Sequence[float]
 ) -> tuple[float, float]:
@@ -429,7 +455,10 @@ def correlation_permanent_bounded(
     The bound is a posteriori, from the terms of this very evaluation (see
     `_glynn`), and covers the rounding of the coherence matrix as well.
     Raises NumericalError when it exceeds ORACLE_TOLERANCE or the sum leaves
-    the double range; ValueError for a non-finite phase.
+    the double range; ValueError for a non-finite phase.  A sum whose error
+    passes 2 ORACLE_TOLERANCE times `_permanent_ceiling` is refused before
+    its last block: with |value| <= ceiling + error, its bound would exceed
+    ORACLE_TOLERANCE.
     """
     phases = np.asarray(deltas, dtype=float)
     order = len(phases)
@@ -443,7 +472,8 @@ def correlation_permanent_bounded(
         )
     matrix = coherence_matrix(sources, phases)
     entry_error = _entry_error(sources, phases, np.isrealobj(matrix))
-    value, error = _glynn(matrix, entry_error)
+    ceiling = _permanent_ceiling(np.diagonal(matrix), entry_error)
+    value, error = _glynn(matrix, entry_error, 2 * ORACLE_TOLERANCE * ceiling)
     bound = error / max(abs(value.real), np.finfo(float).tiny)
     if not bound <= ORACLE_TOLERANCE:
         raise NumericalError(

@@ -1007,6 +1007,53 @@ class TestCorrelationPermanent:
             most_repeated = max(most_repeated, *Counter(deltas).values())
         assert complex_runs > 0 and most_repeated > 4
 
+    def test_hopeless_sum_is_refused_before_it_is_done(self, monkeypatch):
+        # clustered phases at M = 91: 32400 blocks, whose bound would end near
+        # 1e5 relative.  It passes 2e-9 of M! prod J_jj within a few blocks,
+        # and the call is refused there
+        counts = (4, 2, 71, 1, 4, 4, 2, 1, 2)
+        phases = np.repeat([0.3 + 0.7 * g for g in range(len(counts))], counts)
+        blocks = []
+        sign_blocks = pathsum._sign_blocks
+
+        def counted(columns, groups):
+            for block in sign_blocks(columns, groups):
+                blocks.append(block[0].shape)
+                yield block
+
+        monkeypatch.setattr(pathsum, "_sign_blocks", counted)
+        with pytest.raises(NumericalError, match="before the sum is done"):
+            correlation_permanent_bounded(SourceArray(), phases)
+        assert 1 <= len(blocks) <= 10
+
+    def test_ceiling_bounds_exact_permanents_of_psd_matrices(self):
+        # perm(J) <= M! prod_j J_jj for a positive semidefinite J, with
+        # equality at rank one.  J = V V^H for a small integer V is PSD and
+        # exact in floating point, and its permanent is taken in rationals
+        rng = np.random.default_rng(26)
+        ranks_one = 0
+        for case in range(30):
+            n, rank = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+            vectors = rng.integers(-3, 4, size=(n, rank)).astype(float)
+            if case % 2:
+                vectors = vectors + 1j * rng.integers(-3, 4, size=(n, rank))
+            matrix = vectors @ vectors.conj().T
+            diagonal = np.diagonal(matrix).real
+            ceiling = pathsum._permanent_ceiling(np.diagonal(matrix), 0.0)
+            value, imag = exact_permanent(matrix)
+            product = math.factorial(n) * math.prod(int(d) for d in diagonal)
+            assert imag == 0 and 0 <= value <= product <= ceiling
+            if rank == 1:
+                ranks_one += 1
+                assert value == product
+                assert ceiling <= product * (1 + 1e-12)
+        assert ranks_one > 3
+        # a rank-one coherence matrix, every detector at one phase, reaches
+        # the ceiling and is still certified
+        value, bound = correlation_permanent_bounded(SourceArray(), (0.3,) * 20)
+        assert value == pytest.approx(math.factorial(20) * 2.0**20, rel=1e-12)
+        assert bound <= 1e-9
+
     def test_needs_a_detector(self):
         with pytest.raises(ValueError, match="at least one detector"):
             correlation_permanent_bounded(SourceArray(), [])

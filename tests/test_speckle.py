@@ -19,6 +19,8 @@ from thermalnoon.speckle import (
     _batch_sizes,
     _envelope,
     _envelope_factor,
+    _node_count,
+    _node_weights,
     _period,
     _run_unit,
     _work_units,
@@ -32,14 +34,11 @@ def exact_curve(layout, grid=None):
     return closed_form(layout).curve(layout, grid)
 
 
-def brute_force_curve(config):
-    """Reference: every frame's field at every grid point's detector phases.
+def brute_force_batch(config, b, size):
+    """Reference: batch b's frame sum, every frame's field at every grid point.
 
-    Follows the documented batch layout: min(MAX_BATCHES, frames) batches,
-    the first frames % batches of them one frame longer; batch b draws
-    standard normals (frames, 2K) in chunks of CHUNK_FRAMES from
-    Philox(key=seed, counter=[0, 0, 0, b]), real parts first.  Returns the
-    curve values and the batch means.
+    Batch b draws standard normals (size, 2K) in chunks of CHUNK_FRAMES from
+    Philox(key=seed, counter=[0, 0, 0, b]), real parts first.
     """
     phases = np.array([config.layout.detector_phases(d) for d in config.grid])
     envelope = np.sinc(phases * config.slit_ratio / (2.0 * math.pi))
@@ -47,27 +46,33 @@ def brute_force_curve(config):
     # steer[l, g, d]: what source l puts on detector d at grid point g
     steer = envelope * np.exp(-1j * np.arange(k)[:, None, None] * phases)
     scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
+    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, 0, b]))
+    z = np.concatenate(
+        [
+            rng.standard_normal((min(CHUNK_FRAMES, size - start), 2 * k))
+            for start in range(0, size, CHUNK_FRAMES)
+        ]
+    )
+    amps = (z[:, :k] + 1j * z[:, k:]) * scale
+    total = np.zeros(config.grid.size)
+    for start in range(0, size, 256):
+        fields = np.einsum("fl,lgd->fgd", amps[start : start + 256], steer)
+        total += np.prod(np.abs(fields) ** 2, axis=2).sum(axis=0)
+    return total
+
+
+def brute_force_curve(config):
+    """Reference curve values and batch means on the documented batch layout.
+
+    min(MAX_BATCHES, frames) batches, the first frames % batches of them one
+    frame longer, each summed by brute_force_batch.
+    """
     batches = min(MAX_BATCHES, config.frames)
     base, rem = divmod(config.frames, batches)
     sizes = [base + (b < rem) for b in range(batches)]
-    batch_means = []
-    for b, size in enumerate(sizes):
-        rng = np.random.Generator(
-            np.random.Philox(key=config.seed, counter=[0, 0, 0, b])
-        )
-        z = np.concatenate(
-            [
-                rng.standard_normal((min(CHUNK_FRAMES, size - start), 2 * k))
-                for start in range(0, size, CHUNK_FRAMES)
-            ]
-        )
-        amps = (z[:, :k] + 1j * z[:, k:]) * scale
-        total = np.zeros(config.grid.size)
-        for start in range(0, size, 256):
-            fields = np.einsum("fl,lgd->fgd", amps[start : start + 256], steer)
-            total += np.prod(np.abs(fields) ** 2, axis=2).sum(axis=0)
-        batch_means.append(total / size)
-    batch_means = np.array(batch_means)
+    batch_means = np.array(
+        [brute_force_batch(config, b, size) / size for b, size in enumerate(sizes)]
+    )
     values = (batch_means * np.array(sizes)[:, None]).sum(axis=0) / config.frames
     return values, batch_means
 
@@ -451,6 +456,9 @@ class TestSimulateCurve:
                 {},
             ),
             (dark_middle_source(), DetectorLayout.colocated(2, 2), 20_000, {}),
+            # five sources and one detector: the normals and parts, 25 floats
+            # a frame, are the larger part of the unit's overlaid room
+            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 20_000, {}),
         ],
         ids=[
             "colocated-5-2",
@@ -466,6 +474,7 @@ class TestSimulateCurve:
             "k3-unequal",
             "k4",
             "k3-dark",
+            "k5-1-0",
         ],
     )
     def test_matches_every_grid_point_brute_force(self, sources, layout, frames, extra):
@@ -483,33 +492,84 @@ class TestSimulateCurve:
         np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(curve.batch_means, batch_means, rtol=1e-12, atol=0)
 
-    def test_batch_memory_is_bounded(self):
-        # colocated(5, 2), K = 2: 13 phase columns, 11 nodes and 3 basis rows.
-        # A work unit holds, per frame, the normals (4 floats), the parts x, y, -x
-        # (6 floats), the coefficients c0, Re Y_1, Im Y_1 (3 floats), the
-        # intensities (13 floats) and the product (11 floats): 37 floats, 296 B.
-        # No chunk allocates more.  So 296 B x 4096 = 1.21 MB, and 64 kB for
-        # small objects.
+    @pytest.mark.parametrize(
+        "sources,layout",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2)),
+            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0)),
+        ],
+        ids=["colocated-5-2", "k5-1-0"],
+    )
+    def test_long_batch_matches_brute_force(self, sources, layout):
+        # one batch of 2.5 chunks, the last one partial, as a unit of its own:
+        # each chunk's normals and parts are overwritten by its intensities
+        # and product, and the next chunk's draws overwrite those in turn
+        frames = 5 * CHUNK_FRAMES // 2
         config = SpeckleConfig(
-            sources=SourceArray(),
-            layout=DetectorLayout.colocated(5, 2),
-            frames=50_000,
-            seed=3,
+            sources=sources,
+            layout=layout,
+            frames=frames,
+            seed=31,
+            grid=default_grid(37),
         )
-        offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
+        offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
         table = _basis_table(config, offsets)
-        assert table.shape == (3, 13)
+        sums = _run_unit(config, table, counts, [(0, frames)])
+        mean = (sums * _node_weights(config)).sum(axis=1) / frames
+        expected = brute_force_batch(config, 0, frames) / frames
+        np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "sources,layout,rows,columns,overlaid,separate",
+        [
+            # 11 nodes, 11 + 2 columns.  Per frame, the coefficients c0,
+            # Re Y_1, Im Y_1 (3 floats) and a room that holds the normals (4)
+            # and the parts x, y, -x (6), then the intensities (13) and the
+            # product (11): 3 + max(10, 24) = 27 floats, 216 B, against five
+            # separate regions of 37 floats, 296 B
+            (SourceArray(), DetectorLayout.colocated(5, 2), 3, 13, 27, 37),
+            # 3 nodes for one period of the comb, 3 offsets x 3 nodes + 3
+            # fixed columns: 3 + max(10, 12 + 3) against 4 + 6 + 3 + 12 + 3
+            (SourceArray(), DetectorLayout.spread(3), 3, 12, 18, 28),
+            # 9 nodes, 9 + 2 columns: 5 + max(15, 11 + 9) against
+            # 6 + 9 + 5 + 11 + 9
+            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 5, 11, 25, 40),
+            # 9 nodes, 9 columns: the normals and parts are the larger part,
+            # 9 + max(25, 9 + 9) against 10 + 15 + 9 + 9 + 9
+            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 34, 52),
+        ],
+        ids=["colocated-5-2", "spread-3", "k3-2-2", "k5-1-0"],
+    )
+    def test_batch_memory_is_bounded(
+        self, sources, layout, rows, columns, overlaid, separate
+    ):
+        # A unit's block is (2K-1) + max(5K, columns + nodes) floats a frame,
+        # and no chunk allocates more.  Wider chunks must fit in the bytes the
+        # five separate regions took at 4096 frames (1.21 MB at colocated(5,
+        # 2)); the peak may add 64 kB for small objects.  50k frames end on a
+        # chunk of 5200: a chunk of about 2000 frames or fewer makes numpy
+        # buffer the transposed normals, 128 kB more at that one call
+        config = SpeckleConfig(sources=sources, layout=layout, frames=50_000, seed=3)
+        offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
+        table = _basis_table(config, offsets)
+        k, nodes = sources.count, _node_count(config)
+        assert table.shape == (rows, columns)
+        assert rows + max(5 * k, columns + nodes) == overlaid
+        assert 5 * k + rows + columns + nodes == separate
+        assert overlaid * CHUNK_FRAMES <= separate * 4096
         # 40k frames: two 2000-frame batches share one 4000-frame chunk
         packed = _work_units(_batch_sizes(40_000))[0]
         assert packed == [(0, 2000), (1, 2000)]
         for unit in ([(0, config.frames)], packed):
+            width = min(CHUNK_FRAMES, sum(size for _, size in unit))
             tracemalloc.start()
             try:
                 _run_unit(config, table, counts, unit)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < 296 * CHUNK_FRAMES + 64 * 1024
+            assert peak < 8 * overlaid * width + 64 * 1024
+            assert peak < 8 * separate * 4096 + 64 * 1024
 
     def test_single_frame_curves_match_brute_force(self):
         # one frame's curve can nearly vanish at some phase, where the
@@ -577,7 +637,8 @@ class TestSimulateCurve:
 
 class TestWorkUnits:
     @pytest.mark.parametrize(
-        "frames", [1, 7, 30, 39, 40, 20_001, 40_000, 81_920, 81_921, 1_000_000]
+        "frames",
+        [1, 7, 30, 39, 40, 20_001, 40_000, 56_000, 56_001, 112_000, 112_001, 1_000_000],
     )
     def test_units_hold_every_batch_in_order(self, frames):
         sizes = _batch_sizes(frames)
@@ -591,8 +652,13 @@ class TestWorkUnits:
     @pytest.mark.parametrize(
         "frames,lengths",
         [
-            (20_001, [4] * 5),
+            # a 1001-frame batch and four of 1000 frames fill 5001 of 5600
+            (20_001, [5] * 4),
             (40_000, [2] * 10),
+            # two 2800-frame batches fill a chunk exactly; one frame more
+            # leaves the 2801-frame first batch and the last one alone
+            (56_000, [2] * 10),
+            (56_001, [1] + [2] * 9 + [1]),
             (30, [10] + [1] * 10),
             (100_000, [1] * 20),
             (6, [1] * 6),

@@ -26,15 +26,20 @@ with x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
 applied after interpolation as the per-grid-point factor prod_d env(phase_d)^2
 over the detector phases of layout.detector_phases(delta1).
 
+Each frame is weighted by c_M / s^M, s = sum_l |z_l|^2 over its unit-variance
+complex normals z_l = a_l / sqrt(nbar_l), c_M = E[s^M] = (K+M-1)!/(K-1)!: s ~
+Gamma(K, 1) is independent of z / sqrt(s), and the product is homogeneous of
+degree M in s, so the mean is kept and the brightness integrated out exactly.
+
 Determinism contract: frames are split into min(20, frames) contiguous batches
-of fixed sizes; batch b draws from its own counter-based substream
-Philox(key=seed, counter lane b) in chunks of up to CHUNK_FRAMES frames, each
-chunk taking standard normals of shape (chunk frames, 2K) as the real then
-imaginary parts of the amplitudes; batch partial sums are combined in batch
-order.  Work units, fixed by the batch sizes alone, run the batches: those that
-fit in one chunk together share it, each in its own slice, in batch order; a
-larger or a one-frame batch is a unit of its own.  A unit re-keys one Philox to
-lane b for batch b, the stream of a new Philox(key=seed, counter lane b).
+of fixed sizes; batch b draws from its own substream, an SFC64 seeded by
+SeedSequence(seed, spawn_key=(0, b)), in chunks of up to CHUNK_FRAMES frames,
+each chunk taking standard normals of shape (chunk frames, 2K) as the real
+then imaginary parts of the amplitudes; batch partial sums are combined in
+batch order.  fit_cosine's bootstrap draws from spawn_key=(1,).  Work units,
+fixed by the batch sizes alone, run the batches: those that fit in one chunk
+together share it, each in its own slice, in batch order; a larger or a
+one-frame batch is a unit of its own.
 Within a chunk every array is real and laid out (row, frame): each node's
 product is summed over a batch's frames as one contiguous row, and a batch's
 chunk sums are added in draw order, with no BLAS call anywhere; a chunk's
@@ -188,42 +193,52 @@ def _node_weights(config: SpeckleConfig) -> np.ndarray:
 
 def _chunk_node_sums(
     normals: np.ndarray,
-    scale: np.ndarray,
+    scale: np.ndarray | None,
     table: np.ndarray,
     counts: np.ndarray,
     nodes: int,
     work: tuple[np.ndarray, np.ndarray],
     slices: list[slice],
 ) -> list[np.ndarray]:
-    """Per slice of a chunk's frames, the node sums of the M-detector intensity product.
+    """Per slice of a chunk's frames, the node sums of the weighted intensity product.
 
     normals holds the chunk's standard normals, (frames, 2K); scale holds
-    sqrt(nbar_l / 2) twice, the factors of the rows x_l and y_l; the rows
-    -x_l follow by negation.  table holds the basis rows 1, 2cos(d*delta)
+    sqrt(nbar_l / nbar_0) twice, the factors of the rows x_l and y_l, or is
+    None at equal brightness; the rows -x_l follow by negation.  A frame's
+    product is P / (nbar_0 s)^M.  table holds the basis rows 1, 2cos(d*delta)
     and 2sin(d*delta), d = 1..K-1, over the phase columns.  Every array is
     laid out (row, frame), so numpy's inner loops run over frames, and
     integer powers are taken by repeated squaring.  work holds the unit's
     two flat buffers, each with room for the chunk's rows as contiguous
     (rows, frames) blocks: the 2K-1 coefficient rows, and a room that starts
     with the normals themselves and holds the 3K rows of parts after them.
-    Once the coefficients exist the normals and parts are dead, and the
-    intensities and then the product rows overwrite them from the start of
-    the room.  slices picks each batch's frames of the chunk.
+    2s, unless c0 is 2s itself, overwrites the dead normals; once the
+    coefficients are divided by it, the intensities and then the product
+    rows overwrite the room from its start.  slices picks each batch's frames
+    of the chunk.  Rows are scaled one by one: numpy buffers a broadcast.
     """
     frames, k = normals.shape[0], normals.shape[1] // 2
     (rows, columns), (coefs_room, room) = table.shape, work
     coefs = coefs_room[: rows * frames].reshape(rows, frames)
     parts = room[2 * k * frames : 5 * k * frames].reshape(3 * k, frames)
-    # a_l = x_l + 1j*y_l, and the rows (y_l, -x_l) are -1j*a_l
-    np.multiply(normals.T, scale[:, None], out=parts[: 2 * k])
-    np.negative(parts[:k], out=parts[2 * k :])
+    np.copyto(parts[: 2 * k], normals.T)
     a, turned = parts[: 2 * k].reshape(2, k, frames), parts[k:].reshape(2, k, frames)
+    # the rows x_l, y_l times scale_l are sqrt(2/nbar_0)*a_l, and (y_l, -x_l) is -1j
+    # times it.  At equal brightness they stay unscaled, and c0, divided last, is 2s
+    if scale is not None:
+        twice_s = np.einsum("jmf,jmf->f", a, a, out=room[:frames])
+        for row, factor in zip(parts[: 2 * k], scale):
+            row *= factor
+    np.negative(parts[:k], out=parts[2 * k :])
     # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m)
     for d in range(k):
         np.einsum("jmf,jmf->f", a[:, d:], a[:, : k - d], out=coefs[d])
         if d:
             np.einsum("jmf,jmf->f", turned[:, d:], a[:, : k - d], out=coefs[k - 1 + d])
-    # the normals and parts are dead: the intensities and product take their rows
+    divisor = coefs[0] if scale is None else twice_s
+    for row in coefs[::-1]:
+        row /= divisor
+    # the normals, 2s and parts are dead: the intensities and product take their rows
     intensity = room[: columns * frames].reshape(columns, frames)
     product = room[columns * frames : (columns + nodes) * frames].reshape(nodes, frames)
     # intensity = c0 + sum_d (Re Y_d * 2cos(d*delta) + Im Y_d * 2sin(d*delta)),
@@ -274,7 +289,8 @@ def _run_unit(
     """
     k = config.sources.count
     nodes = _node_count(config)
-    scale = np.sqrt(np.array(config.sources.nbar + config.sources.nbar) / 2.0)
+    nbar = config.sources.nbar
+    scale = None if len(set(nbar)) == 1 else np.sqrt(np.array(nbar + nbar) / nbar[0])
     # one block per unit: per-chunk temporaries, or one buffer each, made the
     # allocator return their pages and fault them in again for every chunk.
     # The coefficient rows come first; the room after them holds the normals
@@ -284,14 +300,11 @@ def _run_unit(
     block = np.empty(coefs_rows + max(5 * k, table.shape[1] + nodes) * width)
     work = block[:coefs_rows], block[coefs_rows:]
     draws = work[1][: 2 * k * width].reshape(width, 2 * k)
-    # one Philox re-keyed per batch: a new one builds an OS-entropy SeedSequence
-    bit_generator = np.random.Philox(key=config.seed)
-    rng, state = np.random.Generator(bit_generator), bit_generator.state
     sums = np.zeros((len(unit), nodes))
     filled, slices = 0, []
     for row, (b, size) in enumerate(unit):
-        state["state"]["counter"][3] = b
-        bit_generator.state = state
+        seeds = np.random.SeedSequence(config.seed, spawn_key=(0, b))
+        rng = np.random.Generator(np.random.SFC64(seeds))
         while size:
             f = min(width - filled, size)
             rng.standard_normal((f, 2 * k), out=draws[filled : filled + f])
@@ -303,9 +316,6 @@ def _run_unit(
                     draws[:filled], scale, table, counts, nodes, work, slices
                 )
                 filled, slices = 0, []
-    for (b, _), finite in zip(unit, np.isfinite(sums).all(axis=1)):
-        if not finite:
-            raise AccumulatorOverflowError(f"batch {b} accumulated non-finite values")
     return sums
 
 
@@ -325,21 +335,27 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     else:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             unit_sums = list(pool.map(run, _work_units(sizes)))
-    weights = _node_weights(config)
-    # (batches, grid), combined in batch order; the node-to-grid map is an
-    # explicit broadcast and a sum over the nodes, not BLAS
-    sums = (np.vstack(unit_sums)[:, None, :] * weights[None, :, :]).sum(axis=2)
-    sums *= _envelope_factor(config)[None, :]
-    # every frame's product is nonnegative at every phase up to rounding of
-    # its intensities; that and the interpolation can leave a near-zero point
-    # a few rounding errors of the node sums below 0
-    np.maximum(sums, 0.0, out=sums)
-    values = sums.sum(axis=0) / config.frames
-    batch_means = sums / np.asarray(sizes, dtype=float)[:, None]
-    if len(sizes) >= 2:
-        stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(sizes))
-    else:
-        stderr = np.zeros_like(values)
+    # c_M nbar_0^M a factor at a time, as float(c_M) overflows from K = 2, M = 170
+    with np.errstate(over="ignore", invalid="ignore"):
+        node_sums = np.vstack(unit_sums)
+        for i in range(config.layout.order):
+            node_sums *= (config.sources.count + i) * config.sources.nbar[0]
+        # (batches, grid), combined in batch order; the node-to-grid map is an
+        # explicit broadcast and a sum over the nodes, not BLAS
+        sums = (node_sums[:, None, :] * _node_weights(config)[None, :, :]).sum(axis=2)
+        sums *= _envelope_factor(config)[None, :]
+        # every frame's product is nonnegative at every phase up to rounding of
+        # its intensities; that and the interpolation can leave a near-zero
+        # point a few rounding errors of the node sums below 0
+        np.maximum(sums, 0.0, out=sums)
+        values = sums.sum(axis=0) / config.frames
+        batch_means = sums / np.asarray(sizes, dtype=float)[:, None]
+        if len(sizes) >= 2:
+            stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(sizes))
+        else:
+            stderr = np.zeros_like(values)
+    if not all(np.isfinite(a).all() for a in (values, batch_means, stderr)):
+        raise AccumulatorOverflowError("weighted frame sums left the double range")
     return CorrelationCurve(
         grid=config.grid,
         values=values,
@@ -418,9 +434,8 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
     stderr_vis = stderr_amp = 0.0
     if curve.batch_means is not None and curve.batch_means.shape[0] >= 2:
         nb = curve.batch_means.shape[0]
-        rng = np.random.Generator(
-            np.random.Philox(key=curve.seed or 0, counter=[0, 0, 1, 0])
-        )
+        seeds = np.random.SeedSequence(curve.seed or 0, spawn_key=(1,))
+        rng = np.random.Generator(np.random.SFC64(seeds))
         # one call draws what BOOTSTRAP_RESAMPLES successive draws of nb would
         picks = rng.integers(0, nb, size=(BOOTSTRAP_RESAMPLES, nb))
         offsets, amplitudes = (curve.batch_means @ projection.T)[picks].mean(axis=1).T

@@ -177,8 +177,8 @@ def test_criterion_6_speckle_tripled_frequency_family():
     if abs(flat.amplitude) >= 3 * flat.stderr_amplitude:
         failures.append("m1=2 shows spurious frequency-3 modulation")
     details.append(f"m1=2 |B|={abs(flat.amplitude):.1e}<3se")
-    for m1, target, seed in ((3, 1 / 63, 7), (4, 1 / 24, 2)):
-        fit = _speckle_fit(m1, 3, seed=seed)
+    for m1, target in ((3, 1 / 63), (4, 1 / 24)):
+        fit = _speckle_fit(m1, 3, seed=0)
         window = max(0.02, 3 * fit.stderr_visibility)
         if fit.dominant_frequency != 3:
             failures.append(f"m1={m1} dominant {fit.dominant_frequency}")

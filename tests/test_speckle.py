@@ -38,27 +38,40 @@ def brute_force_batch(config, b, size):
     """Reference: batch b's frame sum, every frame's field at every grid point.
 
     Batch b draws standard normals (size, 2K) in chunks of CHUNK_FRAMES from
-    Philox(key=seed, counter=[0, 0, 0, b]), real parts first.
+    SFC64(SeedSequence(seed, spawn_key=(0, b))), real parts first.  Each
+    frame's product of |E|^2 is weighted by c_M / s^M, with s the sum of
+    |z_l|^2 over its unit-variance complex normals z_l and c_M the M-th
+    moment (K+M-1)!/(K-1)! of s ~ Gamma(K, 1).  The product is taken over
+    |E|^2 / s, as the product alone can underflow at large M, and c_M is
+    applied as (c_M >> shift) * 2**shift, as float(c_M) overflows from
+    K = 2, M = 170.
     """
     phases = np.array([config.layout.detector_phases(d) for d in config.grid])
     envelope = np.sinc(phases * config.slit_ratio / (2.0 * math.pi))
     k = config.sources.count
     # steer[l, g, d]: what source l puts on detector d at grid point g
     steer = envelope * np.exp(-1j * np.arange(k)[:, None, None] * phases)
-    scale = np.sqrt(np.asarray(config.sources.nbar) / 2.0)
-    rng = np.random.Generator(np.random.Philox(key=config.seed, counter=[0, 0, 0, b]))
-    z = np.concatenate(
+    seeds = np.random.SeedSequence(config.seed, spawn_key=(0, b))
+    rng = np.random.Generator(np.random.SFC64(seeds))
+    normals = np.concatenate(
         [
             rng.standard_normal((min(CHUNK_FRAMES, size - start), 2 * k))
             for start in range(0, size, CHUNK_FRAMES)
         ]
     )
-    amps = (z[:, :k] + 1j * z[:, k:]) * scale
+    z = (normals[:, :k] + 1j * normals[:, k:]) / math.sqrt(2.0)
+    amps = z * np.sqrt(np.asarray(config.sources.nbar))
+    order = config.layout.order
+    moment = math.factorial(k + order - 1) // math.factorial(k - 1)
+    shift = max(0, moment.bit_length() - 1000)
+    brightness = (np.abs(z) ** 2).sum(axis=1)[:, None, None]
     total = np.zeros(config.grid.size)
     for start in range(0, size, 256):
         fields = np.einsum("fl,lgd->fgd", amps[start : start + 256], steer)
-        total += np.prod(np.abs(fields) ** 2, axis=2).sum(axis=0)
-    return total
+        normalized = np.abs(fields) ** 2 / brightness[start : start + 256]
+        products = np.prod(normalized, axis=2)
+        total += products.sum(axis=0) * float(moment >> shift)
+    return np.ldexp(total, shift)
 
 
 def brute_force_curve(config):
@@ -101,7 +114,7 @@ def reference_fit(curve, frequency):
     """Reference: one lstsq solve for the curve and one per bootstrap resample.
 
     Resample i draws nb batch indices, in turn, from
-    Philox(key=seed, counter=[0, 0, 1, 0]) and refits the mean of the
+    SFC64(SeedSequence(seed, spawn_key=(1,))) and refits the mean of the
     resampled batch means.  Returns the FitResult fields as a dict.
     """
     grid = curve.grid
@@ -114,9 +127,8 @@ def reference_fit(curve, frequency):
     offset, amplitude = lsq(curve.values)
     stderr_vis = stderr_amp = 0.0
     if curve.batch_means is not None and curve.batch_means.shape[0] >= 2:
-        rng = np.random.Generator(
-            np.random.Philox(key=curve.seed, counter=[0, 0, 1, 0])
-        )
+        seeds = np.random.SeedSequence(curve.seed, spawn_key=(1,))
+        rng = np.random.Generator(np.random.SFC64(seeds))
         nb = curve.batch_means.shape[0]
         visibilities, amplitudes = [], []
         for _ in range(BOOTSTRAP_RESAMPLES):
@@ -346,7 +358,9 @@ class TestSimulateCurve:
 
     def test_single_source_bunching_is_flat(self):
         # one source and co-located detectors: no phase dependence at all,
-        # and the second moment doubles the squared mean
+        # and the second moment doubles the squared mean.  At K = 1 a frame's
+        # I^2 / s^2 is nbar^2 whatever its brightness s, so the weighted
+        # estimator is exact up to rounding
         config = SpeckleConfig(
             sources=SourceArray(nbar=(1.0,)),
             layout=DetectorLayout.colocated(2, 0),
@@ -356,7 +370,7 @@ class TestSimulateCurve:
         )
         curve = simulate_curve(config)
         assert np.all(curve.values == curve.values[0])
-        assert abs(curve.values[0] - 2.0) < 3 * curve.stderr[0]
+        assert curve.values[0] == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_hbt_pair_visibility(self):
         # two balanced sources, second order: 6 + 2 cos(delta)
@@ -503,7 +517,9 @@ class TestSimulateCurve:
     def test_long_batch_matches_brute_force(self, sources, layout):
         # one batch of 2.5 chunks, the last one partial, as a unit of its own:
         # each chunk's normals and parts are overwritten by its intensities
-        # and product, and the next chunk's draws overwrite those in turn
+        # and product, and the next chunk's draws overwrite those in turn.
+        # A unit's sums are of P / (nbar_0 s)^M: simulate_curve applies
+        # c_M nbar_0^M
         frames = 5 * CHUNK_FRAMES // 2
         config = SpeckleConfig(
             sources=sources,
@@ -515,7 +531,9 @@ class TestSimulateCurve:
         offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
         table = _basis_table(config, offsets)
         sums = _run_unit(config, table, counts, [(0, frames)])
-        mean = (sums * _node_weights(config)).sum(axis=1) / frames
+        moment = math.perm(sources.count + layout.order - 1, layout.order)
+        moment *= sources.nbar[0] ** layout.order
+        mean = (sums * _node_weights(config)).sum(axis=1) * moment / frames
         expected = brute_force_batch(config, 0, frames) / frames
         np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0)
 
@@ -528,6 +546,15 @@ class TestSimulateCurve:
             # product (11): 3 + max(10, 24) = 27 floats, 216 B, against five
             # separate regions of 37 floats, 296 B
             (SourceArray(), DetectorLayout.colocated(5, 2), 3, 13, 27, 37),
+            # unequal brightness: the rows are scaled and 2s takes a row of its own
+            (
+                SourceArray(nbar=(0.5, 2.0)),
+                DetectorLayout.colocated(5, 2),
+                3,
+                13,
+                27,
+                37,
+            ),
             # 3 nodes for one period of the comb, 3 offsets x 3 nodes + 3
             # fixed columns: 3 + max(10, 12 + 3) against 4 + 6 + 3 + 12 + 3
             (SourceArray(), DetectorLayout.spread(3), 3, 12, 18, 28),
@@ -538,7 +565,7 @@ class TestSimulateCurve:
             # 9 + max(25, 9 + 9) against 10 + 15 + 9 + 9 + 9
             (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 34, 52),
         ],
-        ids=["colocated-5-2", "spread-3", "k3-2-2", "k5-1-0"],
+        ids=["colocated-5-2", "unequal-5-2", "spread-3", "k3-2-2", "k5-1-0"],
     )
     def test_batch_memory_is_bounded(
         self, sources, layout, rows, columns, overlaid, separate
@@ -547,8 +574,8 @@ class TestSimulateCurve:
         # and no chunk allocates more.  Wider chunks must fit in the bytes the
         # five separate regions took at 4096 frames (1.21 MB at colocated(5,
         # 2)); the peak may add 64 kB for small objects.  50k frames end on a
-        # chunk of 5200: a chunk of about 2000 frames or fewer makes numpy
-        # buffer the transposed normals, 128 kB more at that one call
+        # chunk of 5200 and 30k frames on one of 2000, a width at which a
+        # broadcast operand would make numpy buffer it
         config = SpeckleConfig(sources=sources, layout=layout, frames=50_000, seed=3)
         offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
         table = _basis_table(config, offsets)
@@ -560,7 +587,7 @@ class TestSimulateCurve:
         # 40k frames: two 2000-frame batches share one 4000-frame chunk
         packed = _work_units(_batch_sizes(40_000))[0]
         assert packed == [(0, 2000), (1, 2000)]
-        for unit in ([(0, config.frames)], packed):
+        for unit in ([(0, config.frames)], [(0, 30_000)], packed):
             width = min(CHUNK_FRAMES, sum(size for _, size in unit))
             tracemalloc.start()
             try:
@@ -633,6 +660,56 @@ class TestSimulateCurve:
             AccumulatorOverflowError
         ):
             simulate_curve(config)
+
+    @pytest.mark.parametrize("order", [169, 170])
+    def test_moment_past_the_float_range(self, order):
+        # at K = 2, c_M = (M+1)!, and float(c_M) overflows from M = 170 on.
+        # Dim sources keep every weighted sum, and the squares in the stderr,
+        # inside the double range; bright ones leave it: a typed error either
+        # side of the edge, never an OverflowError or an inf curve
+        dim = SpeckleConfig(
+            sources=SourceArray(nbar=(0.04, 0.04)),
+            layout=DetectorLayout.colocated(1, order - 1),
+            frames=64,
+            seed=1,
+            grid=default_grid(9),
+        )
+        curve = simulate_curve(dim)
+        values, batch_means = brute_force_curve(dim)
+        np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(curve.batch_means, batch_means, rtol=1e-12, atol=0)
+        bright = replace(dim, sources=SourceArray(nbar=(1.0, 1.0)))
+        with pytest.raises(AccumulatorOverflowError):
+            simulate_curve(bright)
+
+    def test_one_source_is_exact_past_the_float_range(self):
+        # at K = 1 every frame's weighted product is M! nbar^M, here with
+        # M = 171, where float(M!) overflows but the value is 1.2e70
+        config = SpeckleConfig(
+            sources=SourceArray(nbar=(0.04,)),
+            layout=DetectorLayout.colocated(1, 170),
+            frames=50,
+            seed=2,
+            grid=default_grid(9),
+        )
+        exact = math.factorial(171) * 4**171 / 100**171
+        np.testing.assert_allclose(simulate_curve(config).values, exact, rtol=1e-12)
+
+    def test_visibility_coverage_across_seeds(self):
+        # the bootstrap stderr of the visibility must cover the closed form:
+        # 20 seeds at 2e4 frames on an M = 4 and an M = 7 layout, each fit
+        # within 4 stderr of it.  Observed: 0 of the 40 fits more than 2
+        # stderr off (largest 1.93), where about 2 would be expected; the two
+        # layouts share each seed's directions, so their misses go together
+        for m1 in (2, 5):
+            layout = DetectorLayout.colocated(m1, 2)
+            exact = fit_cosine(exact_curve(layout), 2).visibility
+            for seed in range(20):
+                config = SpeckleConfig(
+                    sources=SourceArray(), layout=layout, frames=20_000, seed=seed
+                )
+                fit = fit_cosine(simulate_curve(config), 2)
+                assert abs(fit.visibility - exact) < 4 * fit.stderr_visibility, seed
 
 
 class TestWorkUnits:

@@ -24,7 +24,8 @@ trigonometric (Dirichlet-kernel) interpolation in p*delta1; the cost per frame
 does not depend on the grid size.  The single-slit factor env(delta) = sin(x)/x
 with x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
 applied after interpolation as the per-grid-point factor prod_d env(phase_d)^2
-over the detector phases of layout.detector_phases(delta1).
+over the detector phases of layout.detector_phases(delta1).  _plan derives p,
+N, the phase columns, the node-to-grid weights and this factor once per run.
 
 Each frame is weighted by c_M / s^M, s = sum_l |z_l|^2 over its unit-variance
 complex normals z_l = a_l / sqrt(nbar_l), c_M = E[s^M] = (K+M-1)!/(K-1)!: s ~
@@ -136,11 +137,9 @@ def _batch_sizes(frames: int) -> list[int]:
     return [base + 1] * rem + [base] * (n - rem)
 
 
-@functools.cache
-def _period(moving_offsets: tuple[float, ...]) -> int:
-    """Largest p whose shift by 2*pi/p maps the moving offsets onto themselves."""
-    offsets, counts = np.unique(moving_offsets, return_counts=True)
-    for p in range(len(moving_offsets), 1, -1):
+def _period(offsets: np.ndarray, counts: np.ndarray) -> int:
+    """Largest p whose shift by 2*pi/p maps the offsets, counts each, onto themselves."""
+    for p in range(int(counts.sum()), 1, -1):
         gap = (offsets[:, None] + TWO_PI / p - offsets) % TWO_PI
         # within 1e-12 rad, each offset must land on one of its multiplicity
         if np.array_equal((np.minimum(gap, TWO_PI - gap) <= 1e-12) @ counts, counts):
@@ -148,47 +147,30 @@ def _period(moving_offsets: tuple[float, ...]) -> int:
     return 1
 
 
-def _node_count(config: SpeckleConfig) -> int:
-    """2D'+1 nodes fix the moving product: degree D' = floor(m1*(K-1)/p) in p*delta1."""
-    degree = config.layout.m1 * (config.sources.count - 1)
-    return 2 * (degree // _period(config.layout.moving_offsets)) + 1
+def _plan(config: SpeckleConfig) -> tuple:
+    """The run's set-up, derived once: (table, counts, nodes, weights, envelope).
 
-
-def _basis_table(config: SpeckleConfig, offsets: np.ndarray) -> np.ndarray:
-    """Rows 1, 2cos(d*delta) and 2sin(d*delta), d = 1..K-1, over the phase columns.
-
-    The columns are every node shifted by each moving offset, then the fixed
-    detectors.  A frame's intensity at a column is its coefficients
-    (c0, Re Y_d, Im Y_d) weighted by the column's rows.
+    table: rows 1, 2cos(d*delta), 2sin(d*delta), d = 1..K-1, over the phase
+    columns, each node theta_n = 2*pi*n/(N*p) past each distinct moving offset
+    (counts: the detectors at each), then the fixed detectors.  nodes: N = 2D'+1.
+    weights[g, n]: the Dirichlet kernel, degree (N-1)/2, at p*grid[g] - 2*pi*n/N.
+    envelope: per grid point, the product over all M detectors of env(phase)^2.
     """
-    count = _node_count(config)
-    nodes = TWO_PI * np.arange(count) / (count * _period(config.layout.moving_offsets))
-    moving = (offsets[:, None] + nodes[None, :]).ravel()
+    offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
+    p, k = _period(offsets, counts), config.sources.count
+    nodes = 2 * (config.layout.m1 * (k - 1) // p) + 1
+    theta = TWO_PI * np.arange(nodes) / (nodes * p)
+    moving = (offsets[:, None] + theta[None, :]).ravel()
     phases = np.concatenate([moving, config.layout.fixed_phases])
-    angles = np.arange(1, config.sources.count)[:, None] * phases[None, :]
-    return np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
-
-
-def _envelope(phases: np.ndarray, slit_ratio: float) -> np.ndarray:
-    # np.sinc is sin(pi x)/(pi x); we want sin(y)/y with y = delta*slit_ratio/2
-    return np.sinc(phases * slit_ratio / (2.0 * math.pi))
-
-
-def _envelope_factor(config: SpeckleConfig) -> np.ndarray:
-    """Per grid point, the product over all M detectors of env(phase)^2."""
-    if config.slit_ratio == 0.0:
-        return np.ones(config.grid.size)  # point sources: env is exactly 1
-    phases = config.layout.detector_phases(config.grid)
-    return np.prod(_envelope(phases, config.slit_ratio) ** 2, axis=1)
-
-
-def _node_weights(config: SpeckleConfig) -> np.ndarray:
-    """weights[g, n]: Dirichlet kernel, degree (N-1)/2, at p*(grid[g] - theta_n)."""
-    nodes, p = _node_count(config), _period(config.layout.moving_offsets)
-    theta = TWO_PI * np.arange(nodes) / nodes
+    angles = np.arange(1, k)[:, None] * phases[None, :]
+    table = np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
     harmonics = np.arange(1, (nodes - 1) // 2 + 1)
-    gap = p * config.grid[:, None] - theta[None, :]
-    return (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
+    gap = p * config.grid[:, None] - TWO_PI * np.arange(nodes)[None, :] / nodes
+    weights = (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
+    # np.sinc is sin(pi x)/(pi x); env is sin(y)/y with y = delta*slit_ratio/2
+    slit = config.layout.detector_phases(config.grid) * config.slit_ratio
+    envelope = np.prod(np.sinc(slit / (2.0 * math.pi)) ** 2, axis=1)
+    return table, counts, nodes, weights, envelope
 
 
 def _chunk_node_sums(
@@ -277,18 +259,19 @@ def _run_unit(
     config: SpeckleConfig,
     table: np.ndarray,
     counts: np.ndarray,
+    nodes: int,
     unit: list[tuple[int, int]],
 ) -> np.ndarray:
     """Node sums of a work unit's batches, (batches, nodes) in batch order.
 
-    Its chunks of up to CHUNK_FRAMES frames reuse one block of (2K-1) +
-    max(5K, columns + nodes) rows: 27 floats a frame at colocated(5, 2),
-    1.21 MB at 5600 frames, the bytes that five separate regions (37 floats)
-    took at 4096.  A wider chunk makes fewer numpy calls per frame, and each
-    call gives up the GIL and must take it back.
+    table, counts and nodes come from the run's _plan.  Its chunks of up to
+    CHUNK_FRAMES frames reuse one block of (2K-1) + max(5K, columns + nodes)
+    rows: 27 floats a frame at colocated(5, 2), 1.21 MB at 5600 frames, the
+    bytes that five separate regions (37 floats) took at 4096.  A wider chunk
+    makes fewer numpy calls per frame, and each call gives up the GIL and must
+    take it back.
     """
     k = config.sources.count
-    nodes = _node_count(config)
     nbar = config.sources.nbar
     scale = None if len(set(nbar)) == 1 else np.sqrt(np.array(nbar + nbar) / nbar[0])
     # one block per unit: per-chunk temporaries, or one buffer each, made the
@@ -325,11 +308,9 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     Raw values converge to the path-sum/permanent values of the same sources
     and layout (combinatorial units); normalize() rescales for plotting.
     """
-    # distinct moving-detector offsets from delta1, and the detectors at each
-    offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
-    table = _basis_table(config, offsets)
+    table, counts, nodes, weights, envelope = _plan(config)
     sizes = _batch_sizes(config.frames)
-    run = functools.partial(_run_unit, config, table, counts)
+    run = functools.partial(_run_unit, config, table, counts, nodes)
     if config.workers == 1:
         unit_sums = list(map(run, _work_units(sizes)))
     else:
@@ -342,8 +323,8 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
             node_sums *= (config.sources.count + i) * config.sources.nbar[0]
         # (batches, grid), combined in batch order; the node-to-grid map is an
         # explicit broadcast and a sum over the nodes, not BLAS
-        sums = (node_sums[:, None, :] * _node_weights(config)[None, :, :]).sum(axis=2)
-        sums *= _envelope_factor(config)[None, :]
+        sums = (node_sums[:, None, :] * weights[None, :, :]).sum(axis=2)
+        sums *= envelope[None, :]
         # every frame's product is nonnegative at every phase up to rounding of
         # its intensities; that and the interpolation can leave a near-zero
         # point a few rounding errors of the node sums below 0
@@ -351,7 +332,10 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
         values = sums.sum(axis=0) / config.frames
         batch_means = sums / np.asarray(sizes, dtype=float)[:, None]
         if len(sizes) >= 2:
-            stderr = batch_means.std(axis=0, ddof=1) / math.sqrt(len(sizes))
+            # std squares them: an exact power-of-two scale keeps means past 1e154
+            e = np.frexp(np.abs(batch_means).max(axis=0))[1]
+            spread = np.ldexp(batch_means, -e).std(axis=0, ddof=1)
+            stderr = np.ldexp(spread, e) / math.sqrt(len(sizes))
         else:
             stderr = np.zeros_like(values)
     if not all(np.isfinite(a).all() for a in (values, batch_means, stderr)):
@@ -372,7 +356,9 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
 class FitResult:
     """Least-squares fit of A + B*cos(frequency*delta1) to a curve.
 
-    parity_ok is fit_cosine's sign rule, valid for two-source co-located layouts.
+    parity_ok is fit_cosine's sign rule, valid for two-source co-located layouts:
+    every spread(m) closed form has sign +1, so a correct spread(2) or spread(4)
+    fringe reads False (comb_sign(m) is -1); the CLI sidecar takes the form's sign.
     """
 
     offset: float

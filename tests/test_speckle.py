@@ -15,13 +15,9 @@ from thermalnoon.speckle import (
     CHUNK_FRAMES,
     MAX_BATCHES,
     SpeckleConfig,
-    _basis_table,
     _batch_sizes,
-    _envelope,
-    _envelope_factor,
-    _node_count,
-    _node_weights,
     _period,
+    _plan,
     _run_unit,
     _work_units,
     dominant_frequency,
@@ -260,19 +256,32 @@ class TestSpeckleConfig:
         np.testing.assert_allclose(restored.grid, config.grid)
 
 
+def sinc_envelope(phases, slit_ratio):
+    # np.sinc is sin(pi x)/(pi x); env is sin(y)/y with y = delta*slit_ratio/2
+    return np.sinc(phases * slit_ratio / (2.0 * math.pi))
+
+
+def envelope_factor(config):
+    return _plan(config)[4]
+
+
 class TestEnvelope:
     def test_no_slit_means_flat_envelope(self):
         phases = np.linspace(0, 2 * math.pi, 50)
-        np.testing.assert_allclose(_envelope(phases, 0.0), 1.0)
+        np.testing.assert_allclose(envelope_factor(hbt_config(grid=phases)), 1.0)
 
     def test_sinc_profile(self):
+        # one moving detector at delta1: the factor is env(delta1)^2
         phases = np.array([0.0, 1.0, 2.0, math.pi])
         ratio = 0.5
         x = phases * ratio / 2.0
         expected = np.ones_like(phases)
         nz = x != 0
         expected[nz] = np.sin(x[nz]) / x[nz]
-        np.testing.assert_allclose(_envelope(phases, ratio), expected, rtol=1e-12)
+        config = hbt_config(
+            layout=DetectorLayout.colocated(1, 0), grid=phases, slit_ratio=ratio
+        )
+        np.testing.assert_allclose(envelope_factor(config), expected**2, rtol=1e-12)
 
     def test_spread_envelope_follows_unwrapped_phases(self):
         # the envelope is not periodic: moving detector i at delta1 + 2*pi*i/m
@@ -284,7 +293,7 @@ class TestEnvelope:
         fixed = np.broadcast_to(comb, moving.shape)
         phases = np.concatenate([moving, fixed], axis=1)
         expected = np.prod(np.sinc(phases * 0.3 / (2.0 * math.pi)) ** 2, axis=1)
-        factor = _envelope_factor(config)
+        factor = envelope_factor(config)
         np.testing.assert_allclose(factor, expected, rtol=1e-12)
         # neighbouring points differ by 0.5% of the peak; wrapped, by 26%
         assert np.abs(np.diff(factor)).max() < 0.01 * factor.max()
@@ -302,8 +311,8 @@ class TestEnvelope:
         # one broadcast of the phase rows, to the bit of a per-point stack
         config = hbt_config(layout=layout, slit_ratio=0.3, grid=default_grid(361))
         phases = np.array([layout.detector_phases(d) for d in config.grid])
-        expected = np.prod(_envelope(phases, 0.3) ** 2, axis=1)
-        assert np.array_equal(_envelope_factor(config), expected)
+        expected = np.prod(sinc_envelope(phases, 0.3) ** 2, axis=1)
+        assert np.array_equal(envelope_factor(config), expected)
 
 
 class TestSimulateCurve:
@@ -325,6 +334,26 @@ class TestSimulateCurve:
         threaded = simulate_curve(hbt_config(frames=30_000, seed=5, workers=workers))
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.batch_means, threaded.batch_means)
+
+    def test_slit_run_never_depends_on_workers(self):
+        # the slit factor is applied after the node-to-grid map, per run
+        runs = [
+            simulate_curve(
+                hbt_config(
+                    frames=40_000,
+                    seed=5,
+                    layout=DetectorLayout.colocated(2, 1),
+                    slit_ratio=0.2,
+                    grid=default_grid(361),
+                    workers=workers,
+                )
+            )
+            for workers in (1, 2, 3)
+        ]
+        for run in runs[1:]:
+            assert run.values.tobytes() == runs[0].values.tobytes()
+            assert run.stderr.tobytes() == runs[0].stderr.tobytes()
+            assert run.batch_means.tobytes() == runs[0].batch_means.tobytes()
 
     @pytest.mark.parametrize("frames", [20_001, 30])
     def test_uneven_small_batches_never_depend_on_workers(self, frames):
@@ -416,7 +445,7 @@ class TestSimulateCurve:
                 slit_ratio=0.6,
             )
         )
-        expected = _envelope(grid, 0.6) ** 2
+        expected = sinc_envelope(grid, 0.6) ** 2
         np.testing.assert_allclose(shaped.values / flat.values, expected, rtol=1e-9)
 
     @pytest.mark.parametrize(
@@ -528,12 +557,11 @@ class TestSimulateCurve:
             seed=31,
             grid=default_grid(37),
         )
-        offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
-        table = _basis_table(config, offsets)
-        sums = _run_unit(config, table, counts, [(0, frames)])
+        table, counts, nodes, weights, _ = _plan(config)
+        sums = _run_unit(config, table, counts, nodes, [(0, frames)])
         moment = math.perm(sources.count + layout.order - 1, layout.order)
         moment *= sources.nbar[0] ** layout.order
-        mean = (sums * _node_weights(config)).sum(axis=1) * moment / frames
+        mean = (sums * weights).sum(axis=1) * moment / frames
         expected = brute_force_batch(config, 0, frames) / frames
         np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0)
 
@@ -577,9 +605,8 @@ class TestSimulateCurve:
         # chunk of 5200 and 30k frames on one of 2000, a width at which a
         # broadcast operand would make numpy buffer it
         config = SpeckleConfig(sources=sources, layout=layout, frames=50_000, seed=3)
-        offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
-        table = _basis_table(config, offsets)
-        k, nodes = sources.count, _node_count(config)
+        table, counts, nodes, _, _ = _plan(config)
+        k = sources.count
         assert table.shape == (rows, columns)
         assert rows + max(5 * k, columns + nodes) == overlaid
         assert 5 * k + rows + columns + nodes == separate
@@ -591,7 +618,7 @@ class TestSimulateCurve:
             width = min(CHUNK_FRAMES, sum(size for _, size in unit))
             tracemalloc.start()
             try:
-                _run_unit(config, table, counts, unit)
+                _run_unit(config, table, counts, nodes, unit)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -664,9 +691,10 @@ class TestSimulateCurve:
     @pytest.mark.parametrize("order", [169, 170])
     def test_moment_past_the_float_range(self, order):
         # at K = 2, c_M = (M+1)!, and float(c_M) overflows from M = 170 on.
-        # Dim sources keep every weighted sum, and the squares in the stderr,
-        # inside the double range; bright ones leave it: a typed error either
-        # side of the edge, never an OverflowError or an inf curve
+        # Dim sources keep every weighted sum inside the double range; at
+        # nbar 1 the values reach 1.4e305 at M = 169 and leave it at M = 170,
+        # and at nbar 2 they leave it on both sides of the edge: a typed
+        # error there, never an OverflowError or an inf curve
         dim = SpeckleConfig(
             sources=SourceArray(nbar=(0.04, 0.04)),
             layout=DetectorLayout.colocated(1, order - 1),
@@ -679,8 +707,36 @@ class TestSimulateCurve:
         np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0)
         np.testing.assert_allclose(curve.batch_means, batch_means, rtol=1e-12, atol=0)
         bright = replace(dim, sources=SourceArray(nbar=(1.0, 1.0)))
+        if order == 169:
+            curve = simulate_curve(bright)
+            values, batch_means = brute_force_curve(bright)
+            np.testing.assert_allclose(curve.values, values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                curve.batch_means, batch_means, rtol=1e-12, atol=0
+            )
+        else:
+            with pytest.raises(AccumulatorOverflowError):
+                simulate_curve(bright)
+        brighter = replace(dim, sources=SourceArray(nbar=(2.0, 2.0)))
         with pytest.raises(AccumulatorOverflowError):
-            simulate_curve(bright)
+            simulate_curve(brighter)
+
+    def test_stderr_of_means_past_the_square_root_of_the_range(self):
+        # batch means of 8.7e205: their squares leave the double range, but
+        # the stderr, 5e204, is taken on them scaled by a power of two
+        config = SpeckleConfig(
+            sources=SourceArray(nbar=(0.25, 0.25)),
+            layout=DetectorLayout.colocated(1, 169),
+            frames=64,
+            seed=1,
+        )
+        curve = simulate_curve(config)
+        assert np.isfinite(curve.values).all() and np.isfinite(curve.stderr).all()
+        assert curve.batch_means.max() > 1e205
+        spread = (curve.batch_means / 1e200).std(axis=0, ddof=1) * 1e200
+        np.testing.assert_allclose(
+            curve.stderr, spread / math.sqrt(MAX_BATCHES), rtol=1e-12, atol=0
+        )
 
     def test_one_source_is_exact_past_the_float_range(self):
         # at K = 1 every frame's weighted product is M! nbar^M, here with
@@ -750,23 +806,26 @@ class TestWorkUnits:
         config = hbt_config(
             frames=20_001, seed=17, layout=DetectorLayout.colocated(3, 2)
         )
-        offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
-        table = _basis_table(config, offsets)
+        table, counts, nodes, _, _ = _plan(config)
         unit = _work_units(_batch_sizes(config.frames))[0]
-        together = _run_unit(config, table, counts, unit)
+        together = _run_unit(config, table, counts, nodes, unit)
         for row, batch in enumerate(unit):
-            alone = _run_unit(config, table, counts, [batch])
+            alone = _run_unit(config, table, counts, nodes, [batch])
             assert alone.tobytes() == together[row : row + 1].tobytes()
+
+
+def period_of(moving_offsets):
+    return _period(*np.unique(moving_offsets, return_counts=True))
 
 
 class TestPeriod:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_spread_comb_of_m(self, m):
-        assert _period(DetectorLayout.spread(m).moving_offsets) == m
+        assert period_of(DetectorLayout.spread(m).moving_offsets) == m
 
     @pytest.mark.parametrize("m1", range(0, 9))
     def test_colocated_is_one(self, m1):
-        assert _period(DetectorLayout.colocated(m1, 2).moving_offsets) == 1
+        assert period_of(DetectorLayout.colocated(m1, 2).moving_offsets) == 1
 
     @pytest.mark.parametrize(
         "offsets,period",
@@ -780,7 +839,46 @@ class TestPeriod:
         ],
     )
     def test_custom_offsets(self, offsets, period):
-        assert _period(offsets) == period
+        assert period_of(offsets) == period
+
+    def test_one_plan_per_run(self, monkeypatch):
+        # 250,001 frames at 2 workers: 20 work units, one plan and one period
+        from thermalnoon import speckle
+
+        calls = {"_plan": 0, "_period": 0}
+
+        def counted(name):
+            original = getattr(speckle, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(speckle, name, counted(name))
+        assert len(_work_units(_batch_sizes(250_001))) == 20
+        simulate_curve(
+            hbt_config(
+                frames=250_001, seed=5, layout=DetectorLayout.colocated(5, 2), workers=2
+            )
+        )
+        assert calls == {"_plan": 1, "_period": 1}
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            DetectorLayout.colocated(3, 2),
+            DetectorLayout.spread(3),
+            DetectorLayout(fixed_phases=(0.4,), moving_offsets=(0.0, math.pi, 0.5)),
+        ],
+    )
+    def test_point_sources_have_a_slit_factor_of_exactly_one(self, layout):
+        # sinc of +0.0 and -0.0 is exactly 1: no branch is needed for slit 0
+        grid = np.array([-1e12, -40.0, -math.pi, -0.0, 0.0, 1e-300, 2.5, 700.0, 1e12])
+        config = hbt_config(layout=layout, grid=grid)
+        assert np.array_equal(envelope_factor(config), np.ones(grid.size))
 
     @pytest.mark.parametrize(
         "sources,layout,columns",
@@ -795,8 +893,7 @@ class TestPeriod:
     )
     def test_phase_columns(self, sources, layout, columns):
         config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
-        offsets, _ = np.unique(layout.moving_offsets, return_counts=True)
-        assert _basis_table(config, offsets).shape[1] == columns
+        assert _plan(config)[0].shape[1] == columns
 
 
 class TestFitCosine:

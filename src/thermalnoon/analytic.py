@@ -18,7 +18,6 @@ and visibilities exact rationals c2/c1.  Values are in combinatorial units
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,9 +63,6 @@ class ClosedForm:
         )
 
 
-# Cached: the forms are immutable and keyed by comb sizes, and deriving one
-# costs more than evaluating G from it, which callers do in loops.
-@functools.cache
 def _derive(moving_combs: tuple[int, ...], m2: int) -> ClosedForm:
     """Moving combs of the given sizes and a fixed comb of m2 >= 1; see the module doc.
 

@@ -37,14 +37,6 @@ from .speckle import SpeckleConfig, fit_cosine, simulate_curve
 ISOMORPHISM_TOLERANCE = 1e-6
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(v)) for v in row])
-
-
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -58,8 +50,21 @@ def _emit_json(payload: dict, path: str | None) -> None:
         print(f"wrote {path}")
 
 
-def _sidecar_path(csv_path: str) -> str:
-    return (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
+def _write_curve(out: str, columns: dict, sidecar: dict, summary: str) -> None:
+    """The columns, named by their keys, to the CSV out; sidecar to its .json."""
+    sidecar_path = (out[:-4] if out.endswith(".csv") else out) + ".json"
+    with open(out, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        for row in zip(*columns.values()):
+            writer.writerow([repr(float(v)) for v in row])
+    _write_json(sidecar_path, sidecar)
+    print(f"wrote {out} and {sidecar_path} ({summary})")
+
+
+def _given(args: argparse.Namespace, *flags: str) -> dict:
+    """The named flags that were set, by name."""
+    return {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
 
 
 def _layout(args: argparse.Namespace, *required: tuple[str, object]) -> DetectorLayout:
@@ -85,23 +90,17 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     else:
         out = args.out or f"analytic-colocated-m1_{args.m1}-m2_{args.m2}.csv"
     curve = form.curve(layout, default_grid(args.grid))
-    normalized = curve.normalize()
-    _write_csv(
+    _write_curve(
         out,
-        ["delta1", "G", "g_norm"],
-        zip(curve.grid, curve.values, normalized.values),
-    )
-    sidecar = {
-        "c1": form.c1,
-        "c2": form.c2,
-        "visibility": form.c2 / form.c1,
-        "frequency": form.frequency,
-        "parity_sign": form.parity_sign,
-    }
-    _write_json(_sidecar_path(out), sidecar)
-    print(
-        f"wrote {out} and {_sidecar_path(out)} "
-        f"(visibility {form.c2 / form.c1:.6g}, G(0) = {form.g(0.0):g})"
+        {"delta1": curve.grid, "G": curve.values, "g_norm": curve.normalize().values},
+        {
+            "c1": form.c1,
+            "c2": form.c2,
+            "visibility": form.c2 / form.c1,
+            "frequency": form.frequency,
+            "parity_sign": form.parity_sign,
+        },
+        f"visibility {form.c2 / form.c1:.6g}, G(0) = {form.g(0.0):g}",
     )
     return 0
 
@@ -171,41 +170,30 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
 
 def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
+    """The run of --config or of the flags, passing on only the values given."""
     if args.config is not None:
         # the file describes the run; only how it is drawn may be overridden
         run_flags = ("m1", "m2", "layout", "nbar", "sources", "grid", "slit_ratio")
-        given = [
-            f"--{flag.replace('_', '-')}"
-            for flag in run_flags
-            if getattr(args, flag) is not None
-        ]
+        given = [f"--{flag.replace('_', '-')}" for flag in _given(args, *run_flags)]
         if given:
             raise ValueError(
                 f"--config describes the run; drop {', '.join(given)} "
                 "(only --frames, --seed and --workers override it)"
             )
         with open(args.config) as fh:
-            data = json.load(fh)
-        cfg = SpeckleConfig.from_dict(data)
-        overrides = {
-            key: value
-            for key, value in vars(args).items()
-            if key in ("frames", "seed", "workers") and value is not None
-        }
-        return replace(cfg, **overrides)
-    layout = _layout(args, ("--frames", args.frames), ("--seed", args.seed))
-    return SpeckleConfig(
-        sources=SourceArray.equidistant(
-            args.sources if args.sources is not None else 2,
-            args.nbar if args.nbar is not None else 1.0,
-        ),
-        layout=layout,
-        frames=args.frames,
-        seed=args.seed,
-        grid=default_grid(args.grid) if args.grid is not None else default_grid(),
-        slit_ratio=args.slit_ratio if args.slit_ratio is not None else 0.0,
-        workers=args.workers if args.workers is not None else 1,
-    )
+            config = SpeckleConfig.from_dict(json.load(fh))
+    else:
+        layout = _layout(args, ("--frames", args.frames), ("--seed", args.seed))
+        count = 2 if args.sources is None else args.sources
+        config = SpeckleConfig(
+            sources=SourceArray.equidistant(count, **_given(args, "nbar")),
+            layout=layout,
+            frames=args.frames,
+            seed=args.seed,
+            **({} if args.grid is None else {"grid": default_grid(args.grid)}),
+            **_given(args, "slit_ratio"),
+        )
+    return replace(config, **_given(args, "frames", "seed", "workers"))
 
 
 def _fringe_sign(config: SpeckleConfig, frequency: int) -> int | None:
@@ -229,28 +217,23 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
         f"speckle-m1_{config.layout.m1}-m2_{config.layout.m2}"
         f"-frames_{config.frames}-seed_{config.seed}.csv"
     )
-    _write_csv(
+    _write_curve(
         out,
-        ["delta1", "g_norm", "stderr"],
-        zip(normalized.grid, normalized.values, normalized.stderr),
-    )
-    sidecar = {
-        "A": fit.offset,
-        "B": fit.amplitude,
-        "visibility": fit.visibility,
-        "stderr_visibility": fit.stderr_visibility,
-        "stderr_amplitude": fit.stderr_amplitude,
-        "frequency": fit.frequency,
-        "dominant_frequency": fit.dominant_frequency,
-        "parity_ok": None if sign is None else bool(fit.amplitude * sign >= 0.0),
-        "seed": config.seed,
-        "frames": config.frames,
-    }
-    _write_json(_sidecar_path(out), sidecar)
-    print(
-        f"wrote {out} and {_sidecar_path(out)} "
-        f"(visibility {fit.visibility:.4f} +- {fit.stderr_visibility:.4f}, "
-        f"dominant frequency {fit.dominant_frequency})"
+        {"delta1": curve.grid, "g_norm": normalized.values, "stderr": normalized.stderr},
+        {
+            "A": fit.offset,
+            "B": fit.amplitude,
+            "visibility": fit.visibility,
+            "stderr_visibility": fit.stderr_visibility,
+            "stderr_amplitude": fit.stderr_amplitude,
+            "frequency": fit.frequency,
+            "dominant_frequency": fit.dominant_frequency,
+            "parity_ok": None if sign is None else bool(fit.amplitude * sign >= 0.0),
+            "seed": config.seed,
+            "frames": config.frames,
+        },
+        f"visibility {fit.visibility:.4f} +- {fit.stderr_visibility:.4f}, "
+        f"dominant frequency {fit.dominant_frequency}",
     )
     return 0
 

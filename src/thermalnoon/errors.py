@@ -10,10 +10,9 @@ class CapacityError(ValueError):
 class NumericalError(RuntimeError):
     """A result cannot be certified to the accuracy asked of it.
 
-    For example, the permanent's a-posteriori error bound exceeds the oracle
-    tolerance.  That bound was at most 1.6e-10 over 92 drawn two-source
-    layouts up to M = 20; detector phases millions of radians out, whose
-    products alpha * d round, can push it past 1e-9.
+    Raised when the path sum's or the permanent's a-posteriori error bound
+    exceeds ORACLE_TOLERANCE, when a sum leaves the double range, or when the
+    permanent's bound passes its limit before the sum is done.
     """
 
 

@@ -120,14 +120,13 @@ class SpeckleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpeckleConfig":
+        """The run a to_dict() describes; an absent optional field takes its default."""
         return cls(
             sources=SourceArray.from_dict(require_field(data, "sources")),
             layout=DetectorLayout.from_dict(require_field(data, "layout")),
             frames=require_field(data, "frames"),
             seed=require_field(data, "seed"),
-            grid=data["grid"] if "grid" in data else default_grid(),
-            slit_ratio=data.get("slit_ratio", 0.0),
-            workers=data.get("workers", 1),
+            **{k: data[k] for k in ("grid", "slit_ratio", "workers") if k in data},
         )
 
 
@@ -139,7 +138,8 @@ def _batch_sizes(frames: int) -> list[int]:
 
 def _period(offsets: np.ndarray, counts: np.ndarray) -> int:
     """Largest p whose shift by 2*pi/p maps the offsets, counts each, onto themselves."""
-    for p in range(int(counts.sum()), 1, -1):
+    # each orbit of the shift holds p distinct offsets, so p divides their number
+    for p in [p for p in range(offsets.size, 1, -1) if offsets.size % p == 0]:
         gap = (offsets[:, None] + TWO_PI / p - offsets) % TWO_PI
         # within 1e-12 rad, each offset must land on one of its multiplicity
         if np.array_equal((np.minimum(gap, TWO_PI - gap) <= 1e-12) @ counts, counts):
@@ -266,10 +266,9 @@ def _run_unit(
 
     table, counts and nodes come from the run's _plan.  Its chunks of up to
     CHUNK_FRAMES frames reuse one block of (2K-1) + max(5K, columns + nodes)
-    rows: 27 floats a frame at colocated(5, 2), 1.21 MB at 5600 frames, the
-    bytes that five separate regions (37 floats) took at 4096.  A wider chunk
-    makes fewer numpy calls per frame, and each call gives up the GIL and must
-    take it back.
+    rows: 27 floats a frame at colocated(5, 2), 1.21 MB at 5600 frames.  A
+    wider chunk makes fewer numpy calls per frame, and each call gives up the
+    GIL and must take it back.
     """
     k = config.sources.count
     nbar = config.sources.nbar

@@ -320,6 +320,47 @@ class TestSpeckleCommand:
         assert "frames" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_required_fields_alone_match_required_flags_alone(self, tmp_path):
+        # an absent field and an absent flag both take SpeckleConfig's defaults
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(3, 2),
+            frames=4000,
+            seed=5,
+            grid=default_grid(7),
+            slit_ratio=0.3,
+            workers=2,
+        ).to_dict()
+        for name in ("grid", "slit_ratio", "workers"):
+            del data[name]
+        config_path = tmp_path / "required.json"
+        config_path.write_text(json.dumps(data))
+        from_config, from_flags = tmp_path / "config.csv", tmp_path / "flags.csv"
+        run = ["speckle", "--config", str(config_path), "--out", str(from_config)]
+        assert main(run) == 0
+        flags = ["--m1", "3", "--m2", "2", "--frames", "4000", "--seed", "5"]
+        assert main(["speckle", *flags, "--out", str(from_flags)]) == 0
+        assert len(read_csv(from_flags)[1]) == 181
+        assert from_config.read_bytes() == from_flags.read_bytes()
+        sidecars = [path.with_suffix(".json") for path in (from_config, from_flags)]
+        assert sidecars[0].read_bytes() == sidecars[1].read_bytes()
+
+    def test_file_frames_are_checked_before_the_frames_flag(self, tmp_path, capsys):
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        data["frames"] = 1000.5
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        run = ["speckle", "--config", str(config_path), "--frames", "1000"]
+        assert main(run + ["--out", str(out)]) == 2
+        assert "frames must be an integer >= 1, got 1000.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_refuses_the_flags_it_would_drop(self, tmp_path, capsys):
         data = SpeckleConfig(
             sources=SourceArray(),

@@ -8,7 +8,7 @@ import pytest
 from thermalnoon.analytic import closed_form
 from thermalnoon.curves import CorrelationCurve, default_grid
 from thermalnoon.errors import AccumulatorOverflowError
-from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
+from thermalnoon.geometry import TWO_PI, DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import correlation_pathsum
 from thermalnoon.speckle import (
     BOOTSTRAP_RESAMPLES,
@@ -162,6 +162,17 @@ class TestSpeckleConfig:
         assert config.grid.shape == (181,)
         assert config.slit_ratio == 0.0
         assert config.workers == 1
+
+    def test_from_dict_of_the_required_fields_takes_the_field_defaults(self):
+        # the defaults are stated once, on the fields: from_dict restates none
+        data = hbt_config(grid=default_grid(7), slit_ratio=0.3, workers=4).to_dict()
+        for name in ("grid", "slit_ratio", "workers"):
+            del data[name]
+        config, built = SpeckleConfig.from_dict(data), hbt_config()
+        assert config.grid.dtype == built.grid.dtype
+        assert config.grid.tobytes() == built.grid.tobytes()
+        assert (config.slit_ratio, config.workers) == (built.slit_ratio, built.workers)
+        assert (config.slit_ratio, config.workers) == (0.0, 1)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -818,6 +829,33 @@ def period_of(moving_offsets):
     return _period(*np.unique(moving_offsets, return_counts=True))
 
 
+def exhaustive_period(moving_offsets):
+    """Reference: every p from the detector count down to 2, divisor or not."""
+    offsets, counts = np.unique(moving_offsets, return_counts=True)
+    for p in range(int(counts.sum()), 1, -1):
+        gap = (offsets[:, None] + TWO_PI / p - offsets) % TWO_PI
+        if np.array_equal((np.minimum(gap, TWO_PI - gap) <= 1e-12) @ counts, counts):
+            return p
+    return 1
+
+
+def period_sweep():
+    """Combs of 1..9, rotated, doubled, with a stray or a near-duplicate offset."""
+    yield np.zeros(0)
+    for m in range(1, 10):
+        comb = magic_positions(m)
+        yield from (comb, comb + 0.7, (comb - 2.0) % TWO_PI, comb + TWO_PI, np.zeros(m))
+        yield np.concatenate([comb, comb])
+        yield np.concatenate([comb, comb, comb + math.pi / m])
+        yield np.concatenate([comb, [0.3]])
+        yield np.concatenate([comb, comb[:1]])
+        # offsets apart by less, about as much and more than the 1e-12 rad match
+        for eps in (1e-13, 5e-13, 2e-12, 1e-9):
+            yield np.concatenate([comb, comb[:1] + eps])
+            yield np.concatenate([comb[:-1], comb[-1:] + eps])
+            yield np.concatenate([comb, comb + eps])
+
+
 class TestPeriod:
     @pytest.mark.parametrize("m", range(1, 9))
     def test_spread_comb_of_m(self, m):
@@ -840,6 +878,18 @@ class TestPeriod:
     )
     def test_custom_offsets(self, offsets, period):
         assert period_of(offsets) == period
+
+    def test_divisors_agree_with_every_p(self):
+        # an orbit of the shift by 2*pi/p holds p distinct offsets, so the
+        # search may skip every p that does not divide their number
+        layouts = list(period_sweep())
+        assert len(layouts) == 190
+        wrong = [
+            (offsets.tolist(), period_of(offsets), exhaustive_period(offsets))
+            for offsets in layouts
+            if period_of(offsets) != exhaustive_period(offsets)
+        ]
+        assert wrong == []
 
     def test_one_plan_per_run(self, monkeypatch):
         # 250,001 frames at 2 workers: 20 work units, one plan and one period

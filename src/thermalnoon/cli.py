@@ -18,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -50,9 +51,13 @@ def _emit_json(payload: dict, path: str | None) -> None:
         print(f"wrote {path}")
 
 
+def _sidecar_path(out: str) -> str:
+    return (out[:-4] if out.endswith(".csv") else out) + ".json"
+
+
 def _write_curve(out: str, columns: dict, sidecar: dict, summary: str) -> None:
     """The columns, named by their keys, to the CSV out; sidecar to its .json."""
-    sidecar_path = (out[:-4] if out.endswith(".csv") else out) + ".json"
+    sidecar_path = _sidecar_path(out)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
@@ -206,6 +211,14 @@ def _fringe_sign(config: SpeckleConfig, frequency: int) -> int | None:
 
 def _cmd_speckle(args: argparse.Namespace) -> int:
     config = _speckle_config(args)
+    out = args.out or (
+        f"speckle-m1_{config.layout.m1}-m2_{config.layout.m2}"
+        f"-frames_{config.frames}-seed_{config.seed}.csv"
+    )
+    if args.config is not None:
+        for path in (out, _sidecar_path(out)):
+            if os.path.exists(path) and os.path.samefile(path, args.config):
+                raise ValueError(f"the run would write {path} over its --config file")
     curve = simulate_curve(config)
     frequency = args.fit_frequency
     if frequency is None:
@@ -213,10 +226,6 @@ def _cmd_speckle(args: argparse.Namespace) -> int:
     fit = fit_cosine(curve, frequency)
     sign = _fringe_sign(config, frequency)
     normalized = curve.normalize()
-    out = args.out or (
-        f"speckle-m1_{config.layout.m1}-m2_{config.layout.m2}"
-        f"-frames_{config.frames}-seed_{config.seed}.csv"
-    )
     _write_curve(
         out,
         {"delta1": curve.grid, "g_norm": normalized.values, "stderr": normalized.stderr},

@@ -31,22 +31,27 @@ Each frame is weighted by c_M / s^M, s = sum_l |z_l|^2 over its unit-variance
 complex normals z_l = a_l / sqrt(nbar_l), c_M = E[s^M] = (K+M-1)!/(K-1)!: s ~
 Gamma(K, 1) is independent of z / sqrt(s), and the product is homogeneous of
 degree M in s, so the mean is kept and the brightness integrated out exactly.
+The weighted product does not change under a common phase, z -> exp(i psi) z,
+so each frame is drawn turned by -arg z_0: z_0 = sqrt(E), E ~ Exp(1), real,
+and z_1..z_(K-1) circular complex normals, which are independent of arg z_0.
+Every frame's value keeps its law, drawn from 2K-1 variates instead of 2K.
 
 Determinism contract: frames are split into min(20, frames) contiguous batches
 of fixed sizes; batch b draws from its own substream, an SFC64 seeded by
-SeedSequence(seed, spawn_key=(0, b)), in chunks of up to CHUNK_FRAMES frames,
-each chunk taking standard normals of shape (chunk frames, 2K) as the real
-then imaginary parts of the amplitudes; batch partial sums are combined in
-batch order.  fit_cosine's bootstrap draws from spawn_key=(1,).  Work units,
-fixed by the batch sizes alone, run the batches: those that fit in one chunk
-together share it, each in its own slice, in batch order; a larger or a
-one-frame batch is a unit of its own.
+SeedSequence(seed, spawn_key=(0, b)), in chunks of up to CHUNK_FRAMES frames
+from the batch's start, each chunk of f frames taking f standard exponentials
+E, then standard normals of shape (f, 2K-2): times sqrt(2), z_0 is sqrt(2E),
+and z_1..z_(K-1) take the normals as real then imaginary parts; batch partial
+sums are combined in batch order.  fit_cosine's bootstrap draws from
+spawn_key=(1,).  Work units, fixed by the batch sizes alone, run the batches:
+those that fit in one chunk together share it, each in its own slice, in
+batch order; a larger or a one-frame batch is a unit of its own.
 Within a chunk every array is real and laid out (row, frame): each node's
 product is summed over a batch's frames as one contiguous row, and a batch's
 chunk sums are added in draw order, with no BLAS call anywhere; a chunk's
-intensities and product overwrite its normals and parts once the frame
+intensities and product overwrite its draws and parts once the frame
 coefficients are formed (see _run_unit).  The layout decides only the
-rounding; the seed fixes which normals each frame gets and the batch order.
+rounding; the seed fixes which variates each frame gets and the batch order.
 The result is bit-identical for any worker count, and the batch means feed
 the stderr estimate and the bootstrap in fit_cosine.
 """
@@ -120,14 +125,22 @@ class SpeckleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpeckleConfig":
-        """The run a to_dict() describes; an absent optional field takes its default."""
-        return cls(
+        """The run a to_dict() describes; an absent optional field takes its default.
+
+        A key that names no field is refused, so a misspelt one never runs at
+        the default.
+        """
+        config = cls(
             sources=SourceArray.from_dict(require_field(data, "sources")),
             layout=DetectorLayout.from_dict(require_field(data, "layout")),
             frames=require_field(data, "frames"),
             seed=require_field(data, "seed"),
             **{k: data[k] for k in ("grid", "slit_ratio", "workers") if k in data},
         )
+        unknown = [repr(key) for key in data if key not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"config has unknown fields: {', '.join(unknown)}")
+        return config
 
 
 def _batch_sizes(frames: int) -> list[int]:
@@ -174,6 +187,7 @@ def _plan(config: SpeckleConfig) -> tuple:
 
 
 def _chunk_node_sums(
+    exponentials: np.ndarray,
     normals: np.ndarray,
     scale: np.ndarray | None,
     table: np.ndarray,
@@ -184,7 +198,10 @@ def _chunk_node_sums(
 ) -> list[np.ndarray]:
     """Per slice of a chunk's frames, the node sums of the weighted intensity product.
 
-    normals holds the chunk's standard normals, (frames, 2K); scale holds
+    exponentials holds one standard exponential E a frame, and normals the
+    standard normals, (frames, 2K-2): source 0's rows are x_0 = sqrt(2E) and
+    y_0 = 0 (the frame turned by -arg z_0), and the normals are the rows x_l
+    then y_l of sources 1..K-1.  scale holds
     sqrt(nbar_l / nbar_0) twice, the factors of the rows x_l and y_l, or is
     None at equal brightness; the rows -x_l follow by negation.  A frame's
     product is P / (nbar_0 s)^M.  table holds the basis rows 1, 2cos(d*delta)
@@ -192,19 +209,23 @@ def _chunk_node_sums(
     laid out (row, frame), so numpy's inner loops run over frames, and
     integer powers are taken by repeated squaring.  work holds the unit's
     two flat buffers, each with room for the chunk's rows as contiguous
-    (rows, frames) blocks: the 2K-1 coefficient rows, and a room that starts
-    with the normals themselves and holds the 3K rows of parts after them.
-    2s, unless c0 is 2s itself, overwrites the dead normals; once the
+    (rows, frames) blocks: the 2K-1 coefficient rows, whose first row holds
+    the exponentials until c0 is formed, and a room that starts with the
+    normals themselves and holds the 3K rows of parts after them.  2s,
+    unless c0 is 2s itself, overwrites the dead normals; once the
     coefficients are divided by it, the intensities and then the product
     rows overwrite the room from its start.  slices picks each batch's frames
     of the chunk.  Rows are scaled one by one: numpy buffers a broadcast.
     """
-    frames, k = normals.shape[0], normals.shape[1] // 2
+    frames, k = normals.shape[0], normals.shape[1] // 2 + 1
     (rows, columns), (coefs_room, room) = table.shape, work
     coefs = coefs_room[: rows * frames].reshape(rows, frames)
-    parts = room[2 * k * frames : 5 * k * frames].reshape(3 * k, frames)
-    np.copyto(parts[: 2 * k], normals.T)
+    parts = room[(2 * k - 2) * frames : (5 * k - 2) * frames].reshape(3 * k, frames)
     a, turned = parts[: 2 * k].reshape(2, k, frames), parts[k:].reshape(2, k, frames)
+    np.add(exponentials, exponentials, out=parts[0])
+    np.sqrt(parts[0], out=parts[0])
+    parts[k] = 0.0
+    np.copyto(a[:, 1:], normals.T.reshape(2, k - 1, frames))
     # the rows x_l, y_l times scale_l are sqrt(2/nbar_0)*a_l, and (y_l, -x_l) is -1j
     # times it.  At equal brightness they stay unscaled, and c0, divided last, is 2s
     if scale is not None:
@@ -265,8 +286,9 @@ def _run_unit(
     """Node sums of a work unit's batches, (batches, nodes) in batch order.
 
     table, counts and nodes come from the run's _plan.  Its chunks of up to
-    CHUNK_FRAMES frames reuse one block of (2K-1) + max(5K, columns + nodes)
+    CHUNK_FRAMES frames reuse one block of (2K-1) + max(5K-2, columns + nodes)
     rows: 27 floats a frame at colocated(5, 2), 1.21 MB at 5600 frames.  A
+    frame draws 2K-1 variates, one standard exponential and 2K-2 normals.  A
     wider chunk makes fewer numpy calls per frame, and each call gives up the
     GIL and must take it back.
     """
@@ -275,13 +297,15 @@ def _run_unit(
     scale = None if len(set(nbar)) == 1 else np.sqrt(np.array(nbar + nbar) / nbar[0])
     # one block per unit: per-chunk temporaries, or one buffer each, made the
     # allocator return their pages and fault them in again for every chunk.
-    # The coefficient rows come first; the room after them holds the normals
-    # and parts, then the intensities and product, written once those are dead
+    # The coefficient rows come first, the exponentials in their first row; the
+    # room after them holds the normals and parts, then the intensities and
+    # product, written once those are dead
     width = min(CHUNK_FRAMES, sum(size for _, size in unit))
     coefs_rows = table.shape[0] * width
-    block = np.empty(coefs_rows + max(5 * k, table.shape[1] + nodes) * width)
+    block = np.empty(coefs_rows + max(5 * k - 2, table.shape[1] + nodes) * width)
     work = block[:coefs_rows], block[coefs_rows:]
-    draws = work[1][: 2 * k * width].reshape(width, 2 * k)
+    exponentials = work[0][:width]
+    normals = work[1][: (2 * k - 2) * width].reshape(width, 2 * k - 2)
     sums = np.zeros((len(unit), nodes))
     filled, slices = 0, []
     for row, (b, size) in enumerate(unit):
@@ -289,13 +313,21 @@ def _run_unit(
         rng = np.random.Generator(np.random.SFC64(seeds))
         while size:
             f = min(width - filled, size)
-            rng.standard_normal((f, 2 * k), out=draws[filled : filled + f])
+            rng.standard_exponential(f, out=exponentials[filled : filled + f])
+            rng.standard_normal((f, 2 * k - 2), out=normals[filled : filled + f])
             slices.append(slice(filled, filled + f))
             filled, size = filled + f, size - f
             if filled == width or not size and row == len(unit) - 1:
                 # the chunk's slices: one per batch, up to this one
                 sums[row + 1 - len(slices) : row + 1] += _chunk_node_sums(
-                    draws[:filled], scale, table, counts, nodes, work, slices
+                    exponentials[:filled],
+                    normals[:filled],
+                    scale,
+                    table,
+                    counts,
+                    nodes,
+                    work,
+                    slices,
                 )
                 filled, slices = 0, []
     return sums

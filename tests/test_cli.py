@@ -269,7 +269,7 @@ class TestSpeckleCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         from_flags = tmp_path / "flags.csv"
-        from_config = tmp_path / "config.csv"
+        from_config = tmp_path / "from-config.csv"
         assert self.run_speckle(from_flags) == 0
         code = main(
             ["speckle", "--config", str(config_path), "--out", str(from_config)]
@@ -289,7 +289,7 @@ class TestSpeckleCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config.to_dict()))
         from_flags = tmp_path / "flags.csv"
-        from_config = tmp_path / "config.csv"
+        from_config = tmp_path / "from-config.csv"
         assert self.run_speckle(from_flags, extra=("--slit-ratio", "0.2")) == 0
         code = main(
             ["speckle", "--config", str(config_path), "--out", str(from_config)]
@@ -359,6 +359,59 @@ class TestSpeckleCommand:
         run = ["speckle", "--config", str(config_path), "--frames", "1000"]
         assert main(run + ["--out", str(out)]) == 2
         assert "frames must be an integer >= 1, got 1000.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "out",
+        ["run.csv", "run.json", "sub/../run.csv", "link.csv", "hard.json"],
+        ids=["sidecar", "csv", "dotted", "symlink", "hard-link"],
+    )
+    def test_config_file_is_never_written_over(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        # the CSV run.json, or run.csv's sidecar run.json, would be the config
+        # file itself, by any path to it: refused before a frame is drawn
+        config_path = tmp_path / "run.json"
+        config_path.write_text(
+            json.dumps(
+                SpeckleConfig(
+                    sources=SourceArray(),
+                    layout=DetectorLayout.colocated(2, 2),
+                    frames=1000,
+                    seed=3,
+                ).to_dict()
+            )
+        )
+        before = config_path.read_bytes()
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.json").symlink_to(config_path)
+        (tmp_path / "hard.json").hardlink_to(config_path)
+
+        def simulate(config):
+            raise AssertionError("simulated before the paths were checked")
+
+        monkeypatch.setattr(cli, "simulate_curve", simulate)
+        run = ["speckle", "--config", str(config_path), "--out", str(tmp_path / out)]
+        assert main(run) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and str(tmp_path / out)[:-4] in err
+        assert config_path.read_bytes() == before
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_config_file_names_every_unknown_key(self, tmp_path, capsys):
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        data.update(slit_ration=0.5, worker=4)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'slit_ration'" in err and "'worker'" in err
         assert not out.exists()
 
     def test_config_file_refuses_the_flags_it_would_drop(self, tmp_path, capsys):

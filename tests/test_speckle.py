@@ -33,8 +33,10 @@ def exact_curve(layout, grid=None):
 def brute_force_batch(config, b, size):
     """Reference: batch b's frame sum, every frame's field at every grid point.
 
-    Batch b draws standard normals (size, 2K) in chunks of CHUNK_FRAMES from
-    SFC64(SeedSequence(seed, spawn_key=(0, b))), real parts first.  Each
+    Batch b draws from SFC64(SeedSequence(seed, spawn_key=(0, b))) in chunks
+    of CHUNK_FRAMES, each chunk of f frames standard exponentials (f,), then
+    standard normals (f, 2K-2).  Times sqrt(2), a frame's z_0 is sqrt(2E),
+    real, and z_1..z_(K-1) have the normals as real then imaginary parts.  Each
     frame's product of |E|^2 is weighted by c_M / s^M, with s the sum of
     |z_l|^2 over its unit-variance complex normals z_l and c_M the M-th
     moment (K+M-1)!/(K-1)! of s ~ Gamma(K, 1).  The product is taken over
@@ -49,13 +51,15 @@ def brute_force_batch(config, b, size):
     steer = envelope * np.exp(-1j * np.arange(k)[:, None, None] * phases)
     seeds = np.random.SeedSequence(config.seed, spawn_key=(0, b))
     rng = np.random.Generator(np.random.SFC64(seeds))
-    normals = np.concatenate(
-        [
-            rng.standard_normal((min(CHUNK_FRAMES, size - start), 2 * k))
-            for start in range(0, size, CHUNK_FRAMES)
-        ]
-    )
-    z = (normals[:, :k] + 1j * normals[:, k:]) / math.sqrt(2.0)
+    chunks = []
+    for start in range(0, size, CHUNK_FRAMES):
+        f = min(CHUNK_FRAMES, size - start)
+        radius = np.sqrt(2.0 * rng.standard_exponential(f))
+        normals = rng.standard_normal((f, 2 * k - 2))
+        real = np.column_stack([radius, normals[:, : k - 1]])
+        imag = np.column_stack([np.zeros(f), normals[:, k - 1 :]])
+        chunks.append((real + 1j * imag) / math.sqrt(2.0))
+    z = np.concatenate(chunks)
     amps = z * np.sqrt(np.asarray(config.sources.nbar))
     order = config.layout.order
     moment = math.factorial(k + order - 1) // math.factorial(k - 1)
@@ -253,6 +257,13 @@ class TestSpeckleConfig:
         data = hbt_config().to_dict()
         (data if section is None else data[section])[field] = value
         with pytest.raises(ValueError, match=field):
+            SpeckleConfig.from_dict(data)
+
+    def test_from_dict_names_every_unknown_key(self):
+        # a misspelt optional field would otherwise run at its default
+        data = hbt_config().to_dict()
+        data.update(slit_ration=0.5, worker=4)
+        with pytest.raises(ValueError, match="'slit_ration', 'worker'"):
             SpeckleConfig.from_dict(data)
 
     def test_roundtrip(self):
@@ -510,7 +521,7 @@ class TestSimulateCurve:
                 {},
             ),
             (dark_middle_source(), DetectorLayout.colocated(2, 2), 20_000, {}),
-            # five sources and one detector: the normals and parts, 25 floats
+            # five sources and one detector: the normals and parts, 23 floats
             # a frame, are the larger part of the unit's overlaid room
             (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 20_000, {}),
         ],
@@ -580,10 +591,11 @@ class TestSimulateCurve:
         "sources,layout,rows,columns,overlaid,separate",
         [
             # 11 nodes, 11 + 2 columns.  Per frame, the coefficients c0,
-            # Re Y_1, Im Y_1 (3 floats) and a room that holds the normals (4)
-            # and the parts x, y, -x (6), then the intensities (13) and the
-            # product (11): 3 + max(10, 24) = 27 floats, 216 B, against five
-            # separate regions of 37 floats, 296 B
+            # Re Y_1, Im Y_1 (3 floats, the first one the exponential until c0
+            # is formed) and a room that holds the normals (2) and the parts
+            # x, y, -x (6), then the intensities (13) and the product (11):
+            # 3 + max(8, 24) = 27 floats, 216 B, against five separate regions
+            # of 37 floats, 296 B
             (SourceArray(), DetectorLayout.colocated(5, 2), 3, 13, 27, 37),
             # unequal brightness: the rows are scaled and 2s takes a row of its own
             (
@@ -595,21 +607,21 @@ class TestSimulateCurve:
                 37,
             ),
             # 3 nodes for one period of the comb, 3 offsets x 3 nodes + 3
-            # fixed columns: 3 + max(10, 12 + 3) against 4 + 6 + 3 + 12 + 3
+            # fixed columns: 3 + max(8, 12 + 3) against 4 + 6 + 3 + 12 + 3
             (SourceArray(), DetectorLayout.spread(3), 3, 12, 18, 28),
-            # 9 nodes, 9 + 2 columns: 5 + max(15, 11 + 9) against
+            # 9 nodes, 9 + 2 columns: 5 + max(13, 11 + 9) against
             # 6 + 9 + 5 + 11 + 9
             (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 5, 11, 25, 40),
             # 9 nodes, 9 columns: the normals and parts are the larger part,
-            # 9 + max(25, 9 + 9) against 10 + 15 + 9 + 9 + 9
-            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 34, 52),
+            # 9 + max(23, 9 + 9) against 10 + 15 + 9 + 9 + 9
+            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 32, 52),
         ],
         ids=["colocated-5-2", "unequal-5-2", "spread-3", "k3-2-2", "k5-1-0"],
     )
     def test_batch_memory_is_bounded(
         self, sources, layout, rows, columns, overlaid, separate
     ):
-        # A unit's block is (2K-1) + max(5K, columns + nodes) floats a frame,
+        # A unit's block is (2K-1) + max(5K-2, columns + nodes) floats a frame,
         # and no chunk allocates more.  Wider chunks must fit in the bytes the
         # five separate regions took at 4096 frames (1.21 MB at colocated(5,
         # 2)); the peak may add 64 kB for small objects.  50k frames end on a
@@ -619,7 +631,7 @@ class TestSimulateCurve:
         table, counts, nodes, _, _ = _plan(config)
         k = sources.count
         assert table.shape == (rows, columns)
-        assert rows + max(5 * k, columns + nodes) == overlaid
+        assert rows + max(5 * k - 2, columns + nodes) == overlaid
         assert 5 * k + rows + columns + nodes == separate
         assert overlaid * CHUNK_FRAMES <= separate * 4096
         # 40k frames: two 2000-frame batches share one 4000-frame chunk
@@ -777,6 +789,62 @@ class TestSimulateCurve:
                 )
                 fit = fit_cosine(simulate_curve(config), 2)
                 assert abs(fit.visibility - exact) < 4 * fit.stderr_visibility, seed
+
+
+    @pytest.mark.parametrize(
+        "sources,layout,relative_sd",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2), (1.139, 1.720, 1.747)),
+            (
+                SourceArray.equidistant(3),
+                DetectorLayout.colocated(2, 2),
+                (1.746, 1.351, 1.198),
+            ),
+        ],
+        ids=["colocated-5-2", "k3-2-2"],
+    )
+    def test_frame_distribution_follows_the_moment_theorem(
+        self, sources, layout, relative_sd
+    ):
+        # one-frame batches make each batch mean one frame's weighted value,
+        # whose j-th moment is c_M^j G_jM / c_jM, G_jM the correlation of the
+        # M detectors each taken j times (ROADMAP item 10).  So the mean, the
+        # variance c_M^2 G_2M / c_2M - G^2 and the standard errors of their
+        # estimates from n frames are exact; 4000 frames must put both
+        # estimates within 4 of those standard errors, at every delta1
+        grid = np.array([0.0, 1.14, 1.71])
+        frames = np.vstack(
+            [
+                simulate_curve(
+                    SpeckleConfig(
+                        sources=sources,
+                        layout=layout,
+                        frames=MAX_BATCHES,
+                        seed=seed,
+                        grid=grid,
+                    )
+                ).batch_means
+                for seed in range(200)
+            ]
+        )
+        n, k, order = frames.shape[0], sources.count, layout.order
+        assert n == 4000
+        for values, delta1, sd in zip(frames.T, grid, relative_sd):
+            phases = layout.detector_phases(delta1)
+            m1, m2, m3, m4 = (
+                math.perm(k + order - 1, order) ** j
+                * correlation_pathsum(sources, np.tile(phases, j))
+                / math.perm(k + j * order - 1, j * order)
+                for j in range(1, 5)
+            )
+            variance = m2 - m1**2
+            assert math.sqrt(variance) / m1 == pytest.approx(sd, abs=5e-4)
+            # the central fourth moment, and the variance of the unbiased
+            # sample variance of n independent frames
+            mu4 = m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4
+            spread = mu4 / n - variance**2 * (n - 3) / (n * (n - 1))
+            assert abs(values.mean() - m1) < 4 * math.sqrt(variance / n), delta1
+            assert abs(values.var(ddof=1) - variance) < 4 * math.sqrt(spread), delta1
 
 
 class TestWorkUnits:

@@ -30,7 +30,6 @@ from .geometry import (
     DetectorLayout,
     SourceArray,
     magic_positions,
-    phase_from_angle,
 )
 from .pathsum import (
     coherence_matrix,
@@ -78,7 +77,6 @@ __all__ = [
     "magic_positions",
     "noon_overlap",
     "noon_state",
-    "phase_from_angle",
     "project_magic",
     "simulate_curve",
     "thermal_two_mode",

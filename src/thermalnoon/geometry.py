@@ -52,6 +52,13 @@ def require_field(data: object, name: str) -> object:
     return data[name]
 
 
+def refuse_unknown_fields(data: dict, fields: dict, where: str) -> None:
+    """Name every key of `data` that is not in `fields`, so none runs at a default."""
+    unknown = [repr(key) for key in data if key not in fields]
+    if unknown:
+        raise ValueError(f"{where} has unknown fields: {', '.join(unknown)}")
+
+
 def relative_gap(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
     """|a - b| relative to the larger magnitude, elementwise; 0 where both are 0."""
     return np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
@@ -71,13 +78,6 @@ def comb_sign(m: int) -> int:
     coherence and of the co-located fringe at frequency m.
     """
     return -1 if m % 2 == 0 else 1
-
-
-def phase_from_angle(k: float, d: float, theta: float) -> float:
-    """Detector phase delta = k*d*sin(theta) for wavenumber k, spacing d, angle theta."""
-    if k <= 0.0 or d <= 0.0:
-        raise ValueError("wavenumber k and spacing d must be positive")
-    return float(k) * float(d) * math.sin(float(theta))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,10 @@ class SourceArray:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SourceArray":
-        return cls(nbar=require_field(data, "nbar"))
+        """Read to_dict's field; any other key is refused by name."""
+        sources = cls(nbar=require_field(data, "nbar"))
+        refuse_unknown_fields(data, cls.__dataclass_fields__, "config sources")
+        return sources
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,8 @@ class DetectorLayout:
 
         Derived from the data; spread(1) equals colocated(1, 1) and reads mmp-spread.
         """
-        if self.m1 and self == DetectorLayout.spread(self.m1):
+        comb = tuple(magic_positions(self.m1)) if self.m1 else None
+        if self.moving_offsets == comb == self.fixed_phases:
             return "mmp-spread"
         return "custom" if any(self.moving_offsets) else "co-located"
 
@@ -203,8 +207,14 @@ class DetectorLayout:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DetectorLayout":
-        """Read to_dict's two fields; a missing one is named in the error."""
-        return cls(
+        """Read to_dict's two fields; a missing one, then any other key, is named.
+
+        The required fields are checked first, so a file that predates moving
+        offsets is told what it lacks.
+        """
+        layout = cls(
             fixed_phases=require_field(data, "fixed_phases"),
             moving_offsets=require_field(data, "moving_offsets"),
         )
+        refuse_unknown_fields(data, cls.__dataclass_fields__, "config layout")
+        return layout

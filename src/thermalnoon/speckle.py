@@ -42,18 +42,17 @@ SeedSequence(seed, spawn_key=(0, b)), in chunks of up to CHUNK_FRAMES frames
 from the batch's start, each chunk of f frames taking f standard exponentials
 E, then standard normals of shape (f, 2K-2): times sqrt(2), z_0 is sqrt(2E),
 and z_1..z_(K-1) take the normals as real then imaginary parts; batch partial
-sums are combined in batch order.  fit_cosine's bootstrap draws from
-spawn_key=(1,).  Work units, fixed by the batch sizes alone, run the batches:
-those that fit in one chunk together share it, each in its own slice, in
-batch order; a larger or a one-frame batch is a unit of its own.
-Within a chunk every array is real and laid out (row, frame): each node's
-product is summed over a batch's frames as one contiguous row, and a batch's
+sums are combined in batch order.  Work units, fixed by the batch sizes
+alone, run the batches: those that fit in one chunk together share it, each
+in its own slice, in batch order; a larger or a one-frame batch is a unit of
+its own.  Within a chunk every array is real and laid out (row, frame): each
+node's product is summed over a batch's frames as one contiguous row, and a batch's
 chunk sums are added in draw order, with no BLAS call anywhere; a chunk's
 intensities and product overwrite its draws and parts once the frame
 coefficients are formed (see _run_unit).  The layout decides only the
 rounding; the seed fixes which variates each frame gets and the batch order.
 The result is bit-identical for any worker count, and the batch means feed
-the stderr estimate and the bootstrap in fit_cosine.
+the stderr estimate and fit_cosine's error bars, which draw no variates.
 """
 
 from __future__ import annotations
@@ -72,6 +71,7 @@ from .geometry import (
     DetectorLayout,
     SourceArray,
     comb_sign,
+    refuse_unknown_fields,
     require_field,
     require_int,
     require_real,
@@ -79,7 +79,6 @@ from .geometry import (
 
 CHUNK_FRAMES = 5600
 MAX_BATCHES = 20
-BOOTSTRAP_RESAMPLES = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,9 +136,7 @@ class SpeckleConfig:
             seed=require_field(data, "seed"),
             **{k: data[k] for k in ("grid", "slit_ratio", "workers") if k in data},
         )
-        unknown = [repr(key) for key in data if key not in cls.__dataclass_fields__]
-        if unknown:
-            raise ValueError(f"config has unknown fields: {', '.join(unknown)}")
+        refuse_unknown_fields(data, cls.__dataclass_fields__, "config")
         return config
 
 
@@ -169,7 +166,10 @@ def _plan(config: SpeckleConfig) -> tuple:
     weights[g, n]: the Dirichlet kernel, degree (N-1)/2, at p*grid[g] - 2*pi*n/N.
     envelope: per grid point, the product over all M detectors of env(phase)^2.
     """
-    offsets, counts = np.unique(config.layout.moving_offsets, return_counts=True)
+    # at most M offsets: counted in Python, sorted as np.unique would sort them
+    moving = config.layout.moving_offsets
+    offsets = np.array(sorted(set(moving)))
+    counts = np.array([moving.count(offset) for offset in offsets.tolist()])
     p, k = _period(offsets, counts), config.sources.count
     nodes = 2 * (config.layout.m1 * (k - 1) // p) + 1
     theta = TWO_PI * np.arange(nodes) / (nodes * p)
@@ -426,38 +426,63 @@ def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
 
 
 def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
-    """Fit A + B*cos(frequency*delta1); bootstrap errors come from batch means.
+    """Fit A + B*cos(frequency*delta1), with the bootstrap's error bars in closed form.
 
-    One least-squares map P (lstsq's minimum-norm answer) fits the curve and
-    each batch mean; a bootstrap resample averages its batches' coefficients.
+    lstsq's minimum-norm map P fits the curve and each batch mean b, giving
+    (A_b, B_b).  With c' = c - mean(c), c = cos(frequency*grid), its B-row is
+    c'/(c'.c') and its A-row 1/n - mean(c)*(B-row).  Below lstsq's cutoff,
+    s2 <= n*eps*s1 for the design's singular values, (s1*s2)^2 = n*c'.c', c
+    is constant up to rounding and P has rank 1.
+
+    A bootstrap mean (A*, B*) of the batches has, over infinitely many
+    resamples, the plug-in (ddof 0) covariance of the (A_b, B_b) over nb
+    (Efron & Tibshirani, An Introduction to the Bootstrap, 1993, ch. 5-6), so
+    stderr_amplitude = sigma_B = sqrt(var(B_b)/nb).  In units of A, V* =
+    |B*|/A* ~ |B*| - mu (A* - 1) to first order in A*, with |B*| folded normal
+    for B* ~ N(B, sigma_B^2) (Leone, Nelson & Nottingham, Technometrics 3,
+    1961, 543): t = |B|/(sigma_B sqrt(2)), mean mu = |B| + e, e = sigma_B
+    sqrt(2/pi) exp(-t^2) - |B| erfc(t), Var|B*| = sigma_B^2 - e (2|B| + e),
+    and Cov(|B*|, A*) = sigma_AB erf(t) sign(B) by Stein's lemma.  Hence
+    stderr_visibility^2 = Var|B*| - 2 mu Cov(|B*|, A*) + mu^2 sigma_A^2.
+
     The curve must span at least one period.  parity_ok: the sign of B is
     comb_sign(frequency) = (-1)**(frequency - 1), a rule of two-source
     co-located fringes only.
     """
     frequency = require_int("frequency", frequency, 1)
-    grid = curve.grid
+    grid, n = curve.grid, curve.grid.size
     span = float(grid.max() - grid.min())
     if span + 1e-9 < TWO_PI / frequency:
         raise ValueError(
             f"grid spans {span:.6f} rad but one period at frequency "
             f"{frequency} needs {TWO_PI / frequency:.6f}"
         )
-    design = np.column_stack([np.ones_like(grid), np.cos(frequency * grid)])
-    # lstsq's cutoff: a rank-deficient design gets its minimum-norm answer
-    projection = np.linalg.pinv(design, rcond=max(design.shape) * np.finfo(float).eps)
-    offset, amplitude = (float(c) for c in projection @ curve.values)
+    c = np.cos(frequency * grid)
+    mean = float(c.mean())
+    centred = c - mean
+    det, trace = n * float(centred @ centred), n + float(c @ c)
+    top = 0.5 * (trace + math.sqrt(max(trace * trace - 4.0 * det, 0.0)))
+    if det > (n * np.finfo(float).eps * top) ** 2:
+        b_row = centred * (n / det)
+        projection = np.vstack([1.0 / n - mean * b_row, b_row])
+    else:
+        projection = np.outer([1.0, mean], np.ones(n)) / (n * (1.0 + mean * mean))
+    offset, amplitude = (float(x) for x in projection @ curve.values)
     if offset <= 0.0:
         raise ValueError("fitted offset must be positive for a visibility")
     stderr_vis = stderr_amp = 0.0
     if curve.batch_means is not None and curve.batch_means.shape[0] >= 2:
         nb = curve.batch_means.shape[0]
-        seeds = np.random.SeedSequence(curve.seed or 0, spawn_key=(1,))
-        rng = np.random.Generator(np.random.SFC64(seeds))
-        # one call draws what BOOTSTRAP_RESAMPLES successive draws of nb would
-        picks = rng.integers(0, nb, size=(BOOTSTRAP_RESAMPLES, nb))
-        offsets, amplitudes = (curve.batch_means @ projection.T)[picks].mean(axis=1).T
-        stderr_vis = float((np.abs(amplitudes) / offsets).std(ddof=1))
-        stderr_amp = float(amplitudes.std(ddof=1))
+        coefs = curve.batch_means @ (projection.T / offset)
+        (var_a, cov_ab), (_, var_b) = np.cov(coefs.T, ddof=0) / nb
+        sigma_b, b = math.sqrt(var_b), abs(amplitude) / offset
+        t = b / (sigma_b * math.sqrt(2.0)) if sigma_b else math.inf
+        # e of the folded normal, so that no B^2 - B^2 cancels
+        e = sigma_b * math.sqrt(2.0 / math.pi) * math.exp(-t * t) - b * math.erfc(t)
+        mu, cov_abs = b + e, cov_ab * math.erf(math.copysign(t, amplitude))
+        var_vis = var_b - e * (2.0 * b + e) - 2.0 * mu * cov_abs + mu * mu * var_a
+        stderr_vis = math.sqrt(max(var_vis, 0.0))
+        stderr_amp = offset * sigma_b
     return FitResult(
         offset=offset,
         amplitude=amplitude,

@@ -246,7 +246,7 @@ class TestSpeckleCommand:
         assert self.run_speckle(serial, workers="1") == 0
         assert self.run_speckle(threaded, workers="4") == 0
         assert serial.read_bytes() == threaded.read_bytes()
-        # the sidecar too: the fit's bootstrap sees the same batch means
+        # the sidecar too: the fit's error bars see the same batch means
         assert (tmp_path / "serial.json").read_bytes() == (
             tmp_path / "threaded.json"
         ).read_bytes()
@@ -398,20 +398,32 @@ class TestSpeckleCommand:
         assert config_path.read_bytes() == before
         assert not (tmp_path / "run.csv").exists()
 
-    def test_config_file_names_every_unknown_key(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section,extra",
+        [
+            (None, {"slit_ration": 0.5, "worker": 4}),
+            ("sources", {"count": 3}),
+            ("layout", {"moving_kind": "mmp-spread"}),
+        ],
+        ids=["top", "sources", "layout"],
+    )
+    def test_config_file_names_every_unknown_key(
+        self, tmp_path, capsys, section, extra
+    ):
         data = SpeckleConfig(
             sources=SourceArray(),
             layout=DetectorLayout.colocated(2, 2),
             frames=1000,
             seed=3,
         ).to_dict()
-        data.update(slit_ration=0.5, worker=4)
+        (data if section is None else data[section]).update(extra)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
         out = tmp_path / "x.csv"
         assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "'slit_ration'" in err and "'worker'" in err
+        where = "config" if section is None else f"config {section}"
+        assert f"{where} has unknown fields: " + ", ".join(map(repr, extra)) in err
         assert not out.exists()
 
     def test_config_file_refuses_the_flags_it_would_drop(self, tmp_path, capsys):

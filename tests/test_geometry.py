@@ -9,7 +9,6 @@ from thermalnoon.geometry import (
     SourceArray,
     comb_sign,
     magic_positions,
-    phase_from_angle,
     relative_gap,
 )
 
@@ -88,23 +87,6 @@ class TestMovingMagicPositions:
                 np.testing.assert_allclose(gaps, ref, atol=1e-9)
 
 
-class TestPhaseFromAngle:
-    def test_half_wavelength_path_difference_gives_pi(self):
-        wavelength = 532e-9
-        k = TWO_PI / wavelength
-        d = 200e-6
-        theta = math.asin(wavelength / (2 * d))
-        assert phase_from_angle(k, d, theta) == pytest.approx(math.pi, rel=1e-12)
-
-    def test_zero_angle(self):
-        assert phase_from_angle(1.0, 1.0, 0.0) == 0.0
-
-    @pytest.mark.parametrize("k,d", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
-    def test_rejects_nonpositive_geometry(self, k, d):
-        with pytest.raises(ValueError):
-            phase_from_angle(k, d, 0.1)
-
-
 class TestSourceArray:
     def test_defaults_to_balanced_pair(self):
         sources = SourceArray()
@@ -144,6 +126,11 @@ class TestSourceArray:
     def test_roundtrip(self):
         sources = SourceArray(nbar=(0.25, 2.0))
         assert SourceArray.from_dict(sources.to_dict()) == sources
+
+    def test_from_dict_names_every_unknown_key(self):
+        # a count next to nbar would otherwise load as len(nbar) sources
+        with pytest.raises(ValueError, match="sources has unknown fields: 'count'$"):
+            SourceArray.from_dict({"nbar": [1.0, 1.0], "count": 3})
 
 
 class TestRelativeGap:
@@ -314,6 +301,19 @@ class TestDetectorLayout:
             DetectorLayout.from_dict({"fixed_phases": [0.0]})
         with pytest.raises(ValueError, match="fixed_phases"):
             DetectorLayout.from_dict({"moving_offsets": [0.0]})
+
+    def test_from_dict_names_every_unknown_key(self):
+        # a kind next to the offsets would otherwise be ignored, whatever it says
+        data = DetectorLayout.colocated(2, 2).to_dict()
+        data.update(moving_kind="mmp-spread", moving_count=2)
+        with pytest.raises(ValueError, match="'moving_kind', 'moving_count'"):
+            DetectorLayout.from_dict(data)
+
+    def test_from_dict_names_a_missing_field_before_unknown_keys(self):
+        # a file that predates moving offsets is told what it lacks
+        data = {"fixed_phases": [0.0], "moving_kind": "co-located"}
+        with pytest.raises(ValueError, match="required field 'moving_offsets'"):
+            DetectorLayout.from_dict(data)
 
     def test_roundtrip(self):
         for layout in (

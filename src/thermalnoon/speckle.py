@@ -25,7 +25,7 @@ does not depend on the grid size.  The single-slit factor env(delta) = sin(x)/x
 with x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
 applied after interpolation as the per-grid-point factor prod_d env(phase_d)^2
 over the detector phases of layout.detector_phases(delta1).  _plan derives p,
-N, the phase columns, the node-to-grid weights and this factor once per run.
+N, a column per distinct phase, the grid weights and this factor once per run.
 
 Each frame is weighted by c_M / s^M, s = sum_l |z_l|^2 over its unit-variance
 complex normals z_l = a_l / sqrt(nbar_l), c_M = E[s^M] = (K+M-1)!/(K-1)!: s ~
@@ -46,11 +46,11 @@ sums are combined in batch order.  Work units, fixed by the batch sizes
 alone, run the batches: those that fit in one chunk together share it, each
 in its own slice, in batch order; a larger or a one-frame batch is a unit of
 its own.  Within a chunk every array is real and laid out (row, frame): each
-node's product is summed over a batch's frames as one contiguous row, and a batch's
-chunk sums are added in draw order, with no BLAS call anywhere; a chunk's
-intensities and product overwrite its draws and parts once the frame
-coefficients are formed (see _run_unit).  The layout decides only the
-rounding; the seed fixes which variates each frame gets and the batch order.
+node's product is summed over a batch's frames as one contiguous row, and a
+batch's chunk sums are added in draw order, with no BLAS call anywhere.  Each
+worker thread draws its chunks into one block for the run and runs them
+through numpy calls bound once per chunk width (_Worker).  The layout decides
+only the rounding; the seed fixes which variates each frame gets and the batch order.
 The result is bit-identical for any worker count, and the batch means feed
 the stderr estimate and fit_cosine's error bars, which draw no variates.
 """
@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -158,11 +159,12 @@ def _period(offsets: np.ndarray, counts: np.ndarray) -> int:
 
 
 def _plan(config: SpeckleConfig) -> tuple:
-    """The run's set-up, derived once: (table, counts, nodes, weights, envelope).
+    """The run's set-up, derived once: (table, counts, nodes, fixed, weights, envelope).
 
     table: rows 1, 2cos(d*delta), 2sin(d*delta), d = 1..K-1, over the phase
     columns, each node theta_n = 2*pi*n/(N*p) past each distinct moving offset
-    (counts: the detectors at each), then the fixed detectors.  nodes: N = 2D'+1.
+    (counts: the detectors at each), then each fixed phase that is bit-equal
+    to no column before it.  fixed: each fixed detector's column.  nodes: N = 2D'+1.
     weights[g, n]: the Dirichlet kernel, degree (N-1)/2, at p*grid[g] - 2*pi*n/N.
     envelope: per grid point, the product over all M detectors of env(phase)^2.
     """
@@ -173,8 +175,13 @@ def _plan(config: SpeckleConfig) -> tuple:
     p, k = _period(offsets, counts), config.sources.count
     nodes = 2 * (config.layout.m1 * (k - 1) // p) + 1
     theta = TWO_PI * np.arange(nodes) / (nodes * p)
-    moving = (offsets[:, None] + theta[None, :]).ravel()
-    phases = np.concatenate([moving, config.layout.fixed_phases])
+    # a fixed detector reads a column of its phase's bits: node 0 when co-located
+    nodal = (offsets[:, None] + theta[None, :]).ravel().tolist()
+    bits = [phase.hex() for phase in nodal]
+    for phase in config.layout.fixed_phases:
+        bits += [phase.hex()] * (phase.hex() not in bits)
+    fixed = [bits.index(phase.hex()) for phase in config.layout.fixed_phases]
+    phases = np.array([float.fromhex(b) for b in bits])
     angles = np.arange(1, k)[:, None] * phases[None, :]
     table = np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
     harmonics = np.arange(1, (nodes - 1) // 2 + 1)
@@ -183,83 +190,98 @@ def _plan(config: SpeckleConfig) -> tuple:
     # np.sinc is sin(pi x)/(pi x); env is sin(y)/y with y = delta*slit_ratio/2
     slit = config.layout.detector_phases(config.grid) * config.slit_ratio
     envelope = np.prod(np.sinc(slit / (2.0 * math.pi)) ** 2, axis=1)
-    return table, counts, nodes, weights, envelope
+    return table, counts, nodes, fixed, weights, envelope
 
 
-def _chunk_node_sums(
-    exponentials: np.ndarray,
-    normals: np.ndarray,
-    scale: np.ndarray | None,
-    table: np.ndarray,
-    counts: np.ndarray,
-    nodes: int,
-    work: tuple[np.ndarray, np.ndarray],
-    slices: list[slice],
-) -> list[np.ndarray]:
-    """Per slice of a chunk's frames, the node sums of the weighted intensity product.
+class _Worker:
+    """A worker thread's block for a run, and the chunk pipelines bound to it.
 
-    exponentials holds one standard exponential E a frame, and normals the
-    standard normals, (frames, 2K-2): source 0's rows are x_0 = sqrt(2E) and
-    y_0 = 0 (the frame turned by -arg z_0), and the normals are the rows x_l
-    then y_l of sources 1..K-1.  scale holds
-    sqrt(nbar_l / nbar_0) twice, the factors of the rows x_l and y_l, or is
-    None at equal brightness; the rows -x_l follow by negation.  A frame's
-    product is P / (nbar_0 s)^M.  table holds the basis rows 1, 2cos(d*delta)
-    and 2sin(d*delta), d = 1..K-1, over the phase columns.  Every array is
-    laid out (row, frame), so numpy's inner loops run over frames, and
-    integer powers are taken by repeated squaring.  work holds the unit's
-    two flat buffers, each with room for the chunk's rows as contiguous
-    (rows, frames) blocks: the 2K-1 coefficient rows, whose first row holds
-    the exponentials until c0 is formed, and a room that starts with the
-    normals themselves and holds the 3K rows of parts after them.  2s,
-    unless c0 is 2s itself, overwrites the dead normals; once the
-    coefficients are divided by it, the intensities and then the product
-    rows overwrite the room from its start.  slices picks each batch's frames
-    of the chunk.  Rows are scaled one by one: numpy buffers a broadcast.
+    The block holds chunks of up to width frames, the run's widest unit: (2K-1)
+    + max(5K-2, columns + nodes) rows, 26 floats a frame at colocated(5, 2),
+    1.16 MB at 5600 frames, reused so that no chunk faults in fresh pages.
     """
-    frames, k = normals.shape[0], normals.shape[1] // 2 + 1
-    (rows, columns), (coefs_room, room) = table.shape, work
-    coefs = coefs_room[: rows * frames].reshape(rows, frames)
-    parts = room[(2 * k - 2) * frames : (5 * k - 2) * frames].reshape(3 * k, frames)
-    a, turned = parts[: 2 * k].reshape(2, k, frames), parts[k:].reshape(2, k, frames)
-    np.add(exponentials, exponentials, out=parts[0])
-    np.sqrt(parts[0], out=parts[0])
-    parts[k] = 0.0
-    np.copyto(a[:, 1:], normals.T.reshape(2, k - 1, frames))
-    # the rows x_l, y_l times scale_l are sqrt(2/nbar_0)*a_l, and (y_l, -x_l) is -1j
-    # times it.  At equal brightness they stay unscaled, and c0, divided last, is 2s
-    if scale is not None:
-        twice_s = np.einsum("jmf,jmf->f", a, a, out=room[:frames])
-        for row, factor in zip(parts[: 2 * k], scale):
-            row *= factor
-    np.negative(parts[:k], out=parts[2 * k :])
-    # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m)
-    for d in range(k):
-        np.einsum("jmf,jmf->f", a[:, d:], a[:, : k - d], out=coefs[d])
-        if d:
-            np.einsum("jmf,jmf->f", turned[:, d:], a[:, : k - d], out=coefs[k - 1 + d])
-    divisor = coefs[0] if scale is None else twice_s
-    for row in coefs[::-1]:
-        row /= divisor
-    # the normals, 2s and parts are dead: the intensities and product take their rows
-    intensity = room[: columns * frames].reshape(columns, frames)
-    product = room[columns * frames : (columns + nodes) * frames].reshape(nodes, frames)
-    # intensity = c0 + sum_d (Re Y_d * 2cos(d*delta) + Im Y_d * 2sin(d*delta)),
-    # accumulated basis row by basis row (einsum without optimize calls no BLAS)
-    np.einsum("rc,rf->cf", table, coefs, out=intensity)
-    moving_columns = counts.size * nodes
-    np.prod(intensity[moving_columns:], axis=0, out=product[0])
-    product[1:] = product[0]
-    groups = intensity[:moving_columns].reshape(counts.size, nodes, frames)
-    for power, count in zip(groups, counts.tolist()):
-        while True:
-            if count & 1:
-                product *= power
-            count >>= 1
-            if not count:
-                break
-            np.multiply(power, power, out=power)
-    return [product[:, part].sum(axis=1) for part in slices]
+
+    def __init__(self, config: SpeckleConfig, plan: tuple, width: int) -> None:
+        (table, _, nodes), k = plan[:3], config.sources.count
+        self.config, self.plan, self.width, self.pipelines = config, plan, width, {}
+        rows = table.shape[0] * width
+        block = np.empty(rows + max(5 * k - 2, table.shape[1] + nodes) * width)
+        self.coefs, self.room = block[:rows], block[rows:]
+        self.exponentials = self.coefs[:width]
+        self.normals = self.room[: (2 * k - 2) * width].reshape(width, 2 * k - 2)
+
+    def pipeline(self, frames: int) -> tuple[list, np.ndarray]:
+        """The bound numpy calls of a chunk of `frames` frames, and its product rows.
+
+        Bound once to views of the block, they run once the chunk is drawn: the
+        coefficient rows, the first holding the exponentials E until c0 is
+        formed, then the room, the normals (frames, 2K-2) first.  Source 0's
+        rows are x_0 = sqrt(2E) and y_0 = 0, then x_l and y_l of sources
+        1..K-1, times sqrt(nbar_l / nbar_0) at unequal brightness, and -x_l;
+        their 3K rows follow the normals.  2s overwrites the dead normals, the
+        intensities and product the room from its start.  A frame's product is
+        P / (nbar_0 s)^M.  Rows are scaled and divided one by one: numpy
+        buffers an operand broadcast over rows of up to 4096 frames.
+        """
+        if frames in self.pipelines:
+            return self.pipelines[frames]
+        # the block's full width and the latest narrower one stay bound
+        self.pipelines = {w: p for w, p in self.pipelines.items() if w == self.width}
+        (table, counts, nodes, fixed), k = self.plan[:4], self.config.sources.count
+        (rows, columns), nbar, room = table.shape, self.config.sources.nbar, self.room
+        coefs = self.coefs[: rows * frames].reshape(rows, frames)
+        parts = room[(2 * k - 2) * frames : (5 * k - 2) * frames].reshape(3 * k, frames)
+        a = parts[: 2 * k].reshape(2, k, frames)
+        turned = parts[k:].reshape(2, k, frames)
+        normals = room[: (2 * k - 2) * frames].reshape(frames, 2 * k - 2).T
+        c, x0, divisor, call = list(coefs), parts[0], coefs[0], functools.partial
+        calls = [call(np.add, c[0], c[0], x0), call(np.sqrt, x0, x0)]
+        calls.append(call(parts[k].fill, 0.0))
+        calls.append(call(np.copyto, a[:, 1:], normals.reshape(2, k - 1, frames)))
+        # the rows x_l, y_l times scale_l are sqrt(2/nbar_0)*a_l, and (y_l, -x_l) is
+        # -1j times it.  At equal brightness they stay unscaled, and c0, divided
+        # last, is 2s
+        if len(set(nbar)) > 1:
+            scale, divisor = np.sqrt(np.array(nbar + nbar) / nbar[0]), room[:frames]
+            calls.append(call(np.einsum, "jmf,jmf->f", a, a, out=divisor))
+            for row, x in zip(parts[: 2 * k], scale):
+                calls.append(call(np.multiply, row, x, row))
+        calls.append(call(np.negative, parts[:k], parts[2 * k :]))
+        # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m)
+        for d in range(k):
+            head, im = a[:, : k - d], c[k - 1 + d]
+            calls.append(call(np.einsum, "jmf,jmf->f", a[:, d:], head, out=c[d]))
+            if d:
+                calls.append(call(np.einsum, "jmf,jmf->f", turned[:, d:], head, out=im))
+        calls += [call(np.divide, row, divisor, row) for row in c[::-1]]
+        # the normals, 2s and parts are dead: intensities and product take their rows
+        held = room[: (columns + nodes) * frames].reshape(columns + nodes, frames)
+        intensity, product = held[:columns], held[columns:]
+        # intensity = c0 + sum_d (Re Y_d * 2cos(d*delta) + Im Y_d * 2sin(d*delta)),
+        # accumulated basis row by basis row (einsum without optimize calls no BLAS)
+        calls.append(call(np.einsum, "rc,rf->cf", table, coefs, out=intensity))
+        # F, the fixed detectors' product, fills every product row before a power
+        # is squared over a column it reads; with no fixed detector, F = 1
+        factor = 1.0
+        if fixed:
+            first, *rest = [intensity[column] for column in fixed]
+            for row in rest:
+                calls.append(call(np.multiply, first, row, product[0]))
+                first = product[0]
+            calls.append(call(np.copyto, product[1:] if rest else product, first))
+            factor = product
+        groups = intensity[: counts.size * nodes].reshape(counts.size, nodes, frames)
+        for power, count in zip(groups, counts.tolist()):
+            while True:
+                if count & 1:
+                    calls.append(call(np.multiply, factor, power, product))
+                    factor = product
+                count >>= 1
+                if not count:
+                    break
+                calls.append(call(np.multiply, power, power, power))
+        self.pipelines[frames] = calls, product
+        return calls, product
 
 
 def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
@@ -276,59 +298,33 @@ def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
     return units
 
 
-def _run_unit(
-    config: SpeckleConfig,
-    table: np.ndarray,
-    counts: np.ndarray,
-    nodes: int,
-    unit: list[tuple[int, int]],
-) -> np.ndarray:
+def _run_unit(worker: _Worker, unit: list[tuple[int, int]]) -> np.ndarray:
     """Node sums of a work unit's batches, (batches, nodes) in batch order.
 
-    table, counts and nodes come from the run's _plan.  Its chunks of up to
-    CHUNK_FRAMES frames reuse one block of (2K-1) + max(5K-2, columns + nodes)
-    rows: 27 floats a frame at colocated(5, 2), 1.21 MB at 5600 frames.  A
-    frame draws 2K-1 variates, one standard exponential and 2K-2 normals.  A
-    wider chunk makes fewer numpy calls per frame, and each call gives up the
-    GIL and must take it back.
+    Each chunk of up to CHUNK_FRAMES frames, 2K-1 variates a frame, is drawn
+    into the worker's block and run through its pipeline of that width: per
+    chunk only the draws, the bound calls and each batch's slice sums are
+    left of the glue that holds the GIL between numpy calls.
     """
-    k = config.sources.count
-    nbar = config.sources.nbar
-    scale = None if len(set(nbar)) == 1 else np.sqrt(np.array(nbar + nbar) / nbar[0])
-    # one block per unit: per-chunk temporaries, or one buffer each, made the
-    # allocator return their pages and fault them in again for every chunk.
-    # The coefficient rows come first, the exponentials in their first row; the
-    # room after them holds the normals and parts, then the intensities and
-    # product, written once those are dead
     width = min(CHUNK_FRAMES, sum(size for _, size in unit))
-    coefs_rows = table.shape[0] * width
-    block = np.empty(coefs_rows + max(5 * k - 2, table.shape[1] + nodes) * width)
-    work = block[:coefs_rows], block[coefs_rows:]
-    exponentials = work[0][:width]
-    normals = work[1][: (2 * k - 2) * width].reshape(width, 2 * k - 2)
-    sums = np.zeros((len(unit), nodes))
+    sums = np.zeros((len(unit), worker.plan[2]))
     filled, slices = 0, []
     for row, (b, size) in enumerate(unit):
-        seeds = np.random.SeedSequence(config.seed, spawn_key=(0, b))
+        seeds = np.random.SeedSequence(worker.config.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seeds))
         while size:
             f = min(width - filled, size)
-            rng.standard_exponential(f, out=exponentials[filled : filled + f])
-            rng.standard_normal((f, 2 * k - 2), out=normals[filled : filled + f])
+            rng.standard_exponential(out=worker.exponentials[filled : filled + f])
+            rng.standard_normal(out=worker.normals[filled : filled + f])
             slices.append(slice(filled, filled + f))
             filled, size = filled + f, size - f
             if filled == width or not size and row == len(unit) - 1:
+                calls, product = worker.pipeline(filled)
+                for call in calls:
+                    call()
                 # the chunk's slices: one per batch, up to this one
-                sums[row + 1 - len(slices) : row + 1] += _chunk_node_sums(
-                    exponentials[:filled],
-                    normals[:filled],
-                    scale,
-                    table,
-                    counts,
-                    nodes,
-                    work,
-                    slices,
-                )
+                chunk = [product[:, part].sum(axis=1) for part in slices]
+                sums[row + 1 - len(slices) : row + 1] += chunk
                 filled, slices = 0, []
     return sums
 
@@ -339,17 +335,28 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     Raw values converge to the path-sum/permanent values of the same sources
     and layout (combinatorial units); normalize() rescales for plotting.
     """
-    table, counts, nodes, weights, envelope = _plan(config)
-    sizes = _batch_sizes(config.frames)
-    run = functools.partial(_run_unit, config, table, counts, nodes)
-    if config.workers == 1:
-        unit_sums = list(map(run, _work_units(sizes)))
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            unit_sums = list(pool.map(run, _work_units(sizes)))
+    plan = _plan(config)
+    sizes, (weights, envelope) = _batch_sizes(config.frames), plan[4:]
+    units, node_sums = _work_units(sizes), np.empty((len(sizes), plan[2]))
+    width = min(CHUNK_FRAMES, max(sum(size for _, size in unit) for unit in units))
+    threads, todo = min(config.workers, len(units)), queue.SimpleQueue()
+    for unit in units + [None] * threads:
+        todo.put(unit)
+
+    def work() -> None:
+        # one block per thread, freed on return; a thread stops at its own None
+        worker = _Worker(config, plan, width)
+        for unit in iter(todo.get, None):
+            node_sums[unit[0][0] : unit[0][0] + len(unit)] = _run_unit(worker, unit)
+
+    # the calling thread is one of the workers: one worker starts no thread
+    with ThreadPoolExecutor(max_workers=max(threads - 1, 1)) as pool:
+        others = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+    for other in others:
+        other.result()
     # c_M nbar_0^M a factor at a time, as float(c_M) overflows from K = 2, M = 170
     with np.errstate(over="ignore", invalid="ignore"):
-        node_sums = np.vstack(unit_sums)
         for i in range(config.layout.order):
             node_sums *= (config.sources.count + i) * config.sources.nbar[0]
         # (batches, grid), combined in batch order; the node-to-grid map is an
@@ -444,6 +451,9 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
     sqrt(2/pi) exp(-t^2) - |B| erfc(t), Var|B*| = sigma_B^2 - e (2|B| + e),
     and Cov(|B*|, A*) = sigma_AB erf(t) sign(B) by Stein's lemma.  Hence
     stderr_visibility^2 = Var|B*| - 2 mu Cov(|B*|, A*) + mu^2 sigma_A^2.
+    Below 20 frames, nb < 20 and the bars undercover: the plug-in spread is
+    sqrt((nb-1)/nb) of the batch means' sample spread, and V* is far from first
+    order (0.85 of a long bootstrap's bar at three one-frame batches).
 
     The curve must span at least one period.  parity_ok: the sign of B is
     comb_sign(frequency) = (-1)**(frequency - 1), a rule of two-source

@@ -1,5 +1,8 @@
 import functools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -20,6 +23,7 @@ from thermalnoon.speckle import (
     _plan,
     _run_unit,
     _work_units,
+    _Worker,
     dominant_frequency,
     fit_cosine,
     simulate_curve,
@@ -223,6 +227,12 @@ def seeded_fit_curve(name):
     )
 
 
+def run_unit(config, plan, unit):
+    """_run_unit on a worker of its own, its block as wide as the unit's chunk."""
+    width = min(CHUNK_FRAMES, sum(size for _, size in unit))
+    return _run_unit(_Worker(config, plan, width), unit)
+
+
 def hbt_config(frames=100_000, seed=1, **kwargs):
     defaults = dict(
         sources=SourceArray(),
@@ -358,7 +368,7 @@ def sinc_envelope(phases, slit_ratio):
 
 
 def envelope_factor(config):
-    return _plan(config)[4]
+    return _plan(config)[5]
 
 
 class TestEnvelope:
@@ -430,6 +440,39 @@ class TestSimulateCurve:
         threaded = simulate_curve(hbt_config(frames=30_000, seed=5, workers=workers))
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.batch_means, threaded.batch_means)
+
+    def test_many_workers_under_fast_thread_switches(self):
+        # more threads than cores, switching every microsecond, share the queue
+        # of units and write disjoint rows of the node sums: a unit lost, or
+        # its rows written to another unit's place, would change the bytes
+        serial = simulate_curve(hbt_config(frames=20_001, seed=9, workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.monotonic()
+            runs = [simulate_curve(hbt_config(frames=20_001, seed=9, workers=8)) for _ in range(5)]
+            assert time.monotonic() - start < 60
+        finally:
+            sys.setswitchinterval(interval)
+        for run in runs:
+            assert run.batch_means.tobytes() == serial.batch_means.tobytes()
+
+    def test_worker_error_is_raised_on_the_calling_thread(self, monkeypatch):
+        from thermalnoon import speckle
+
+        original = speckle._run_unit
+
+        def failing(worker, unit):
+            if unit[0][0] == 7:
+                raise MemoryError("unit of batch 7")
+            return original(worker, unit)
+
+        monkeypatch.setattr(speckle, "_run_unit", failing)
+        threads = threading.active_count()
+        with pytest.raises(MemoryError, match="batch 7"):
+            simulate_curve(hbt_config(frames=100_000, seed=5, workers=3))
+        # every worker thread has been joined
+        assert threading.active_count() == threads
 
     def test_slit_run_never_depends_on_workers(self):
         # the slit factor is applied after the node-to-grid map, per run
@@ -653,39 +696,41 @@ class TestSimulateCurve:
             seed=31,
             grid=default_grid(37),
         )
-        table, counts, nodes, weights, _ = _plan(config)
-        sums = _run_unit(config, table, counts, nodes, [(0, frames)])
+        plan = _plan(config)
+        sums = run_unit(config, plan, [(0, frames)])
         moment = math.perm(sources.count + layout.order - 1, layout.order)
         moment *= sources.nbar[0] ** layout.order
-        mean = (sums * weights).sum(axis=1) * moment / frames
+        mean = (sums * plan[4]).sum(axis=1) * moment / frames
         expected = brute_force_batch(config, 0, frames) / frames
         np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "sources,layout,rows,columns,overlaid,separate",
         [
-            # 11 nodes, 11 + 2 columns.  Per frame, the coefficients c0,
-            # Re Y_1, Im Y_1 (3 floats, the first one the exponential until c0
-            # is formed) and a room that holds the normals (2) and the parts
-            # x, y, -x (6), then the intensities (13) and the product (11):
-            # 3 + max(8, 24) = 27 floats, 216 B, against five separate regions
-            # of 37 floats, 296 B
-            (SourceArray(), DetectorLayout.colocated(5, 2), 3, 13, 27, 37),
+            # 11 nodes, 11 + 1 columns: the fixed detector at phase 0 reads
+            # node 0's column.  Per frame, the coefficients c0, Re Y_1, Im Y_1
+            # (3 floats, the first one the exponential until c0 is formed, then
+            # the fixed product) and a room that holds the normals (2) and the
+            # parts x, y, -x (6), then the intensities (12) and the product
+            # (11): 3 + max(8, 23) = 26 floats, 208 B, against five separate
+            # regions of 36 floats, 288 B
+            (SourceArray(), DetectorLayout.colocated(5, 2), 3, 12, 26, 36),
             # unequal brightness: the rows are scaled and 2s takes a row of its own
             (
                 SourceArray(nbar=(0.5, 2.0)),
                 DetectorLayout.colocated(5, 2),
                 3,
-                13,
-                27,
-                37,
+                12,
+                26,
+                36,
             ),
-            # 3 nodes for one period of the comb, 3 offsets x 3 nodes + 3
-            # fixed columns: 3 + max(8, 12 + 3) against 4 + 6 + 3 + 12 + 3
-            (SourceArray(), DetectorLayout.spread(3), 3, 12, 18, 28),
-            # 9 nodes, 9 + 2 columns: 5 + max(13, 11 + 9) against
-            # 6 + 9 + 5 + 11 + 9
-            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 5, 11, 25, 40),
+            # 3 nodes for one period of the comb, 3 offsets x 3 nodes, node 0
+            # of each the column of a fixed detector: 3 + max(8, 9 + 3)
+            # against 4 + 6 + 3 + 9 + 3
+            (SourceArray(), DetectorLayout.spread(3), 3, 9, 15, 25),
+            # 9 nodes, 9 + 1 columns: 5 + max(13, 10 + 9) against
+            # 6 + 9 + 5 + 10 + 9
+            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 5, 10, 24, 39),
             # 9 nodes, 9 columns: the normals and parts are the larger part,
             # 9 + max(23, 9 + 9) against 10 + 15 + 9 + 9 + 9
             (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 32, 52),
@@ -695,15 +740,16 @@ class TestSimulateCurve:
     def test_batch_memory_is_bounded(
         self, sources, layout, rows, columns, overlaid, separate
     ):
-        # A unit's block is (2K-1) + max(5K-2, columns + nodes) floats a frame,
-        # and no chunk allocates more.  Wider chunks must fit in the bytes the
-        # five separate regions took at 4096 frames (1.21 MB at colocated(5,
-        # 2)); the peak may add 64 kB for small objects.  50k frames end on a
+        # A worker's block is (2K-1) + max(5K-2, columns + nodes) floats a
+        # frame, and no chunk allocates more.  Wider chunks must fit in the
+        # bytes that five separate regions take at 4096 frames (1.18 MB at
+        # colocated(5, 2)); the peak may add 64 kB for small objects, the
+        # bound calls of each chunk width among them.  50k frames end on a
         # chunk of 5200 and 30k frames on one of 2000, a width at which a
         # broadcast operand would make numpy buffer it
         config = SpeckleConfig(sources=sources, layout=layout, frames=50_000, seed=3)
-        table, counts, nodes, _, _ = _plan(config)
-        k = sources.count
+        plan = _plan(config)
+        (table, _, nodes), k = plan[:3], sources.count
         assert table.shape == (rows, columns)
         assert rows + max(5 * k - 2, columns + nodes) == overlaid
         assert 5 * k + rows + columns + nodes == separate
@@ -715,12 +761,30 @@ class TestSimulateCurve:
             width = min(CHUNK_FRAMES, sum(size for _, size in unit))
             tracemalloc.start()
             try:
-                _run_unit(config, table, counts, nodes, unit)
+                run_unit(config, plan, unit)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < 8 * overlaid * width + 64 * 1024
             assert peak < 8 * separate * 4096 + 64 * 1024
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_memory_is_one_block_per_worker(self, workers):
+        # 250,001 frames make 20 units of 12,500 frames, each of three chunk
+        # widths (5600, 5600, 1300): a block per unit, or per chunk width,
+        # would exceed workers x one 5600-frame block of 26 floats a frame
+        config = hbt_config(
+            frames=250_001, seed=5, layout=DetectorLayout.colocated(5, 2), workers=workers
+        )
+        simulate_curve(config)
+        block = 8 * 26 * CHUNK_FRAMES
+        tracemalloc.start()
+        try:
+            simulate_curve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < workers * block + 64 * 1024
 
     def test_single_frame_curves_match_brute_force(self):
         # one frame's curve can nearly vanish at some phase, where the
@@ -959,12 +1023,149 @@ class TestWorkUnits:
         config = hbt_config(
             frames=20_001, seed=17, layout=DetectorLayout.colocated(3, 2)
         )
-        table, counts, nodes, _, _ = _plan(config)
+        plan = _plan(config)
         unit = _work_units(_batch_sizes(config.frames))[0]
-        together = _run_unit(config, table, counts, nodes, unit)
+        together = run_unit(config, plan, unit)
         for row, batch in enumerate(unit):
-            alone = _run_unit(config, table, counts, nodes, [batch])
+            alone = run_unit(config, plan, [batch])
             assert alone.tobytes() == together[row : row + 1].tobytes()
+
+
+def reference_chunk(exponentials, normals, sources, layout, nodes, offsets, counts):
+    """Reference: a chunk's node products, (nodes, frames), with fresh arrays.
+
+    Every fixed phase has a column of its own, and the fixed product F is
+    broadcast into every node row before the powers multiply in.  The float
+    operations are _run_unit's, one for one, so the results are bit-equal.
+    """
+    frames, k = exponentials.size, sources.count
+    a = np.empty((2, k, frames))
+    a[0, 0] = np.sqrt(exponentials + exponentials)
+    a[1, 0] = 0.0
+    a[:, 1:] = normals.T.reshape(2, k - 1, frames)
+    divisor = None
+    if len(set(sources.nbar)) > 1:
+        divisor = np.einsum("jmf,jmf->f", a, a)
+        scale = np.sqrt(np.array(sources.nbar * 2) / sources.nbar[0])
+        for row, factor in zip(a.reshape(2 * k, frames), scale):
+            row *= factor
+    turned = np.stack([a[1], -a[0]])
+    coefs = np.empty((2 * k - 1, frames))
+    for d in range(k):
+        coefs[d] = np.einsum("jmf,jmf->f", a[:, d:], a[:, : k - d])
+        if d:
+            coefs[k - 1 + d] = np.einsum("jmf,jmf->f", turned[:, d:], a[:, : k - d])
+    divisor = coefs[0] if divisor is None else divisor
+    for row in coefs[::-1]:
+        row /= divisor
+    theta = TWO_PI * np.arange(nodes) / (nodes * _period(offsets, counts))
+    phases = np.concatenate([(offsets[:, None] + theta).ravel(), layout.fixed_phases])
+    angles = np.arange(1, k)[:, None] * phases[None, :]
+    table = np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
+    intensity = np.einsum("rc,rf->cf", table, coefs)
+    product = np.empty((nodes, frames))
+    np.prod(intensity[counts.size * nodes :], axis=0, out=product[0])
+    product[1:] = product[0]
+    groups = intensity[: counts.size * nodes].reshape(counts.size, nodes, frames)
+    for power, count in zip(groups, counts.tolist()):
+        while True:
+            if count & 1:
+                product *= power
+            count >>= 1
+            if not count:
+                break
+            power *= power
+    return product
+
+
+def reference_unit_sums(config, unit):
+    """Reference: a unit's node sums, drawn and chunked as _run_unit draws them."""
+    layout, k = config.layout, config.sources.count
+    offsets, counts = np.unique(layout.moving_offsets, return_counts=True)
+    nodes = 2 * (layout.m1 * (k - 1) // _period(offsets, counts)) + 1
+    width = min(CHUNK_FRAMES, sum(size for _, size in unit))
+    sums, pieces, filled = np.zeros((len(unit), nodes)), [], 0
+    for row, (b, size) in enumerate(unit):
+        rng = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence(config.seed, spawn_key=(0, b)))
+        )
+        while size:
+            f = min(width - filled, size)
+            pieces.append((row, rng.standard_exponential(f), rng.standard_normal((f, 2 * k - 2))))
+            filled, size = filled + f, size - f
+            if filled == width or not size and row == len(unit) - 1:
+                product = reference_chunk(
+                    np.concatenate([piece[1] for piece in pieces]),
+                    np.concatenate([piece[2] for piece in pieces]),
+                    config.sources,
+                    layout,
+                    nodes,
+                    offsets,
+                    counts,
+                )
+                start = 0
+                for r, exponentials, _ in pieces:
+                    sums[r] += product[:, start : start + exponentials.size].sum(axis=1)
+                    start += exponentials.size
+                filled, pieces = 0, []
+    return sums
+
+
+class TestKernelReference:
+    @pytest.mark.parametrize(
+        "sources,layout",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2)),
+            (SourceArray(), DetectorLayout.spread(2)),
+            (SourceArray(), DetectorLayout.spread(3)),
+            (SourceArray(), DetectorLayout.spread(4)),
+            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2)),
+            (SourceArray(nbar=(0.5, 1.0, 2.0)), DetectorLayout.colocated(3, 2)),
+            (SourceArray(), DetectorLayout.colocated(0, 3)),
+            (SourceArray(), DetectorLayout.colocated(4, 0)),
+            (
+                SourceArray.equidistant(3),
+                DetectorLayout(
+                    fixed_phases=(math.pi / 2, 0.0, math.pi / 2, 1.0),
+                    moving_offsets=(0.0, math.pi / 2, math.pi / 2),
+                ),
+            ),
+        ],
+        ids=[
+            "colocated-5-2",
+            "spread-2",
+            "spread-3",
+            "spread-4",
+            "k3-2-2",
+            "unequal-3-2",
+            "fixed-only-0-3",
+            "moving-only-4-0",
+            "custom-repeated-fixed",
+        ],
+    )
+    def test_unit_sums_equal_the_reference(self, sources, layout):
+        # one worker, its block as wide as a full chunk, runs in turn a batch
+        # of 2.5 chunks whose last chunk is partial, a unit of five batches
+        # that share a chunk, a one-frame batch and the first batch again:
+        # every width reuses the block, the full width stays bound, and a
+        # narrower one is bound again once another has replaced it
+        config = SpeckleConfig(sources=sources, layout=layout, frames=20_001, seed=29)
+        plan = _plan(config)
+        packed = _work_units(_batch_sizes(config.frames))[1]
+        assert len(packed) == 5 and packed[0] == (5, 1000)
+        worker = _Worker(config, plan, CHUNK_FRAMES)
+        units = [[(0, 5 * CHUNK_FRAMES // 2)], packed, [(3, 1)], [(0, 5 * CHUNK_FRAMES // 2)]]
+        for unit in units:
+            sums = _run_unit(worker, unit)
+            assert np.array_equal(sums, reference_unit_sums(config, unit))
+        assert sorted(worker.pipelines) == [2800, CHUNK_FRAMES]
+
+    def test_one_frame_batches_equal_the_reference(self):
+        config = hbt_config(frames=7, seed=4, layout=DetectorLayout.colocated(5, 2))
+        worker = _Worker(config, _plan(config), 1)
+        for unit in _work_units(_batch_sizes(config.frames)):
+            assert unit == [(unit[0][0], 1)]
+            assert np.array_equal(_run_unit(worker, unit), reference_unit_sums(config, unit))
 
 
 def period_of(moving_offsets):
@@ -1075,17 +1276,34 @@ class TestPeriod:
     @pytest.mark.parametrize(
         "sources,layout,columns",
         [
-            # 3 offsets x 3 nodes in [0, 2*pi/3), plus the 3 fixed detectors
-            (SourceArray(), DetectorLayout.spread(3), 12),
-            # 11 nodes at offset 0, plus the 2 fixed detectors
-            (SourceArray(), DetectorLayout.colocated(5, 2), 13),
-            (SourceArray(), DetectorLayout.spread(2), 8),
-            (SourceArray(), DetectorLayout.spread(4), 16),
+            # 3 offsets x 3 nodes in [0, 2*pi/3); the 3 fixed detectors read
+            # node 0 of each offset
+            (SourceArray(), DetectorLayout.spread(3), 9),
+            # 11 nodes at offset 0, plus the fixed detector at pi; the one at
+            # 0 reads node 0
+            (SourceArray(), DetectorLayout.colocated(5, 2), 12),
+            (SourceArray(), DetectorLayout.spread(2), 6),
+            (SourceArray(), DetectorLayout.spread(4), 12),
+            # K = 3: 5 nodes a comb offset, the fixed comb on node 0 of each
+            (SourceArray.equidistant(3), DetectorLayout.spread(3), 15),
+            # a repeated fixed phase has one column; so has a fixed phase
+            # -0.0, bit-unequal to node 0 at +0.0, of its own
+            (
+                SourceArray(),
+                DetectorLayout(fixed_phases=(1.0, 1.0, -0.0, 0.0), moving_offsets=(0.0,)),
+                5,
+            ),
         ],
     )
     def test_phase_columns(self, sources, layout, columns):
         config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
-        assert _plan(config)[0].shape[1] == columns
+        table, fixed = _plan(config)[0], _plan(config)[3]
+        assert table.shape[1] == columns
+        # each fixed detector's column holds its own phase's basis, bit for bit
+        phases = np.asarray(layout.fixed_phases)
+        angles = np.arange(1, sources.count)[:, None] * phases[None, :]
+        own = np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
+        assert table[:, fixed].tobytes() == own.tobytes()
 
 
 class TestFitCosine:
@@ -1229,6 +1447,22 @@ class TestFitMatchesLstsqReference:
         assert fit.stderr_amplitude == pytest.approx(stderr_amp, rel=0.05)
         if curve.batch_means.shape[0] > 3:
             assert fit.stderr_visibility == pytest.approx(stderr_vis, rel=0.05)
+
+    def test_short_runs_understate_their_error_bars(self):
+        # a known limit, pinned so that it stays written down: below 20 frames
+        # nb < 20, the plug-in spread is sqrt((nb-1)/nb) of the batch means'
+        # sample spread, and at three one-frame batches the first-order
+        # visibility bar falls short of a long bootstrap's too
+        curve = seeded_fit_curve("three-frames")
+        nb = curve.batch_means.shape[0]
+        assert nb == 3
+        fit = fit_cosine(curve, 2)
+        design = np.column_stack([np.ones_like(curve.grid), np.cos(2 * curve.grid)])
+        b = [np.linalg.lstsq(design, m, rcond=None)[0][1] for m in curve.batch_means]
+        sample = float(np.std(b, ddof=1)) / math.sqrt(nb)
+        assert fit.stderr_amplitude == pytest.approx(math.sqrt((nb - 1) / nb) * sample, rel=1e-9)
+        stderr_vis, _ = bootstrap_fit_errors(curve, 2)
+        assert fit.stderr_visibility < 0.9 * stderr_vis
 
     @pytest.mark.parametrize(
         "curve,frequency",

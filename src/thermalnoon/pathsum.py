@@ -18,9 +18,10 @@ multiplicities (`_glynn`).  With phases measured from the centre of the
 source line the matrix is real when nbar is mirror-symmetric, and the sum
 then runs in float64.  PERMANENT_MAX_TERMS caps its cost.
 
-The two routes share no code and serve as oracles for each other.  Both
-bound their own error a posteriori and raise NumericalError when the bound
-exceeds ORACLE_TOLERANCE.
+The two routes share no arithmetic and serve as oracles for each other.
+They read their phases alike (`_phases`: ValueError for anything but a 1-d
+array of finite reals) and certify alike (`_certify`): each bounds its own
+error a posteriori and raises NumericalError past ORACLE_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -47,6 +48,32 @@ ORACLE_TOLERANCE = 1e-9
 # Width of the low table, 2**10 terms per step: ten distinct columns' signs, or
 # fewer groups' minus-sign counts whose choices multiply to at most that.
 _LOW_COLUMNS = 10
+
+
+def _phases(deltas: Sequence[float]) -> np.ndarray:
+    """The detector phases as float64; ValueError unless 1-d, finite and real."""
+    try:
+        phases = np.asarray(deltas)
+        real = phases.dtype.kind in "iuf" and phases.ndim == 1
+    except ValueError:  # a ragged nested list
+        real = False
+    if not real:
+        raise ValueError(f"deltas must be a 1-d sequence of reals, got {deltas!r}")
+    if phases.size < 1:
+        raise ValueError("need at least one detector phase")
+    if not np.isfinite(phases).all():
+        raise ValueError(f"deltas must be finite, got {deltas!r}")
+    return phases.astype(float, copy=False)
+
+
+def _certify(route: str, value: float, error: float, where: str) -> tuple[float, float]:
+    """(value, relative error bound) as floats; NumericalError past ORACLE_TOLERANCE."""
+    bound = error / max(abs(value), np.finfo(float).tiny)
+    if not bound <= ORACLE_TOLERANCE:
+        raise NumericalError(
+            f"{route} error bound {bound:.2e} exceeds {ORACLE_TOLERANCE:g} at {where}"
+        )
+    return float(value), float(bound)
 
 
 def _split_table(
@@ -114,19 +141,15 @@ def correlation_pathsum_bounded(
 
     Raises NumericalError when the bound exceeds ORACLE_TOLERANCE, or where
     M!, a weight or a term leaves the double range; CapacityError above
-    PATHSUM_MAX_TABLE; ValueError for a non-finite phase.
+    PATHSUM_MAX_TABLE; ValueError for malformed phases (`_phases`).
     """
-    phases = [float(d) for d in deltas]
+    phases = _phases(deltas)
     order, count = len(phases), sources.count
-    if order < 1:
-        raise ValueError("need at least one detector phase")
-    if not all(map(math.isfinite, phases)):
-        raise ValueError(f"deltas must be finite, got {deltas!r}")
     alphas = sources.prefactors
     eps = np.finfo(float).eps
     gaps = [alphas[-1] - a for a in alphas]
     inexact = max((g for g in gaps if g & (g - 1)), default=0)
-    c = 2 + count / 2 + inexact * max(map(abs, phases)) / 2
+    c = 2 + count / 2 + inexact * np.abs(phases).max() / 2
     try:
         with np.errstate(all="raise"):
             # n! for n = 0 ... M: past M = 170 this raises before the recursion
@@ -144,13 +167,7 @@ def correlation_pathsum_bounded(
         raise NumericalError(
             f"path sum at K = {count}, M = {order} leaves the double range ({exc})"
         ) from None
-    bound = error / max(value, np.finfo(float).tiny)
-    if not bound <= ORACLE_TOLERANCE:
-        raise NumericalError(
-            f"path-sum error bound {bound:.2e} exceeds {ORACLE_TOLERANCE:g} "
-            f"at K = {count}, M = {order}"
-        )
-    return value, bound
+    return _certify("path-sum", value, error, f"K = {count}, M = {order}")
 
 
 def correlation_pathsum(sources: SourceArray, deltas: Sequence[float]) -> float:
@@ -455,17 +472,13 @@ def correlation_permanent_bounded(
     The bound is a posteriori, from the terms of this very evaluation (see
     `_glynn`), and covers the rounding of the coherence matrix as well.
     Raises NumericalError when it exceeds ORACLE_TOLERANCE or the sum leaves
-    the double range; ValueError for a non-finite phase.  A sum whose error
+    the double range; ValueError for malformed phases.  A sum whose error
     passes 2 ORACLE_TOLERANCE times `_permanent_ceiling` is refused before
     its last block: with |value| <= ceiling + error, its bound would exceed
     ORACLE_TOLERANCE.
     """
-    phases = np.asarray(deltas, dtype=float)
+    phases = _phases(deltas)
     order = len(phases)
-    if order < 1:
-        raise ValueError("need at least one detector phase")
-    if not np.isfinite(phases).all():
-        raise ValueError(f"deltas must be finite, got {deltas!r}")
     if order * order > PERMANENT_MAX_TERMS:
         raise CapacityError(
             f"{order} x {order} coherence matrix exceeds PERMANENT_MAX_TERMS entries"
@@ -474,21 +487,9 @@ def correlation_permanent_bounded(
     entry_error = _entry_error(sources, phases, np.isrealobj(matrix))
     ceiling = _permanent_ceiling(np.diagonal(matrix), entry_error)
     value, error = _glynn(matrix, entry_error, 2 * ORACLE_TOLERANCE * ceiling)
-    bound = error / max(abs(value.real), np.finfo(float).tiny)
-    if not bound <= ORACLE_TOLERANCE:
-        raise NumericalError(
-            f"permanent error bound {bound:.2e} exceeds {ORACLE_TOLERANCE:g} "
-            f"at M = {order}"
-        )
-    return float(value.real), float(bound)
+    return _certify("permanent", value.real, error, f"M = {order}")
 
 
 def correlation_permanent(sources: SourceArray, deltas: Sequence[float]) -> float:
-    """Mth-order correlation as the permanent of the mutual coherence matrix.
-
-    Independent of correlation_pathsum.  Evaluated in float64 for
-    mirror-symmetric brightness and in complex128 otherwise, on every
-    platform; raises NumericalError when the a-posteriori error bound of
-    `correlation_permanent_bounded` exceeds ORACLE_TOLERANCE.
-    """
+    """Mth-order correlation by the permanent; see `correlation_permanent_bounded`."""
     return correlation_permanent_bounded(sources, deltas)[0]

@@ -44,13 +44,13 @@ E, then standard normals of shape (f, 2K-2): times sqrt(2), z_0 is sqrt(2E),
 and z_1..z_(K-1) take the normals as real then imaginary parts; batch partial
 sums are combined in batch order.  Work units, fixed by the batch sizes
 alone, run the batches: those that fit in one chunk together share it, each
-in its own slice, in batch order; a larger or a one-frame batch is a unit of
-its own.  Within a chunk every array is real and laid out (row, frame): each
-node's product is summed over a batch's frames as one contiguous row, and a
-batch's chunk sums are added in draw order, with no BLAS call anywhere.  Each
-worker thread draws its chunks into one block for the run and runs them
-through numpy calls bound once per chunk width (_Worker).  The layout decides
-only the rounding; the seed fixes which variates each frame gets and the batch order.
+in its own slice, in batch order; a larger batch is a unit of its own.
+Within a chunk every array is real and laid out (row, frame): each node's
+product is summed over a batch's frames as one contiguous row, and a batch's
+chunk sums are added in draw order, with no BLAS call anywhere.  Each worker
+thread draws its chunks into one block and runs them through numpy calls
+bound once per chunk width and kept for the run (_Worker).  The layout
+decides only the rounding; the seed fixes each frame's variates and the batch order.
 The result is bit-identical for any worker count, and the batch means feed
 the stderr estimate and fit_cosine's error bars, which draw no variates.
 """
@@ -194,11 +194,12 @@ def _plan(config: SpeckleConfig) -> tuple:
 
 
 class _Worker:
-    """A worker thread's block for a run, and the chunk pipelines bound to it.
+    """A worker thread's block for a run, and every chunk pipeline bound to it.
 
-    The block holds chunks of up to width frames, the run's widest unit: (2K-1)
-    + max(5K-2, columns + nodes) rows, 26 floats a frame at colocated(5, 2),
-    1.16 MB at 5600 frames, reused so that no chunk faults in fresh pages.
+    Every chunk width bound stays bound for the run.  The block holds chunks
+    of up to width frames, the run's widest unit: (2K-1) + max(5K-2, columns
+    + nodes) rows, 26 floats a frame at colocated(5, 2), 1.16 MB at 5600
+    frames, reused so that no chunk faults in fresh pages.
     """
 
     def __init__(self, config: SpeckleConfig, plan: tuple, width: int) -> None:
@@ -213,20 +214,19 @@ class _Worker:
     def pipeline(self, frames: int) -> tuple[list, np.ndarray]:
         """The bound numpy calls of a chunk of `frames` frames, and its product rows.
 
-        Bound once to views of the block, they run once the chunk is drawn: the
-        coefficient rows, the first holding the exponentials E until c0 is
-        formed, then the room, the normals (frames, 2K-2) first.  Source 0's
-        rows are x_0 = sqrt(2E) and y_0 = 0, then x_l and y_l of sources
-        1..K-1, times sqrt(nbar_l / nbar_0) at unequal brightness, and -x_l;
-        their 3K rows follow the normals.  2s overwrites the dead normals, the
-        intensities and product the room from its start.  A frame's product is
-        P / (nbar_0 s)^M.  Rows are scaled and divided one by one: numpy
-        buffers an operand broadcast over rows of up to 4096 frames.
+        Bound once to views of the block and kept for the run, they run once
+        the chunk is drawn: the coefficient rows, the first holding the
+        exponentials E until c0 is formed, then the room, the normals
+        (frames, 2K-2) first.  Source 0's rows are x_0 = sqrt(2E) and y_0 = 0,
+        then x_l and y_l of sources 1..K-1, times sqrt(nbar_l / nbar_0) at
+        unequal brightness, and -x_l; their 3K rows follow the normals.  2s
+        overwrites the dead normals, the intensities and product the room from
+        its start.  A frame's product is P / (nbar_0 s)^M.  Rows are scaled and
+        divided one by one: numpy buffers an operand broadcast over rows of up
+        to 4096 frames.
         """
         if frames in self.pipelines:
             return self.pipelines[frames]
-        # the block's full width and the latest narrower one stay bound
-        self.pipelines = {w: p for w, p in self.pipelines.items() if w == self.width}
         (table, counts, nodes, fixed), k = self.plan[:4], self.config.sources.count
         (rows, columns), nbar, room = table.shape, self.config.sources.nbar, self.room
         coefs = self.coefs[: rows * frames].reshape(rows, frames)
@@ -288,9 +288,7 @@ def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
     """Consecutive (batch, frames) that share a chunk; a larger batch is alone."""
     units, room = [], 0
     for b, size in enumerate(sizes):
-        # a one-frame batch is alone too: numpy sums a length-1 frame axis in
-        # another order, which only a chunk of its own keeps
-        if size > room or size == 1:
+        if size > room:
             units.append([])
             room = CHUNK_FRAMES
         units[-1].append((b, size))
@@ -301,24 +299,24 @@ def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
 def _run_unit(worker: _Worker, unit: list[tuple[int, int]]) -> np.ndarray:
     """Node sums of a work unit's batches, (batches, nodes) in batch order.
 
-    Each chunk of up to CHUNK_FRAMES frames, 2K-1 variates a frame, is drawn
-    into the worker's block and run through its pipeline of that width: per
-    chunk only the draws, the bound calls and each batch's slice sums are
-    left of the glue that holds the GIL between numpy calls.
+    Each chunk of up to worker.width frames, 2K-1 variates a frame, is drawn
+    into the worker's block and run through its pipeline of that width; only
+    a batch past CHUNK_FRAMES takes more than one.  Per chunk only the draws,
+    the bound calls and each batch's slice sums are left of the glue that
+    holds the GIL between numpy calls.
     """
-    width = min(CHUNK_FRAMES, sum(size for _, size in unit))
     sums = np.zeros((len(unit), worker.plan[2]))
     filled, slices = 0, []
     for row, (b, size) in enumerate(unit):
         seeds = np.random.SeedSequence(worker.config.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seeds))
         while size:
-            f = min(width - filled, size)
+            f = min(worker.width - filled, size)
             rng.standard_exponential(out=worker.exponentials[filled : filled + f])
             rng.standard_normal(out=worker.normals[filled : filled + f])
             slices.append(slice(filled, filled + f))
             filled, size = filled + f, size - f
-            if filled == width or not size and row == len(unit) - 1:
+            if filled == worker.width or not size and row == len(unit) - 1:
                 calls, product = worker.pipeline(filled)
                 for call in calls:
                     call()

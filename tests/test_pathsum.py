@@ -1084,12 +1084,15 @@ class TestCorrelationPermanent:
             correlation_permanent(SourceArray(), (0.0,) * 9)
 
 
+BOTH_ROUTES = pytest.mark.parametrize(
+    "route",
+    [correlation_pathsum_bounded, correlation_permanent_bounded],
+    ids=["pathsum", "permanent"],
+)
+
+
 class TestNonFinitePhases:
-    @pytest.mark.parametrize(
-        "route",
-        [correlation_pathsum_bounded, correlation_permanent_bounded],
-        ids=["pathsum", "permanent"],
-    )
+    @BOTH_ROUTES
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
     def test_is_an_input_error(self, monkeypatch, route, bad, where):
@@ -1103,3 +1106,55 @@ class TestNonFinitePhases:
         deltas[where] = bad
         with pytest.raises(ValueError, match="deltas must be finite"):
             route(SourceArray(), deltas)
+
+
+class TestPhaseReader:
+    @BOTH_ROUTES
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            ([[0.1, 0.4], [2.5, 1.0]], "deltas must be a 1-d"),
+            ([[0.1], [0.4, 2.5]], "deltas must be a 1-d"),
+            (np.zeros((2, 2)), "deltas must be a 1-d"),
+            (0.5, "deltas must be a 1-d"),
+            ("0.5", "deltas must be a 1-d"),
+            ([True, False], "deltas must be a 1-d"),
+            ([0.1, 0.4 + 0.1j], "deltas must be a 1-d"),
+            ([0.1, None], "deltas must be a 1-d"),
+            ([], "at least one detector"),
+            (np.zeros(0), "at least one detector"),
+        ],
+        ids=[
+            "nested",
+            "ragged",
+            "2-d",
+            "scalar",
+            "string",
+            "bools",
+            "complex",
+            "none",
+            "empty",
+            "empty-array",
+        ],
+    )
+    def test_malformed_phases_are_an_input_error(self, monkeypatch, route, bad, match):
+        # one reader refuses them for both routes, before any work is done;
+        # TestNonFinitePhases holds the NaN and infinite phases
+        def no_work(*args):
+            raise AssertionError("built from malformed phases")
+
+        monkeypatch.setattr(pathsum, "_split_table", no_work)
+        monkeypatch.setattr(pathsum, "coherence_matrix", no_work)
+        with pytest.raises(ValueError, match=match):
+            route(SourceArray(), bad)
+
+    @BOTH_ROUTES
+    @pytest.mark.parametrize(
+        "deltas",
+        [[0, 1, 3], (0.0, 1.0, 3.0), np.array([0, 1, 3]), np.array([0.0, 1.0, 3.0])],
+        ids=["int-list", "tuple", "int-array", "float-array"],
+    )
+    def test_returns_python_floats(self, route, deltas):
+        value, bound = route(SourceArray.equidistant(3), deltas)
+        assert type(value) is float and type(bound) is float
+        assert (value, bound) == route(SourceArray.equidistant(3), [0.0, 1.0, 3.0])

@@ -13,7 +13,7 @@ from thermalnoon.analytic import closed_form
 from thermalnoon.curves import CorrelationCurve, default_grid
 from thermalnoon.errors import AccumulatorOverflowError
 from thermalnoon.geometry import TWO_PI, DetectorLayout, SourceArray, magic_positions
-from thermalnoon.pathsum import correlation_pathsum
+from thermalnoon.pathsum import correlation_pathsum, correlation_pathsum_bounded
 from thermalnoon.speckle import (
     CHUNK_FRAMES,
     MAX_BATCHES,
@@ -564,6 +564,29 @@ class TestSimulateCurve:
             exact = correlation_pathsum(sources, tuple(layout.detector_phases(point)))
             assert abs(value - exact) < 5 * err
 
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_unequal_k3_fit_matches_the_path_sum(self, seed):
+        # no closed form covers K = 3 sources of unequal brightness: the
+        # speckle fit must meet the fit to the certified path-sum curve over
+        # the same grid, V = 0.33987, within 4 of its own error bars
+        sources = SourceArray(nbar=(0.5, 1.0, 2.0))
+        layout = DetectorLayout.colocated(3, 2)
+        config = SpeckleConfig(sources=sources, layout=layout, frames=40_000, seed=seed)
+        fit = fit_cosine(simulate_curve(config), 2)
+        points = [
+            correlation_pathsum_bounded(sources, layout.detector_phases(float(d)))
+            for d in config.grid
+        ]
+        assert max(bound for _, bound in points) <= 1e-13
+        values = np.array([value for value, _ in points])
+        exact = fit_cosine(
+            CorrelationCurve(grid=config.grid, values=values, order=5, layout="path sum"),
+            2,
+        )
+        assert exact.visibility == pytest.approx(0.33987, abs=1e-5)
+        assert fit.dominant_frequency == 2
+        assert abs(fit.visibility - exact.visibility) < 4 * fit.stderr_visibility
+
     def test_slit_envelope_damps_moving_detector(self):
         # finite slit multiplies the mean intensity by the squared envelope
         sources = SourceArray(nbar=(1.0,))
@@ -805,6 +828,28 @@ class TestSimulateCurve:
             )
 
     @pytest.mark.parametrize(
+        "sources,layout",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2)),
+            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2)),
+        ],
+        ids=["colocated-5-2", "k3-2-2"],
+    )
+    @pytest.mark.parametrize("frames", [2, 7, 21, 25, 39])
+    def test_one_frame_batches_match_brute_force(self, sources, layout, frames):
+        # under 40 frames some batches hold one frame, and they share one
+        # chunk with the others: the curve and batch means stay those of the
+        # reference, and bit-identical for any worker count
+        config = SpeckleConfig(sources=sources, layout=layout, frames=frames, seed=9)
+        runs = [simulate_curve(replace(config, workers=w)) for w in (1, 2, 3)]
+        values, batch_means = brute_force_curve(config)
+        for got, want in ((runs[0].values, values), (runs[0].batch_means, batch_means)):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * want.max())
+        for other in runs[1:]:
+            for name in ("values", "stderr", "batch_means"):
+                assert getattr(other, name).tobytes() == getattr(runs[0], name).tobytes()
+
+    @pytest.mark.parametrize(
         "sources,layout,slit_ratio",
         [
             (SourceArray(), DetectorLayout.colocated(5, 2), 0.0),
@@ -994,10 +1039,13 @@ class TestWorkUnits:
         sizes = _batch_sizes(frames)
         units = _work_units(sizes)
         assert [batch for unit in units for batch in unit] == list(enumerate(sizes))
-        for unit in units:
+        totals = [sum(size for _, size in unit) for unit in units]
+        for unit, total in zip(units, totals):
             if len(unit) > 1:
-                assert sum(size for _, size in unit) <= CHUNK_FRAMES
-                assert min(size for _, size in unit) > 1
+                assert total <= CHUNK_FRAMES
+        # greedy: a unit ends only where its next batch no longer fits
+        for total, after in zip(totals, units[1:]):
+            assert total + after[0][1] > CHUNK_FRAMES
 
     @pytest.mark.parametrize(
         "frames,lengths",
@@ -1009,9 +1057,11 @@ class TestWorkUnits:
             # leaves the 2801-frame first batch and the last one alone
             (56_000, [2] * 10),
             (56_001, [1] + [2] * 9 + [1]),
-            (30, [10] + [1] * 10),
+            # one- and two-frame batches share one chunk like any others
+            (30, [20]),
             (100_000, [1] * 20),
-            (6, [1] * 6),
+            (6, [6]),
+            (1, [1]),
         ],
     )
     def test_unit_lengths(self, frames, lengths):
@@ -1147,8 +1197,7 @@ class TestKernelReference:
         # one worker, its block as wide as a full chunk, runs in turn a batch
         # of 2.5 chunks whose last chunk is partial, a unit of five batches
         # that share a chunk, a one-frame batch and the first batch again:
-        # every width reuses the block, the full width stays bound, and a
-        # narrower one is bound again once another has replaced it
+        # every width reuses the block, and every width bound stays bound
         config = SpeckleConfig(sources=sources, layout=layout, frames=20_001, seed=29)
         plan = _plan(config)
         packed = _work_units(_batch_sizes(config.frames))[1]
@@ -1158,14 +1207,16 @@ class TestKernelReference:
         for unit in units:
             sums = _run_unit(worker, unit)
             assert np.array_equal(sums, reference_unit_sums(config, unit))
-        assert sorted(worker.pipelines) == [2800, CHUNK_FRAMES]
+        assert sorted(worker.pipelines) == [1, 2800, 5000, CHUNK_FRAMES]
 
-    def test_one_frame_batches_equal_the_reference(self):
-        config = hbt_config(frames=7, seed=4, layout=DetectorLayout.colocated(5, 2))
-        worker = _Worker(config, _plan(config), 1)
-        for unit in _work_units(_batch_sizes(config.frames)):
-            assert unit == [(unit[0][0], 1)]
-            assert np.array_equal(_run_unit(worker, unit), reference_unit_sums(config, unit))
+    @pytest.mark.parametrize("frames", [7, 25])
+    def test_one_frame_batches_equal_the_reference(self, frames):
+        # 7 one-frame batches, or 5 of two frames and 15 of one, share a chunk
+        config = hbt_config(frames=frames, seed=4, layout=DetectorLayout.colocated(5, 2))
+        (unit,) = _work_units(_batch_sizes(config.frames))
+        assert len(unit) == min(frames, MAX_BATCHES) and unit[-1][1] == 1
+        worker = _Worker(config, _plan(config), frames)
+        assert np.array_equal(_run_unit(worker, unit), reference_unit_sums(config, unit))
 
 
 def period_of(moving_offsets):

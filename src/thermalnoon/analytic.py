@@ -25,7 +25,13 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import CorrelationCurve, default_grid
-from .geometry import DetectorLayout, comb_sign, require_int
+from .geometry import (
+    DetectorLayout,
+    comb_sign,
+    require_int,
+    require_real,
+    require_reals,
+)
 
 
 @dataclass(frozen=True)
@@ -49,14 +55,14 @@ class ClosedForm:
 
     def g(self, delta1: float) -> float:
         """Correlation at scan phase delta1."""
-        cos = math.cos(self.frequency * float(delta1))
+        cos = math.cos(self.frequency * require_real("delta1", delta1))
         return float(self.c1) + self.parity_sign * float(self.c2) * cos
 
     def curve(
         self, layout: DetectorLayout, grid: np.ndarray | None = None
     ) -> CorrelationCurve:
         """Sample the closed form on a delta1 grid, labelled with its layout."""
-        g = default_grid() if grid is None else np.asarray(grid, dtype=float)
+        g = default_grid() if grid is None else require_reals("grid", grid, 2)
         values = self.c1 + self.parity_sign * self.c2 * np.cos(self.frequency * g)
         return CorrelationCurve(
             grid=g, values=values, order=layout.order, layout=layout.describe()

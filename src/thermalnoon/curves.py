@@ -7,14 +7,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .geometry import require_int, require_reals
+
 DEFAULT_GRID_POINTS = 181
 
 
 def default_grid(points: int = DEFAULT_GRID_POINTS) -> np.ndarray:
     """Uniform delta1 grid over [0, 2*pi], endpoints included."""
-    if points < 2:
-        raise ValueError("grid needs at least two points")
-    return np.linspace(0.0, 2.0 * math.pi, points)
+    return np.linspace(0.0, 2.0 * math.pi, require_int("points", points, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,18 +38,14 @@ class CorrelationCurve:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = require_reals("grid", self.grid, 2)
+        values = require_reals("values", self.values)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be 1-d with at least two points")
         if values.shape != grid.shape:
             raise ValueError(
                 f"values shape {values.shape} does not match grid shape {grid.shape}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("curve values must be finite")
         if np.any(values < 0.0):
             raise ValueError("correlation values must be nonnegative")
         if self.order < 1:

@@ -46,7 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, TruncationError, ZeroProbabilityError
-from .geometry import DetectorLayout, comb_sign, relative_gap, require_int, require_real
+from .geometry import (
+    DetectorLayout,
+    comb_sign,
+    relative_gap,
+    require_int,
+    require_real,
+    require_reals,
+)
 
 TAIL_LIMIT = 1e-6
 # A cost cap on every cutoff.  A real band is (D+1)**2 * 8 bytes, 8 MB at
@@ -354,17 +361,14 @@ def g_detectors(rho: TwoModeDensityMatrix, deltas) -> float | np.ndarray:
     deltas holds one phase per detector; a 2-d array holds one phase set per
     row, and then one value per row is returned, all from one moment table.
     """
-    phases = np.asarray(deltas, dtype=float)
-    if phases.ndim not in (1, 2):
-        raise ValueError(f"deltas must be a 1-d or 2-d array, got {deltas!r}")
-    if not np.isfinite(phases).all():
-        raise ValueError(f"deltas must be finite, got {deltas!r}")
-    rows = np.atleast_2d(phases)
+    scan = isinstance(deltas, np.ndarray) and deltas.ndim == 2
+    phases = require_reals("deltas", deltas.ravel() if scan else deltas)
+    rows = phases.reshape(deltas.shape if scan else (1, -1))
     order = rows.shape[1]
     _require_power(order, rho)
     table, scale = _moments(rho.bands, [(order - p, p) for p in range(order + 1)])
     values = _contract(table, scale, *_field_coefficients(rows))
-    return values if phases.ndim == 2 else float(values[0])
+    return values if scan else float(values[0])
 
 
 def noon_overlap(rho: TwoModeDensityMatrix, m2: int) -> float:
@@ -437,9 +441,8 @@ def verify_isomorphism(
     by the projection norm, the trace of A rho A+ before renormalization.
     """
     layout = DetectorLayout.colocated(m1, m2)
-    phases = np.atleast_1d(np.asarray(deltas, dtype=float))
-    if phases.ndim != 1 or phases.size == 0 or not np.isfinite(phases).all():
-        raise ValueError(f"deltas must be finite, one phase or a 1-d grid: {deltas!r}")
+    scalar = not isinstance(deltas, (list, tuple, np.ndarray))
+    phases = require_reals("deltas", [deltas] if scalar else deltas, 1)
     if cutoff is None:
         cutoff = default_cutoff(nbar, layout.m1, layout.m2)
     rho = thermal_two_mode(nbar, cutoff)

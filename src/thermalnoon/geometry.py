@@ -38,11 +38,28 @@ def require_real(name: str, value: object) -> float:
     return float(value)
 
 
-def require_reals(name: str, values: object) -> tuple[float, ...]:
-    """`values` as a tuple of floats if it is a sequence of real numbers."""
-    if not isinstance(values, (tuple, list, np.ndarray)):
-        raise ValueError(f"{name} must be a sequence of numbers, got {values!r}")
-    return tuple(require_real(name, v) for v in values)
+def require_reals(name: str, values: object, minimum: int = 0) -> np.ndarray:
+    """`values` as a 1-d float64 array of at least `minimum` finite real numbers.
+
+    An ndarray is read by its dtype, integer or float.  A list or tuple is read
+    number by number through `require_real`, so a bool, string, complex number
+    or None is refused even among floats, and a nested or ragged list never
+    reaches numpy.  Anything else is refused.  Every refusal is a ValueError
+    that names `name`.
+    """
+    array = values
+    if isinstance(values, (list, tuple)):
+        try:
+            array = np.array([require_real(name, v) for v in values], dtype=float)
+        except ValueError:
+            array = None
+    real = isinstance(array, np.ndarray) and array.dtype.kind in "iuf"
+    if not real or array.ndim != 1 or array.size < minimum:
+        least = f" of length >= {minimum}" if minimum else ""
+        raise ValueError(f"{name} must be a 1-d sequence of reals{least}: {values!r}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite: {values!r}")
+    return array.astype(float, copy=False)
 
 
 def require_field(data: object, name: str) -> object:
@@ -92,11 +109,9 @@ class SourceArray:
     nbar: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        nbar = require_reals("nbar", self.nbar)
-        if len(nbar) < 1:
-            raise ValueError("need at least one source")
-        if any(not (0.0 < n < math.inf) for n in nbar):
-            raise ValueError(f"all nbar must be positive and finite, got {nbar}")
+        nbar = tuple(require_reals("nbar", self.nbar, 1).tolist())
+        if not all(n > 0.0 for n in nbar):
+            raise ValueError(f"all nbar must be positive, got {nbar}")
         object.__setattr__(self, "nbar", nbar)
 
     @classmethod
@@ -139,9 +154,9 @@ class DetectorLayout:
 
     def __post_init__(self) -> None:
         for name in ("fixed_phases", "moving_offsets"):
-            phases = require_reals(name, getattr(self, name))
+            phases = tuple(require_reals(name, getattr(self, name)).tolist())
             if not all(0.0 <= p < TWO_PI for p in phases):
-                raise ValueError(f"{name} must be finite and lie in [0, 2*pi)")
+                raise ValueError(f"{name} must lie in [0, 2*pi)")
             object.__setattr__(self, name, phases)
         if self.order < 1:
             raise ValueError("layout needs at least one detector")
@@ -186,15 +201,14 @@ class DetectorLayout:
     def detector_phases(self, delta1: float | np.ndarray) -> np.ndarray:
         """All M phases at delta1, moving group first: delta1 + offset, unwrapped.
 
-        A 1-d array of delta1 gives one row of M phases per entry.
+        A 1-d sequence of delta1 gives one row of M phases per entry.
         """
-        delta1 = np.asarray(delta1, dtype=float)
-        if delta1.ndim > 1:
-            raise ValueError(f"delta1 must be a number or a 1-d array, got {delta1!r}")
-        phases = np.empty(delta1.shape + (self.order,))
-        phases[..., : self.m1] = delta1[..., None] + np.asarray(self.moving_offsets)
-        phases[..., self.m1 :] = self.fixed_phases
-        return phases
+        scalar = not isinstance(delta1, (list, tuple, np.ndarray))
+        scan = require_reals("delta1", [delta1] if scalar else delta1)
+        phases = np.empty((scan.size, self.order))
+        phases[:, : self.m1] = scan[:, None] + np.asarray(self.moving_offsets)
+        phases[:, self.m1 :] = self.fixed_phases
+        return phases[0] if scalar else phases
 
     def describe(self) -> str:
         return f"{self.moving_kind}:m1={self.m1},m2={self.m2}"

@@ -19,9 +19,9 @@ source line the matrix is real when nbar is mirror-symmetric, and the sum
 then runs in float64.  PERMANENT_MAX_TERMS caps its cost.
 
 The two routes share no arithmetic and serve as oracles for each other.
-They read their phases alike (`_phases`: ValueError for anything but a 1-d
-array of finite reals) and certify alike (`_certify`): each bounds its own
-error a posteriori and raises NumericalError past ORACLE_TOLERANCE.
+They read their phases alike (`require_reals`: ValueError for anything but a
+1-d sequence of finite reals) and certify alike (`_certify`): each bounds its
+own error a posteriori and raises NumericalError past ORACLE_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, NumericalError
-from .geometry import SourceArray
+from .geometry import SourceArray, require_reals
 
 # Cost caps; each route's a-posteriori bound, not its cap, checks accuracy.
 # The path sum's table: 2**20 complex entries take 16 MiB, passed over K times
@@ -48,22 +48,6 @@ ORACLE_TOLERANCE = 1e-9
 # Width of the low table, 2**10 terms per step: ten distinct columns' signs, or
 # fewer groups' minus-sign counts whose choices multiply to at most that.
 _LOW_COLUMNS = 10
-
-
-def _phases(deltas: Sequence[float]) -> np.ndarray:
-    """The detector phases as float64; ValueError unless 1-d, finite and real."""
-    try:
-        phases = np.asarray(deltas)
-        real = phases.dtype.kind in "iuf" and phases.ndim == 1
-    except ValueError:  # a ragged nested list
-        real = False
-    if not real:
-        raise ValueError(f"deltas must be a 1-d sequence of reals, got {deltas!r}")
-    if phases.size < 1:
-        raise ValueError("need at least one detector phase")
-    if not np.isfinite(phases).all():
-        raise ValueError(f"deltas must be finite, got {deltas!r}")
-    return phases.astype(float, copy=False)
 
 
 def _certify(route: str, value: float, error: float, where: str) -> tuple[float, float]:
@@ -141,9 +125,9 @@ def correlation_pathsum_bounded(
 
     Raises NumericalError when the bound exceeds ORACLE_TOLERANCE, or where
     M!, a weight or a term leaves the double range; CapacityError above
-    PATHSUM_MAX_TABLE; ValueError for malformed phases (`_phases`).
+    PATHSUM_MAX_TABLE; ValueError for malformed phases (`require_reals`).
     """
-    phases = _phases(deltas)
+    phases = require_reals("deltas", deltas, 1)
     order, count = len(phases), sources.count
     alphas = sources.prefactors
     eps = np.finfo(float).eps
@@ -398,7 +382,7 @@ def coherence_matrix(sources: SourceArray, deltas: Sequence[float]) -> np.ndarra
     2 nbar_l (c_j c_k + s_j s_k) with c = cos(s_l d) and s = sin(s_l d).
     Otherwise J is complex128.
     """
-    phases = np.asarray(deltas, dtype=float)
+    phases = require_reals("deltas", deltas)
     count = sources.count
     shifts = [a - (count - 1) / 2 for a in sources.prefactors]
     if sources.nbar == sources.nbar[::-1]:
@@ -477,7 +461,7 @@ def correlation_permanent_bounded(
     its last block: with |value| <= ceiling + error, its bound would exceed
     ORACLE_TOLERANCE.
     """
-    phases = _phases(deltas)
+    phases = require_reals("deltas", deltas, 1)
     order = len(phases)
     if order * order > PERMANENT_MAX_TERMS:
         raise CapacityError(

@@ -76,6 +76,7 @@ from .geometry import (
     require_field,
     require_int,
     require_real,
+    require_reals,
 )
 
 CHUNK_FRAMES = 5600
@@ -100,12 +101,7 @@ class SpeckleConfig:
         if seed >= 2**64:
             raise ValueError("seed must be an integer in [0, 2**64)")
         object.__setattr__(self, "seed", seed)
-        grid = np.asarray(self.grid)
-        if grid.dtype.kind not in "iuf" or grid.ndim != 1 or grid.size < 2:
-            raise ValueError("grid must be 1-d numbers with at least two points")
-        if not np.all(np.isfinite(grid)):
-            raise ValueError("grid values must be finite")
-        object.__setattr__(self, "grid", grid.astype(float, copy=False))
+        object.__setattr__(self, "grid", require_reals("grid", self.grid, 2))
         slit_ratio = require_real("slit_ratio", self.slit_ratio)
         if not (0.0 <= slit_ratio < 1.0):
             raise ValueError("slit_ratio must lie in [0, 1)")
@@ -413,8 +409,7 @@ def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
     Needs a uniform grid; a duplicated 2*pi endpoint is dropped before the
     transform.  Returns None when the grid is non-uniform or too short.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
+    grid, values = require_reals("grid", grid), require_reals("values", values)
     steps = np.diff(grid)
     if grid.size < 4 or not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         return None

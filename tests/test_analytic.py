@@ -249,6 +249,17 @@ class TestCurves:
         expected = [colocated(3, 2).g(d) for d in curve.grid]
         np.testing.assert_allclose(curve.values, expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("delta1", [True, 1j, "0.5", None])
+    def test_g_refuses_a_scan_phase_that_is_no_real(self, delta1):
+        # a bool was read as 0 or 1, and a complex phase was a TypeError
+        with pytest.raises(ValueError, match="delta1 must be a number"):
+            spread(2).g(delta1)
+
+    def test_curve_refuses_a_grid_holding_a_bool(self):
+        layout = DetectorLayout.spread(2)
+        with pytest.raises(ValueError, match="grid must be a 1-d sequence"):
+            closed_form(layout).curve(layout, [0.0, True, 6.0])
+
     def test_curves_carry_layout_labels(self):
         assert "spread" in spread(1).curve(DetectorLayout.spread(1)).layout
         layout = DetectorLayout.colocated(2, 2)

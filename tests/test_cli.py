@@ -320,6 +320,22 @@ class TestSpeckleCommand:
         assert "frames" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_grid_holding_a_bool_is_refused(self, tmp_path, capsys):
+        # JSON true was read as the phase 1.0
+        data = SpeckleConfig(
+            sources=SourceArray(),
+            layout=DetectorLayout.colocated(2, 2),
+            frames=1000,
+            seed=3,
+        ).to_dict()
+        data["grid"] = [0.0, True, 6.0]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        out = tmp_path / "x.csv"
+        assert main(["speckle", "--config", str(config_path), "--out", str(out)]) == 2
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
+
     def test_required_fields_alone_match_required_flags_alone(self, tmp_path):
         # an absent field and an absent flag both take SpeckleConfig's defaults
         data = SpeckleConfig(

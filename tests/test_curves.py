@@ -29,6 +29,11 @@ class TestDefaultGrid:
         with pytest.raises(ValueError):
             default_grid(1)
 
+    @pytest.mark.parametrize("points", [3.0, 2.5, True, "3"])
+    def test_rejects_a_point_count_that_is_no_integer(self, points):
+        with pytest.raises(ValueError, match="points must be an integer >= 2"):
+            default_grid(points)
+
 
 class TestCorrelationCurve:
     def test_holds_data(self):

@@ -628,7 +628,8 @@ class TestCorrelations:
     ):
         # a call would be a TypeError, not the ValueError that names the grid
         monkeypatch.setattr(fockstate, "thermal_two_mode", None)
-        with pytest.raises(ValueError, match=re.escape("grid: [0.3, nan]")):
+        refused = re.escape("deltas must be finite: [0.3, nan]")
+        with pytest.raises(ValueError, match=refused):
             verify_isomorphism(0.5, 2, 2, [0.3, math.nan], cutoff=1000)
 
     @pytest.mark.parametrize("deltas", [0.3, np.zeros((2, 2, 2))])

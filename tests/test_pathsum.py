@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 from collections import Counter
@@ -9,9 +10,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from thermalnoon import pathsum
+from thermalnoon import fockstate, pathsum
 from thermalnoon.analytic import closed_form
+from thermalnoon.curves import CorrelationCurve
 from thermalnoon.errors import CapacityError, NumericalError
+from thermalnoon.fockstate import g_detectors, thermal_two_mode, verify_isomorphism
 from thermalnoon.geometry import DetectorLayout, SourceArray, magic_positions
 from thermalnoon.pathsum import (
     PATHSUM_MAX_TABLE,
@@ -22,6 +25,7 @@ from thermalnoon.pathsum import (
     correlation_permanent,
     correlation_permanent_bounded,
 )
+from thermalnoon.speckle import SpeckleConfig, dominant_frequency
 
 
 def permanent(matrix):
@@ -1055,7 +1059,8 @@ class TestCorrelationPermanent:
         assert bound <= 1e-9
 
     def test_needs_a_detector(self):
-        with pytest.raises(ValueError, match="at least one detector"):
+        refused = re.escape("deltas must be a 1-d sequence of reals of length >= 1: []")
+        with pytest.raises(ValueError, match=refused):
             correlation_permanent_bounded(SourceArray(), [])
 
     def test_far_phases_are_refused(self):
@@ -1121,8 +1126,8 @@ class TestPhaseReader:
             ([True, False], "deltas must be a 1-d"),
             ([0.1, 0.4 + 0.1j], "deltas must be a 1-d"),
             ([0.1, None], "deltas must be a 1-d"),
-            ([], "at least one detector"),
-            (np.zeros(0), "at least one detector"),
+            ([], "deltas must be a 1-d sequence of reals of length >= 1: "),
+            (np.zeros(0), "deltas must be a 1-d sequence of reals of length >= 1: "),
         ],
         ids=[
             "nested",
@@ -1158,3 +1163,120 @@ class TestPhaseReader:
         value, bound = route(SourceArray.equidistant(3), deltas)
         assert type(value) is float and type(bound) is float
         assert (value, bound) == route(SourceArray.equidistant(3), [0.0, 1.0, 3.0])
+
+    # every entry point that takes a sequence of reals from outside, called on
+    # it: (name of the argument, call); the 2-d scan is one object array of two
+    # rows, the only 2-d form that keeps what a numeric array would convert
+    ENTRY_POINTS = {
+        "pathsum": ("deltas", lambda v: correlation_pathsum_bounded(SourceArray(), v)),
+        "permanent": (
+            "deltas",
+            lambda v: correlation_permanent_bounded(SourceArray(), v),
+        ),
+        "coherence-matrix": ("deltas", lambda v: coherence_matrix(SourceArray(), v)),
+        "g-detectors": ("deltas", lambda v: g_detectors(thermal_two_mode(0.5, 20), v)),
+        "g-detectors-2d": (
+            "deltas",
+            lambda v: g_detectors(
+                thermal_two_mode(0.5, 20), np.array([v, v], dtype=object)
+            ),
+        ),
+        "verify-isomorphism": ("deltas", lambda v: verify_isomorphism(0.5, 2, 2, v)),
+        "speckle-grid": (
+            "grid",
+            lambda v: SpeckleConfig(
+                SourceArray(), DetectorLayout.colocated(1, 1), 10, 1, grid=v
+            ),
+        ),
+        "curve-grid": (
+            "grid",
+            lambda v: CorrelationCurve(grid=v, values=[1, 2, 3, 4], order=2, layout="t"),
+        ),
+        "curve-values": (
+            "values",
+            lambda v: CorrelationCurve(grid=[1, 2, 3, 4], values=v, order=2, layout="t"),
+        ),
+        "detector-phases": (
+            "delta1",
+            lambda v: DetectorLayout.colocated(1, 1).detector_phases(v),
+        ),
+        "dominant-frequency-grid": ("grid", lambda v: dominant_frequency(v, [1, 2, 3, 2])),
+        "dominant-frequency-values": (
+            "values",
+            lambda v: dominant_frequency([1, 2, 3, 4], v),
+        ),
+        "nbar": ("nbar", lambda v: SourceArray(nbar=v)),
+        "fixed-phases": (
+            "fixed_phases",
+            lambda v: DetectorLayout(fixed_phases=v, moving_offsets=(0.0,)),
+        ),
+        "moving-offsets": (
+            "moving_offsets",
+            lambda v: DetectorLayout(fixed_phases=(0.0,), moving_offsets=v),
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [0.5, True],
+            [0.1, 0.4 + 0.1j],
+            "0.5",
+            [0.1, None],
+            [[0.1, 0.4], [2.5, 1.0]],
+            [[0.1], [0.4, 2.5]],
+            [0.1, math.nan],
+        ],
+        ids=["bool", "complex", "string", "none", "nested", "ragged", "nan"],
+    )
+    def test_every_entry_point_refuses_malformed_reals(self, monkeypatch, entry, bad):
+        # named, and before any table, matrix, state or band is built
+        def no_work(*args, **kwargs):
+            raise AssertionError("built from malformed reals")
+
+        # pathsum reads its phases before any numpy work: a use is an AttributeError
+        monkeypatch.setattr(pathsum, "np", None)
+        for name in ("thermal_two_mode", "_moments", "_sandwich"):
+            monkeypatch.setattr(fockstate, name, no_work)
+        name, call = self.ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(bad)
+
+    # a 2-d scan is an array: a list of rows is refused as nested
+    @pytest.mark.parametrize("entry", [e for e in ENTRY_POINTS if "2d" not in e])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            [1, 2, 3, 4],
+            (1, 2.0, 3, 4),
+            np.array([1, 2, 3, 4]),
+            np.array([1, 2, 3, 4], dtype=np.float32),
+            [np.float64(1), np.float64(2), np.float64(3), np.float64(4)],
+        ],
+        ids=["int-list", "tuple", "int-array", "float32-array", "np-float64"],
+    )
+    def test_every_entry_point_reads_valid_forms_as_float64(self, entry, form):
+        # the same bytes as from a float64 array
+        _, call = self.ENTRY_POINTS[entry]
+        assert as_bytes(call(form)) == as_bytes(call(np.array([1.0, 2.0, 3.0, 4.0])))
+
+    @pytest.mark.parametrize("dtype", [int, np.float32])
+    def test_a_2d_scan_reads_valid_dtypes_as_float64(self, dtype):
+        rho = thermal_two_mode(0.5, 20)
+        rows = np.array([[1, 2, 3], [3, 0, 1]])
+        scan = g_detectors(rho, rows.astype(dtype))
+        assert scan.tobytes() == g_detectors(rho, rows.astype(float)).tobytes()
+
+
+def as_bytes(result):
+    """Every float a result holds, as the bytes of one float64 array."""
+    if isinstance(result, CorrelationCurve):
+        return as_bytes([result.grid, result.values])
+    if isinstance(result, SpeckleConfig):
+        return as_bytes(result.grid)
+    if isinstance(result, (SourceArray, DetectorLayout)):
+        return repr(result).encode()
+    if hasattr(result, "lhs"):
+        return as_bytes([result.deltas, result.lhs, result.rhs])
+    return np.concatenate([np.ravel(part) for part in np.atleast_1d(result)]).tobytes()

@@ -85,6 +85,13 @@ def _layout(args: argparse.Namespace, *required: tuple[str, object]) -> Detector
     return DetectorLayout.colocated(args.m1, args.m2)
 
 
+def _grid(points: int) -> np.ndarray:
+    """The default grid of --grid points, its refusal naming the flag."""
+    if points < 2:
+        raise ValueError(f"--grid must be at least 2, got {points}")
+    return default_grid(points)
+
+
 def _cmd_analytic(args: argparse.Namespace) -> int:
     layout = _layout(args)
     form = closed_form(layout)
@@ -94,7 +101,7 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
         out = args.out or f"analytic-spread-M{layout.order}.csv"
     else:
         out = args.out or f"analytic-colocated-m1_{args.m1}-m2_{args.m2}.csv"
-    curve = form.curve(layout, default_grid(args.grid))
+    curve = form.curve(layout, _grid(args.grid))
     _write_curve(
         out,
         {"delta1": curve.grid, "G": curve.values, "g_norm": curve.normalize().values},
@@ -195,7 +202,7 @@ def _speckle_config(args: argparse.Namespace) -> SpeckleConfig:
             layout=layout,
             frames=args.frames,
             seed=args.seed,
-            **({} if args.grid is None else {"grid": default_grid(args.grid)}),
+            **({} if args.grid is None else {"grid": _grid(args.grid)}),
             **_given(args, "slit_ratio"),
         )
     return replace(config, **_given(args, "frames", "seed", "workers"))

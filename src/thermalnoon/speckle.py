@@ -1,6 +1,6 @@
 """Pseudothermal speckle Monte Carlo for intensity correlation curves.
 
-Each frame draws one circular complex Gaussian amplitude per source with
+In each frame every source has one circular complex Gaussian amplitude with
 mean square modulus nbar_l; a detector at phase delta sees the intensity
 |sum_l exp(-1j*l*delta) * a_l|^2, and G(delta1) is the frame average of
 the product of the M detector intensities.  That intensity is the real
@@ -25,26 +25,38 @@ does not depend on the grid size.  The single-slit factor env(delta) = sin(x)/x
 with x = delta*slit_ratio/2 (1 for point sources) is deterministic, so it is
 applied after interpolation as the per-grid-point factor prod_d env(phase_d)^2
 over the detector phases of layout.detector_phases(delta1).  _plan derives p,
-N, a column per distinct phase, the grid weights and this factor once per run.
+N, a column per distinct phase and this factor once per run; the grid weights
+are built once the workers are done.
 
 Each frame is weighted by c_M / s^M, s = sum_l |z_l|^2 over its unit-variance
 complex normals z_l = a_l / sqrt(nbar_l), c_M = E[s^M] = (K+M-1)!/(K-1)!: s ~
 Gamma(K, 1) is independent of z / sqrt(s), and the product is homogeneous of
 degree M in s, so the mean is kept and the brightness integrated out exactly.
-The weighted product does not change under a common phase, z -> exp(i psi) z,
-so each frame is drawn turned by -arg z_0: z_0 = sqrt(E), E ~ Exp(1), real,
-and z_1..z_(K-1) circular complex normals, which are independent of arg z_0.
-Every frame's value keeps its law, drawn from 2K-1 variates instead of 2K.
+The weighted value depends on the direction z / sqrt(s) alone, whose shares
+w_l = |z_l|^2 / s are Dirichlet(1, ..., 1) and whose phases are independent
+and uniform (Muirhead, Aspects of Multivariate Statistical Theory, 1982,
+sec. 1.5); it does not change under a common phase either.  So each frame
+draws the direction, with s = 1 and arg z_0 = 0.  K-1 uniforms U_l break a
+stick into the shares: w_l = r_l (1 - R_l), R_l = (1 - U_l)^(1/(K-1-l)),
+r_(l+1) = r_l R_l, r_0 = 1 and w_(K-1) = r_(K-1), so w = (U, 1 - U) at K = 2.
+K-1 more uniforms V_l set each relative phase on an L-point lattice,
+phi_l = 2*pi*floor(L V_l)/L, read from cos and sin tables built once per L.
+Each intensity is of degree 1 in every exp(i phi_l), so the frame's value is
+a trigonometric polynomial of degree <= M in each relative phase, and its
+j-th power one of degree <= jM, which the lattice averages exactly while
+jM < L.  Every moment of order below L/M, the mean and the variance among
+them, is therefore the continuous draw's.  L is the least power of two above
+2M and at least 4096, derived from the layout.
 
 Determinism contract: frames are split into min(20, frames) contiguous batches
 of fixed sizes; batch b draws from its own substream, an SFC64 seeded by
 SeedSequence(seed, spawn_key=(0, b)), in chunks of up to CHUNK_FRAMES frames
-from the batch's start, each chunk of f frames taking f standard exponentials
-E, then standard normals of shape (f, 2K-2): times sqrt(2), z_0 is sqrt(2E),
-and z_1..z_(K-1) take the normals as real then imaginary parts; batch partial
-sums are combined in batch order.  Work units, fixed by the batch sizes
-alone, run the batches: those that fit in one chunk together share it, each
-in its own slice, in batch order; a larger batch is a unit of its own.
+from the batch's start, each chunk of f frames taking uniforms of shape
+(f, K-1) for the shares, then uniforms of shape (f, K-1) for the phases (none
+at K = 1); batch partial sums are combined in batch order.  Work units, fixed
+by the batch sizes alone, run the batches: those that fit in one chunk
+together share it, each in its own slice, in batch order; a larger batch is a
+unit of its own.
 Within a chunk every array is real and laid out (row, frame): each node's
 product is summed over a batch's frames as one contiguous row, and a batch's
 chunk sums are added in draw order, with no BLAS call anywhere.  Each worker
@@ -155,14 +167,16 @@ def _period(offsets: np.ndarray, counts: np.ndarray) -> int:
 
 
 def _plan(config: SpeckleConfig) -> tuple:
-    """The run's set-up, derived once: (table, counts, nodes, fixed, weights, envelope).
+    """The kernel's set-up, derived once per run: (table, counts, nodes, fixed,
+    period, envelope, lattice).
 
     table: rows 1, 2cos(d*delta), 2sin(d*delta), d = 1..K-1, over the phase
     columns, each node theta_n = 2*pi*n/(N*p) past each distinct moving offset
     (counts: the detectors at each), then each fixed phase that is bit-equal
     to no column before it.  fixed: each fixed detector's column.  nodes: N = 2D'+1.
-    weights[g, n]: the Dirichlet kernel, degree (N-1)/2, at p*grid[g] - 2*pi*n/N.
-    envelope: per grid point, the product over all M detectors of env(phase)^2.
+    period: p.  envelope: per grid point, the product over all M detectors of
+    env(phase)^2.  lattice: cos and sin of the L phases 2*pi*n/L, L the least
+    power of two above 2M and at least 4096.
     """
     # at most M offsets: counted in Python, sorted as np.unique would sort them
     moving = config.layout.moving_offsets
@@ -180,13 +194,25 @@ def _plan(config: SpeckleConfig) -> tuple:
     phases = np.array([float.fromhex(b) for b in bits])
     angles = np.arange(1, k)[:, None] * phases[None, :]
     table = np.vstack([np.ones_like(phases), 2.0 * np.cos(angles), 2.0 * np.sin(angles)])
-    harmonics = np.arange(1, (nodes - 1) // 2 + 1)
-    gap = p * config.grid[:, None] - TWO_PI * np.arange(nodes)[None, :] / nodes
-    weights = (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
     # np.sinc is sin(pi x)/(pi x); env is sin(y)/y with y = delta*slit_ratio/2
     slit = config.layout.detector_phases(config.grid) * config.slit_ratio
     envelope = np.prod(np.sinc(slit / (2.0 * math.pi)) ** 2, axis=1)
-    return table, counts, nodes, fixed, weights, envelope
+    lattice = _lattice(max(4096, 1 << (2 * config.layout.order).bit_length()))
+    return table, counts, nodes, fixed, p, envelope, lattice
+
+
+def _node_weights(grid: np.ndarray, period: int, nodes: int) -> np.ndarray:
+    """weights[g, n]: the Dirichlet kernel, degree (N-1)/2, at p*grid[g] - 2*pi*n/N."""
+    harmonics = np.arange(1, (nodes - 1) // 2 + 1)
+    gap = period * grid[:, None] - TWO_PI * np.arange(nodes)[None, :] / nodes
+    return (1.0 + 2.0 * np.cos(gap[:, :, None] * harmonics).sum(axis=2)) / nodes
+
+
+@functools.cache
+def _lattice(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of the phases 2*pi*n/size, n = 0..size-1, built once per size."""
+    angles = TWO_PI * np.arange(size) / size
+    return np.cos(angles), np.sin(angles)
 
 
 class _Worker:
@@ -195,7 +221,9 @@ class _Worker:
     Every chunk width bound stays bound for the run.  The block holds chunks
     of up to width frames, the run's widest unit: (2K-1) + max(5K-2, columns
     + nodes) rows, 26 floats a frame at colocated(5, 2), 1.16 MB at 5600
-    frames, reused so that no chunk faults in fresh pages.
+    frames, reused so that no chunk faults in fresh pages.  The room's first
+    2(K-1) rows take the draws, (width, K-1) share uniforms then (width, K-1)
+    phase uniforms, each chunk's frames in the leading rows of both.
     """
 
     def __init__(self, config: SpeckleConfig, plan: tuple, width: int) -> None:
@@ -204,53 +232,79 @@ class _Worker:
         rows = table.shape[0] * width
         block = np.empty(rows + max(5 * k - 2, table.shape[1] + nodes) * width)
         self.coefs, self.room = block[:rows], block[rows:]
-        self.exponentials = self.coefs[:width]
-        self.normals = self.room[: (2 * k - 2) * width].reshape(width, 2 * k - 2)
+        draws = self.room[: (2 * k - 2) * width]
+        self.shares, self.phases = draws.reshape(2, width, k - 1)
 
     def pipeline(self, frames: int) -> tuple[list, np.ndarray]:
         """The bound numpy calls of a chunk of `frames` frames, and its product rows.
 
         Bound once to views of the block and kept for the run, they run once
-        the chunk is drawn: the coefficient rows, the first holding the
-        exponentials E until c0 is formed, then the room, the normals
-        (frames, 2K-2) first.  Source 0's rows are x_0 = sqrt(2E) and y_0 = 0,
-        then x_l and y_l of sources 1..K-1, times sqrt(nbar_l / nbar_0) at
-        unequal brightness, and -x_l; their 3K rows follow the normals.  2s
-        overwrites the dead normals, the intensities and product the room from
-        its start.  A frame's product is P / (nbar_0 s)^M.  Rows are scaled and
-        divided one by one: numpy buffers an operand broadcast over rows of up
-        to 4096 frames.
+        the chunk is drawn.  The 3K part rows x_l, y_l and -x_l follow the
+        draws in the room.  Stick-breaking turns the share uniforms U_l into
+        w_l = r_l (1 - R_l), R_l = (1 - U_l)^(1/(K-1-l)), r_(l+1) = r_l R_l and
+        w_(K-1) = r_(K-1), r_0 = 1: r_(l+1) takes the row -x_(l+1), and w_l
+        for l >= 1 the row -x_l.  Then x_0 = sqrt(w_0), y_0 = 0, and x_l, y_l
+        are sqrt(w_l nbar_l / nbar_0) times cos and sin of the lattice phase
+        at floor(L V_l), V_l the phase uniforms, whose indices overwrite the
+        dead share uniforms.  The intensities and product overwrite the room
+        from its start once the coefficients are formed.  A frame's product
+        is P / nbar_0^M.
         """
         if frames in self.pipelines:
             return self.pipelines[frames]
         (table, counts, nodes, fixed), k = self.plan[:4], self.config.sources.count
         (rows, columns), nbar, room = table.shape, self.config.sources.nbar, self.room
+        cosines, sines = self.plan[6]
         coefs = self.coefs[: rows * frames].reshape(rows, frames)
-        parts = room[(2 * k - 2) * frames : (5 * k - 2) * frames].reshape(3 * k, frames)
+        start = (2 * k - 2) * self.width
+        parts = room[start : start + 3 * k * frames].reshape(3 * k, frames)
         a = parts[: 2 * k].reshape(2, k, frames)
         turned = parts[k:].reshape(2, k, frames)
-        normals = room[: (2 * k - 2) * frames].reshape(frames, 2 * k - 2).T
-        c, x0, divisor, call = list(coefs), parts[0], coefs[0], functools.partial
-        calls = [call(np.add, c[0], c[0], x0), call(np.sqrt, x0, x0)]
-        calls.append(call(parts[k].fill, 0.0))
-        calls.append(call(np.copyto, a[:, 1:], normals.reshape(2, k - 1, frames)))
-        # the rows x_l, y_l times scale_l are sqrt(2/nbar_0)*a_l, and (y_l, -x_l) is
-        # -1j times it.  At equal brightness they stay unscaled, and c0, divided
-        # last, is 2s
-        if len(set(nbar)) > 1:
-            scale, divisor = np.sqrt(np.array(nbar + nbar) / nbar[0]), room[:frames]
-            calls.append(call(np.einsum, "jmf,jmf->f", a, a, out=divisor))
-            for row, x in zip(parts[: 2 * k], scale):
-                calls.append(call(np.multiply, row, x, row))
-        calls.append(call(np.negative, parts[:k], parts[2 * k :]))
-        # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m)
-        for d in range(k):
+        # -x_0 is never read, as Im Y_d pairs a_m with -x_(m+d) for d >= 1 only:
+        # its row is free
+        x0, y0 = parts[0], parts[k]
+        x_rest, y_rest, radii = parts[1:k], parts[k + 1 : 2 * k], parts[2 * k + 1 :]
+        uniforms, phases = self.shares[:frames].T, self.phases[:frames].T
+        index = room[: (k - 1) * frames].view(np.intp).reshape(k - 1, frames)
+        c, call = list(coefs), functools.partial
+        calls = [call(x0.fill, 1.0)] if k == 1 else []
+        for l, u in enumerate(uniforms):
+            n, left = k - 1 - l, radii[l]
+            calls.append(call(np.subtract, 1.0, u, left))
+            # 1 - R_l: U_l itself where R_l = 1 - U_l, else 1 - R_l in the row of -x_0
+            broken = u
+            if n > 1:
+                root = call(np.sqrt, left) if n == 2 else call(np.power, left, 1.0 / n)
+                broken = parts[2 * k]
+                calls += [call(root, left), call(np.subtract, 1.0, left, broken)]
+            if l:
+                calls.append(call(np.multiply, left, radii[l - 1], left))
+                calls.append(call(np.multiply, radii[l - 1], broken, radii[l - 1]))
+            else:
+                calls.append(call(np.sqrt, broken, x0))
+        # sources 1..K-1: radii sqrt(w_l nbar_l / nbar_0), then x_l and y_l
+        for row, ratio in zip(radii, nbar[1:]):
+            if ratio != nbar[0]:
+                calls.append(call(np.multiply, row, ratio / nbar[0], row))
+        calls.append(call(np.sqrt, radii, radii))
+        # the phase uniforms to lattice indices floor(L V), truncated by the
+        # cast; np.take buffers out unless mode is "clip", and no index reaches L
+        calls.append(call(np.multiply, phases, float(cosines.size), phases))
+        calls.append(call(np.copyto, index, phases, "unsafe"))
+        calls.append(call(np.take, cosines, index, None, x_rest, "clip"))
+        calls.append(call(np.take, sines, index, None, y_rest, "clip"))
+        calls.append(call(np.multiply, x_rest, radii, x_rest))
+        calls.append(call(np.multiply, y_rest, radii, y_rest))
+        calls.append(call(y0.fill, 0.0))
+        calls.append(call(np.negative, x_rest, radii))
+        # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m);
+        # (y_l, -x_l) is -1j times a_l
+        calls.append(call(np.einsum, "jmf,jmf->f", a, a, out=c[0]))
+        for d in range(1, k):
             head, im = a[:, : k - d], c[k - 1 + d]
             calls.append(call(np.einsum, "jmf,jmf->f", a[:, d:], head, out=c[d]))
-            if d:
-                calls.append(call(np.einsum, "jmf,jmf->f", turned[:, d:], head, out=im))
-        calls += [call(np.divide, row, divisor, row) for row in c[::-1]]
-        # the normals, 2s and parts are dead: intensities and product take their rows
+            calls.append(call(np.einsum, "jmf,jmf->f", turned[:, d:], head, out=im))
+        # the draws and parts are dead: intensities and product take their rows
         held = room[: (columns + nodes) * frames].reshape(columns + nodes, frames)
         intensity, product = held[:columns], held[columns:]
         # intensity = c0 + sum_d (Re Y_d * 2cos(d*delta) + Im Y_d * 2sin(d*delta)),
@@ -295,11 +349,12 @@ def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
 def _run_unit(worker: _Worker, unit: list[tuple[int, int]]) -> np.ndarray:
     """Node sums of a work unit's batches, (batches, nodes) in batch order.
 
-    Each chunk of up to worker.width frames, 2K-1 variates a frame, is drawn
-    into the worker's block and run through its pipeline of that width; only
-    a batch past CHUNK_FRAMES takes more than one.  Per chunk only the draws,
-    the bound calls and each batch's slice sums are left of the glue that
-    holds the GIL between numpy calls.
+    Each chunk of up to worker.width frames, 2K-2 uniforms a frame, is drawn
+    straight into the worker's block, by Generator.random, which releases the
+    GIL, and run through its pipeline of that width; only a batch past
+    CHUNK_FRAMES takes more than one.  Per chunk only the draws, the bound
+    calls and each batch's slice sums are left of the glue that holds the GIL
+    between numpy calls.
     """
     sums = np.zeros((len(unit), worker.plan[2]))
     filled, slices = 0, []
@@ -308,8 +363,8 @@ def _run_unit(worker: _Worker, unit: list[tuple[int, int]]) -> np.ndarray:
         rng = np.random.Generator(np.random.SFC64(seeds))
         while size:
             f = min(worker.width - filled, size)
-            rng.standard_exponential(out=worker.exponentials[filled : filled + f])
-            rng.standard_normal(out=worker.normals[filled : filled + f])
+            rng.random(out=worker.shares[filled : filled + f])
+            rng.random(out=worker.phases[filled : filled + f])
             slices.append(slice(filled, filled + f))
             filled, size = filled + f, size - f
             if filled == worker.width or not size and row == len(unit) - 1:
@@ -330,7 +385,7 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     and layout (combinatorial units); normalize() rescales for plotting.
     """
     plan = _plan(config)
-    sizes, (weights, envelope) = _batch_sizes(config.frames), plan[4:]
+    sizes, envelope = _batch_sizes(config.frames), plan[5]
     units, node_sums = _work_units(sizes), np.empty((len(sizes), plan[2]))
     width = min(CHUNK_FRAMES, max(sum(size for _, size in unit) for unit in units))
     threads, todo = min(config.workers, len(units)), queue.SimpleQueue()
@@ -349,6 +404,8 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
         work()
     for other in others:
         other.result()
+    # built once the workers' blocks are freed, so that the run's peak never holds both
+    weights = _node_weights(config.grid, plan[4], plan[2])
     # c_M nbar_0^M a factor at a time, as float(c_M) overflows from K = 2, M = 170
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(config.layout.order):
@@ -408,8 +465,13 @@ def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
 
     Needs a uniform grid; a duplicated 2*pi endpoint is dropped before the
     transform.  Returns None when the grid is non-uniform or too short.
+    values must have the grid's length.
     """
     grid, values = require_reals("grid", grid), require_reals("values", values)
+    if values.size != grid.size:
+        raise ValueError(
+            f"values has {values.size} points but the grid has {grid.size}"
+        )
     steps = np.diff(grid)
     if grid.size < 4 or not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         return None
@@ -446,7 +508,8 @@ def fit_cosine(curve: CorrelationCurve, frequency: int) -> FitResult:
     stderr_visibility^2 = Var|B*| - 2 mu Cov(|B*|, A*) + mu^2 sigma_A^2.
     Below 20 frames, nb < 20 and the bars undercover: the plug-in spread is
     sqrt((nb-1)/nb) of the batch means' sample spread, and V* is far from first
-    order (0.85 of a long bootstrap's bar at three one-frame batches).
+    order (at three one-frame batches, a median 0.98 of a long bootstrap's bar
+    over seeds 0-199).
 
     The curve must span at least one period.  parity_ok: the sign of B is
     comb_sign(frequency) = (-1)**(frequency - 1), a rule of two-source

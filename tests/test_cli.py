@@ -87,6 +87,13 @@ class TestAnalyticCommand:
         assert DetectorLayout.colocated(2, 0).describe() in err
         assert not out.exists()
 
+    def test_one_point_grid_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        argv = ["analytic", "--m1", "3", "--m2", "2", "--grid", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--grid must be at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--setup", "1", "--order", "4"], ["--order", "4"], ["--layout", "mmp-spread"]],
@@ -583,6 +590,13 @@ class TestSpeckleCommand:
         assert main(argv + flags + ["--out", str(out)]) == 0
         sidecar = json.loads((tmp_path / "run.json").read_text())
         assert sidecar["parity_ok"] is parity_ok
+
+    def test_one_point_grid_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "one.csv"
+        argv = ["speckle", "--m1", "2", "--m2", "2", "--frames", "100", "--seed", "1"]
+        assert main(argv + ["--grid", "1", "--out", str(out)]) == 2
+        assert "--grid must be at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_flags_reported(self, capsys):
         assert main(["speckle", "--m1", "2"]) == 2

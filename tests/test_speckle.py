@@ -19,6 +19,7 @@ from thermalnoon.speckle import (
     MAX_BATCHES,
     SpeckleConfig,
     _batch_sizes,
+    _node_weights,
     _period,
     _plan,
     _run_unit,
@@ -34,46 +35,49 @@ def exact_curve(layout, grid=None):
     return closed_form(layout).curve(layout, grid)
 
 
+def lattice_size(layout):
+    """L, the phase lattice of a run: the least power of two above 2M, at least 4096."""
+    return max(4096, 1 << (2 * layout.order).bit_length())
+
+
 def brute_force_batch(config, b, size):
     """Reference: batch b's frame sum, every frame's field at every grid point.
 
     Batch b draws from SFC64(SeedSequence(seed, spawn_key=(0, b))) in chunks
-    of CHUNK_FRAMES, each chunk of f frames standard exponentials (f,), then
-    standard normals (f, 2K-2).  Times sqrt(2), a frame's z_0 is sqrt(2E),
-    real, and z_1..z_(K-1) have the normals as real then imaginary parts.  Each
-    frame's product of |E|^2 is weighted by c_M / s^M, with s the sum of
-    |z_l|^2 over its unit-variance complex normals z_l and c_M the M-th
-    moment (K+M-1)!/(K-1)! of s ~ Gamma(K, 1).  The product is taken over
-    |E|^2 / s, as the product alone can underflow at large M, and c_M is
-    applied as (c_M >> shift) * 2**shift, as float(c_M) overflows from
-    K = 2, M = 170.
+    of CHUNK_FRAMES, each chunk of f frames uniforms U of shape (f, K-1) for
+    the shares, then uniforms V of shape (f, K-1) for the phases.  The shares
+    break a stick: w_l = r_l (1 - R_l), R_l = (1 - U_l)^(1/(K-1-l)), r_0 = 1,
+    r_(l+1) = r_l R_l, and the last share is what is left.  Source l's
+    amplitude is sqrt(w_l nbar_l) exp(i phi_l), phi_0 = 0 and phi_l =
+    2*pi*floor(L V_l)/L, with L = lattice_size(layout).  Each frame's product
+    of |E|^2 is weighted by c_M = (K+M-1)!/(K-1)!, applied as
+    (c_M >> shift) * 2**shift, as float(c_M) overflows from K = 2, M = 170.
     """
     phases = np.array([config.layout.detector_phases(d) for d in config.grid])
     envelope = np.sinc(phases * config.slit_ratio / (2.0 * math.pi))
-    k = config.sources.count
+    k, order = config.sources.count, config.layout.order
     # steer[l, g, d]: what source l puts on detector d at grid point g
     steer = envelope * np.exp(-1j * np.arange(k)[:, None, None] * phases)
     seeds = np.random.SeedSequence(config.seed, spawn_key=(0, b))
     rng = np.random.Generator(np.random.SFC64(seeds))
-    chunks = []
+    lattice, chunks = lattice_size(config.layout), []
     for start in range(0, size, CHUNK_FRAMES):
         f = min(CHUNK_FRAMES, size - start)
-        radius = np.sqrt(2.0 * rng.standard_exponential(f))
-        normals = rng.standard_normal((f, 2 * k - 2))
-        real = np.column_stack([radius, normals[:, : k - 1]])
-        imag = np.column_stack([np.zeros(f), normals[:, k - 1 :]])
-        chunks.append((real + 1j * imag) / math.sqrt(2.0))
-    z = np.concatenate(chunks)
-    amps = z * np.sqrt(np.asarray(config.sources.nbar))
-    order = config.layout.order
+        shares, phase = rng.random((f, k - 1)), rng.random((f, k - 1))
+        left, w = np.ones(f), np.empty((f, k))
+        for l in range(k - 1):
+            kept = (1.0 - shares[:, l]) ** (1.0 / (k - 1 - l))
+            w[:, l], left = left * (1.0 - kept), left * kept
+        w[:, -1] = left
+        angle = TWO_PI * np.floor(lattice * phase) / lattice
+        chunks.append(np.sqrt(w) * np.exp(1j * np.column_stack([np.zeros(f), angle])))
+    amps = np.concatenate(chunks) * np.sqrt(np.asarray(config.sources.nbar))
     moment = math.factorial(k + order - 1) // math.factorial(k - 1)
     shift = max(0, moment.bit_length() - 1000)
-    brightness = (np.abs(z) ** 2).sum(axis=1)[:, None, None]
     total = np.zeros(config.grid.size)
     for start in range(0, size, 256):
         fields = np.einsum("fl,lgd->fgd", amps[start : start + 256], steer)
-        normalized = np.abs(fields) ** 2 / brightness[start : start + 256]
-        products = np.prod(normalized, axis=2)
+        products = np.prod(np.abs(fields) ** 2, axis=2)
         total += products.sum(axis=0) * float(moment >> shift)
     return np.ldexp(total, shift)
 
@@ -661,7 +665,7 @@ class TestSimulateCurve:
                 {},
             ),
             (dark_middle_source(), DetectorLayout.colocated(2, 2), 20_000, {}),
-            # five sources and one detector: the normals and parts, 23 floats
+            # five sources and one detector: the draws and parts, 23 floats
             # a frame, are the larger part of the unit's overlaid room
             (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 20_000, {}),
         ],
@@ -707,7 +711,7 @@ class TestSimulateCurve:
     )
     def test_long_batch_matches_brute_force(self, sources, layout):
         # one batch of 2.5 chunks, the last one partial, as a unit of its own:
-        # each chunk's normals and parts are overwritten by its intensities
+        # each chunk's draws and parts are overwritten by its intensities
         # and product, and the next chunk's draws overwrite those in turn.
         # A unit's sums are of P / (nbar_0 s)^M: simulate_curve applies
         # c_M nbar_0^M
@@ -723,7 +727,8 @@ class TestSimulateCurve:
         sums = run_unit(config, plan, [(0, frames)])
         moment = math.perm(sources.count + layout.order - 1, layout.order)
         moment *= sources.nbar[0] ** layout.order
-        mean = (sums * plan[4]).sum(axis=1) * moment / frames
+        weights = _node_weights(config.grid, plan[4], plan[2])
+        mean = (sums * weights).sum(axis=1) * moment / frames
         expected = brute_force_batch(config, 0, frames) / frames
         np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0)
 
@@ -732,13 +737,12 @@ class TestSimulateCurve:
         [
             # 11 nodes, 11 + 1 columns: the fixed detector at phase 0 reads
             # node 0's column.  Per frame, the coefficients c0, Re Y_1, Im Y_1
-            # (3 floats, the first one the exponential until c0 is formed, then
-            # the fixed product) and a room that holds the normals (2) and the
-            # parts x, y, -x (6), then the intensities (12) and the product
-            # (11): 3 + max(8, 23) = 26 floats, 208 B, against five separate
-            # regions of 36 floats, 288 B
+            # (3 floats) and a room that holds the draws (2: a share and a
+            # phase uniform) and the parts x, y, -x (6), then the intensities
+            # (12) and the product (11): 3 + max(8, 23) = 26 floats, 208 B,
+            # against five separate regions of 36 floats, 288 B
             (SourceArray(), DetectorLayout.colocated(5, 2), 3, 12, 26, 36),
-            # unequal brightness: the rows are scaled and 2s takes a row of its own
+            # unequal brightness: a share row is scaled in place
             (
                 SourceArray(nbar=(0.5, 2.0)),
                 DetectorLayout.colocated(5, 2),
@@ -754,7 +758,7 @@ class TestSimulateCurve:
             # 9 nodes, 9 + 1 columns: 5 + max(13, 10 + 9) against
             # 6 + 9 + 5 + 10 + 9
             (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 5, 10, 24, 39),
-            # 9 nodes, 9 columns: the normals and parts are the larger part,
+            # 9 nodes, 9 columns: the draws and parts are the larger part,
             # 9 + max(23, 9 + 9) against 10 + 15 + 9 + 9 + 9
             (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 32, 52),
         ],
@@ -960,8 +964,8 @@ class TestSimulateCurve:
     def test_visibility_coverage_across_seeds(self):
         # the closed-form stderr of the visibility must cover the exact one:
         # 20 seeds at 2e4 frames on an M = 4 and an M = 7 layout, each fit
-        # within 4 stderr of it.  Observed: 0 of the 40 fits more than 2
-        # stderr off (largest 1.93), where about 2 would be expected; the two
+        # within 4 stderr of it.  Observed: 2 of the 40 fits more than 2
+        # stderr off (largest 2.98), where about 2 would be expected; the two
         # layouts share each seed's directions, so their misses go together
         for m1 in (2, 5):
             layout = DetectorLayout.colocated(m1, 2)
@@ -1081,33 +1085,49 @@ class TestWorkUnits:
             assert alone.tobytes() == together[row : row + 1].tobytes()
 
 
-def reference_chunk(exponentials, normals, sources, layout, nodes, offsets, counts):
+def reference_chunk(shares, phases, sources, layout, nodes, offsets, counts):
     """Reference: a chunk's node products, (nodes, frames), with fresh arrays.
 
-    Every fixed phase has a column of its own, and the fixed product F is
-    broadcast into every node row before the powers multiply in.  The float
-    operations are _run_unit's, one for one, so the results are bit-equal.
+    shares and phases are the chunk's uniforms, (frames, K-1) each.  Every
+    fixed phase has a column of its own, and the fixed product F is broadcast
+    into every node row before the powers multiply in.  The float operations
+    are _run_unit's, one for one, so the results are bit-equal.
     """
-    frames, k = exponentials.size, sources.count
+    frames, k = shares.shape[0], sources.count
     a = np.empty((2, k, frames))
-    a[0, 0] = np.sqrt(exponentials + exponentials)
+    # radii[l - 1]: source l's remainder of the stick, then its share, then
+    # sqrt(w_l nbar_l / nbar_0)
+    radii = np.empty((k - 1, frames))
+    a[0, 0] = 1.0
+    for l in range(k - 1):
+        n, u = k - 1 - l, shares[:, l]
+        left = 1.0 - u
+        broken = u
+        if n > 1:
+            left = np.sqrt(left) if n == 2 else np.power(left, 1.0 / n)
+            broken = 1.0 - left
+        if l:
+            radii[l] = left * radii[l - 1]
+            radii[l - 1] *= broken
+        else:
+            radii[0] = left
+            a[0, 0] = np.sqrt(broken)
+    for row, ratio in zip(radii, sources.nbar[1:]):
+        if ratio != sources.nbar[0]:
+            row *= ratio / sources.nbar[0]
+    radii = np.sqrt(radii)
+    lattice = lattice_size(layout)
+    angles = TWO_PI * np.arange(lattice) / lattice
+    index = (phases.T * float(lattice)).astype(np.intp)
+    a[0, 1:] = np.cos(angles)[index] * radii
+    a[1, 1:] = np.sin(angles)[index] * radii
     a[1, 0] = 0.0
-    a[:, 1:] = normals.T.reshape(2, k - 1, frames)
-    divisor = None
-    if len(set(sources.nbar)) > 1:
-        divisor = np.einsum("jmf,jmf->f", a, a)
-        scale = np.sqrt(np.array(sources.nbar * 2) / sources.nbar[0])
-        for row, factor in zip(a.reshape(2 * k, frames), scale):
-            row *= factor
     turned = np.stack([a[1], -a[0]])
     coefs = np.empty((2 * k - 1, frames))
     for d in range(k):
         coefs[d] = np.einsum("jmf,jmf->f", a[:, d:], a[:, : k - d])
         if d:
             coefs[k - 1 + d] = np.einsum("jmf,jmf->f", turned[:, d:], a[:, : k - d])
-    divisor = coefs[0] if divisor is None else divisor
-    for row in coefs[::-1]:
-        row /= divisor
     theta = TWO_PI * np.arange(nodes) / (nodes * _period(offsets, counts))
     phases = np.concatenate([(offsets[:, None] + theta).ravel(), layout.fixed_phases])
     angles = np.arange(1, k)[:, None] * phases[None, :]
@@ -1141,7 +1161,7 @@ def reference_unit_sums(config, unit):
         )
         while size:
             f = min(width - filled, size)
-            pieces.append((row, rng.standard_exponential(f), rng.standard_normal((f, 2 * k - 2))))
+            pieces.append((row, rng.random((f, k - 1)), rng.random((f, k - 1))))
             filled, size = filled + f, size - f
             if filled == width or not size and row == len(unit) - 1:
                 product = reference_chunk(
@@ -1154,9 +1174,9 @@ def reference_unit_sums(config, unit):
                     counts,
                 )
                 start = 0
-                for r, exponentials, _ in pieces:
-                    sums[r] += product[:, start : start + exponentials.size].sum(axis=1)
-                    start += exponentials.size
+                for r, shares, _ in pieces:
+                    sums[r] += product[:, start : start + shares.shape[0]].sum(axis=1)
+                    start += shares.shape[0]
                 filled, pieces = 0, []
     return sums
 
@@ -1217,6 +1237,43 @@ class TestKernelReference:
         assert len(unit) == min(frames, MAX_BATCHES) and unit[-1][1] == 1
         worker = _Worker(config, _plan(config), frames)
         assert np.array_equal(_run_unit(worker, unit), reference_unit_sums(config, unit))
+
+
+class TestDirectionRule:
+    @pytest.mark.parametrize(
+        "sources,layout",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2)),
+            (SourceArray(), DetectorLayout.spread(3)),
+            (SourceArray(nbar=(0.5, 2.0)), DetectorLayout.colocated(5, 2)),
+        ],
+        ids=["colocated-5-2", "spread-3", "unequal-5-2"],
+    )
+    def test_gauss_lattice_rule_gives_the_path_sum(self, sources, layout):
+        # with no RNG: at K = 2 a frame's value is a trigonometric polynomial
+        # of degree <= M in its relative phase, so all L lattice phases average
+        # it exactly, and that average is a polynomial of degree <= M in the
+        # share U, which ceil((M+1)/2) Gauss-Legendre nodes integrate exactly.
+        # Fed that product rule, the draw rows give the path sum at every node
+        config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
+        plan = _plan(config)
+        (_, _, nodes), period, lattice = plan[:3], plan[4], plan[6][0].size
+        order = layout.order
+        points, weights = np.polynomial.legendre.leggauss(-(-(order + 1) // 2))
+        frames = points.size * lattice
+        worker = _Worker(config, plan, frames)
+        worker.shares[:, 0] = np.repeat((points + 1.0) / 2.0, lattice)
+        worker.phases[:, 0] = np.tile(np.arange(lattice) / lattice, points.size)
+        calls, product = worker.pipeline(frames)
+        for call in calls:
+            call()
+        rule = np.repeat(weights / (2.0 * lattice), lattice)
+        moment = math.perm(order + 1, order) * sources.nbar[0] ** order
+        got = (product * rule).sum(axis=1) * moment
+        theta = TWO_PI * np.arange(nodes) / (nodes * period)
+        phases = [layout.detector_phases(t) for t in theta]
+        expected = [correlation_pathsum(sources, deltas) for deltas in phases]
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
 def period_of(moving_offsets):
@@ -1488,10 +1545,10 @@ class TestFitMatchesLstsqReference:
     def test_seeded_fits_agree_with_a_long_bootstrap(self, name):
         # the closed forms are the limit of the bootstrap: 20,000 resamples
         # carry about 0.5% noise of their own.  Observed on these curves: the
-        # amplitude within 1.3%, the visibility within 1.4% but for
-        # three-frames.  With three one-frame batches the resampled mean takes
-        # ten values, and V* = |B*|/A* is then far from its first-order
-        # expansion (0.85 of the bootstrap): only the amplitude is compared
+        # amplitude within 0.8%, the visibility within 2.4%.  With three
+        # one-frame batches the resampled mean takes ten values, and V* =
+        # |B*|/A* is then far from its first-order expansion, however close
+        # one seed's bar comes: only the amplitude is compared
         curve, frequency = seeded_fit_curve(name), SEEDED_FITS[name][1].m2
         fit = fit_cosine(curve, frequency)
         stderr_vis, stderr_amp = bootstrap_fit_errors(curve, frequency)
@@ -1503,7 +1560,7 @@ class TestFitMatchesLstsqReference:
         # a known limit, pinned so that it stays written down: below 20 frames
         # nb < 20, the plug-in spread is sqrt((nb-1)/nb) of the batch means'
         # sample spread, and at three one-frame batches the first-order
-        # visibility bar falls short of a long bootstrap's too
+        # visibility bar falls short of a long bootstrap's too, in the median
         curve = seeded_fit_curve("three-frames")
         nb = curve.batch_means.shape[0]
         assert nb == 3
@@ -1512,8 +1569,15 @@ class TestFitMatchesLstsqReference:
         b = [np.linalg.lstsq(design, m, rcond=None)[0][1] for m in curve.batch_means]
         sample = float(np.std(b, ddof=1)) / math.sqrt(nb)
         assert fit.stderr_amplitude == pytest.approx(math.sqrt((nb - 1) / nb) * sample, rel=1e-9)
-        stderr_vis, _ = bootstrap_fit_errors(curve, 2)
-        assert fit.stderr_visibility < 0.9 * stderr_vis
+        # the visibility bar against a 20,000-draw bootstrap's is a ratio that
+        # one seed's stream swings past 1 (1.001 here), so it is held over the
+        # same run at seeds 0-199: median 0.980, 31% of the seeds below 0.9
+        ratios, layout = [], DetectorLayout.colocated(2, 2)
+        for seed in range(200):
+            short = simulate_curve(hbt_config(frames=3, seed=seed, layout=layout))
+            stderr_vis, _ = bootstrap_fit_errors(short, 2)
+            ratios.append(fit_cosine(short, 2).stderr_visibility / stderr_vis)
+        assert np.median(ratios) < 1.0
 
     @pytest.mark.parametrize(
         "curve,frequency",
@@ -1561,6 +1625,13 @@ class TestDominantFrequency:
         grid = np.array([0.0, 0.1, 0.5, 2.0, 6.0])
         values = np.ones(5)
         assert dominant_frequency(grid, values) is None
+
+    @pytest.mark.parametrize("points", [3, 7])
+    def test_values_of_another_length_are_refused(self, points):
+        # both lengths named, before any transform; a short grid is no excuse
+        for grid in (np.arange(6.0), np.arange(2.0)):
+            with pytest.raises(ValueError, match=f"{points} points .* {grid.size}"):
+                dominant_frequency(grid, np.ones(points))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,12 @@ mean square modulus nbar_l; a detector at phase delta sees the intensity
 the product of the M detector intensities.  That intensity is the real
 trigonometric polynomial c0 + 2 Re sum_{d=1}^{K-1} Y_d exp(-1j*d*delta), whose
 2K-1 real coefficients are the frame's autocorrelation of the amplitudes:
-c0 = sum_l |a_l|^2 and Y_d = sum_m a_(m+d) conj(a_m).  So a frame's intensities
-are built from those coefficients and a fixed table of 2cos(d*delta) and
-2sin(d*delta) rows, all in real arithmetic; no complex field is formed.  The
-sum of terms is nonnegative only up to rounding: near a dark fringe an
-intensity, and so a product, can come out a few rounding errors below zero.
+c0 = sum_l |a_l|^2 and Y_d = sum_m a_(m+d) conj(a_m), whose m = 0 term is x_0 a_d
+as source 0's amplitude x_0 is real.  So a frame's intensities are built from
+those coefficients and a fixed table of 2cos(d*delta) and 2sin(d*delta) rows,
+in real arithmetic; no complex field is formed.  The sum of terms is
+nonnegative only up to rounding: near a dark fringe an intensity, and so a
+product, can come out a few rounding errors below zero.
 
 The moving detectors sit at delta1 + offset, with one offset per distinct
 position and a multiplicity for each (co-located: offset 0 taken m1 times;
@@ -36,11 +37,12 @@ The weighted value depends on the direction z / sqrt(s) alone, whose shares
 w_l = |z_l|^2 / s are Dirichlet(1, ..., 1) and whose phases are independent
 and uniform (Muirhead, Aspects of Multivariate Statistical Theory, 1982,
 sec. 1.5); it does not change under a common phase either.  So each frame
-draws the direction, with s = 1 and arg z_0 = 0.  K-1 uniforms U_l break a
-stick into the shares: w_l = r_l (1 - R_l), R_l = (1 - U_l)^(1/(K-1-l)),
-r_(l+1) = r_l R_l, r_0 = 1 and w_(K-1) = r_(K-1), so w = (U, 1 - U) at K = 2.
-K-1 more uniforms V_l set each relative phase on an L-point lattice,
-phi_l = 2*pi*floor(L V_l)/L, read from cos and sin tables built once per L.
+draws the direction, with s = 1 (so c0 = 1 at equal brightness) and arg z_0 =
+0.  K-1 uniforms U_l break a stick: r_0 = 1, r_(l+1) = r_l R_l, R_l = (1 -
+U_l)^(1/(K-1-l)), w_l = r_l - r_(l+1) (r_l U_l where R_l = 1 - U_l) and w_(K-1)
+= r_(K-1), so w = (U, 1 - U) at K = 2.  K-1 more uniforms V_l set each relative
+phase on an L-point lattice, phi_l = 2*pi*floor(L V_l)/L, read from cos and sin
+tables built once per L.
 Each intensity is of degree 1 in every exp(i phi_l), so the frame's value is
 a trigonometric polynomial of degree <= M in each relative phase, and its
 j-th power one of degree <= jM, which the lattice averages exactly while
@@ -56,15 +58,15 @@ from the batch's start, each chunk of f frames taking uniforms of shape
 at K = 1); batch partial sums are combined in batch order.  Work units, fixed
 by the batch sizes alone, run the batches: those that fit in one chunk
 together share it, each in its own slice, in batch order; a larger batch is a
-unit of its own.
-Within a chunk every array is real and laid out (row, frame): each node's
-product is summed over a batch's frames as one contiguous row, and a batch's
-chunk sums are added in draw order, with no BLAS call anywhere.  Each worker
-thread draws its chunks into one block and runs them through numpy calls
-bound once per chunk width and kept for the run (_Worker).  The layout
-decides only the rounding; the seed fixes each frame's variates and the batch order.
-The result is bit-identical for any worker count, and the batch means feed
-the stderr estimate and fit_cosine's error bars, which draw no variates.
+unit of its own.  Within a chunk every array is real and laid out (row,
+frame): each node's product is summed over a batch's frames as one
+contiguous row, and a batch's chunk sums are added in draw order, with no
+BLAS call anywhere.  Each worker thread draws its chunks into one block and
+runs them through numpy calls bound once per chunk width and kept for the run
+(_Worker).  The layout decides only the rounding; the seed fixes each frame's
+variates and the batch order.  The result is bit-identical for any worker
+count, and the batch means feed the stderr estimate and fit_cosine's error
+bars, which draw no variates.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ import math
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,18 +169,23 @@ def _period(offsets: np.ndarray, counts: np.ndarray) -> int:
     return 1
 
 
-def _plan(config: SpeckleConfig) -> tuple:
-    """The kernel's set-up, derived once per run: (table, counts, nodes, fixed,
-    period, envelope, lattice).
+class _Plan(NamedTuple):
+    """The kernel's set-up, derived once per run by _plan."""
 
-    table: rows 1, 2cos(d*delta), 2sin(d*delta), d = 1..K-1, over the phase
-    columns, each node theta_n = 2*pi*n/(N*p) past each distinct moving offset
-    (counts: the detectors at each), then each fixed phase that is bit-equal
-    to no column before it.  fixed: each fixed detector's column.  nodes: N = 2D'+1.
-    period: p.  envelope: per grid point, the product over all M detectors of
-    env(phase)^2.  lattice: cos and sin of the L phases 2*pi*n/L, L the least
-    power of two above 2M and at least 4096.
-    """
+    # rows 1, 2cos(d*delta), 2sin(d*delta), d = 1..K-1, over the phase columns:
+    # each node theta_n = 2*pi*n/(N*p) past each distinct moving offset, then
+    # each fixed phase that is bit-equal to no column before it
+    table: np.ndarray
+    counts: np.ndarray  # the detectors at each distinct moving offset
+    nodes: int  # N = 2D'+1
+    fixed: list[int]  # each fixed detector's column
+    period: int  # p
+    envelope: np.ndarray  # per grid point, the product of env(phase)^2 over M
+    lattice: np.ndarray  # rows cos and sin of the L lattice phases 2*pi*n/L
+
+
+def _plan(config: SpeckleConfig) -> _Plan:
+    """The kernel's set-up for a run (_Plan)."""
     # at most M offsets: counted in Python, sorted as np.unique would sort them
     moving = config.layout.moving_offsets
     offsets = np.array(sorted(set(moving)))
@@ -198,7 +206,7 @@ def _plan(config: SpeckleConfig) -> tuple:
     slit = config.layout.detector_phases(config.grid) * config.slit_ratio
     envelope = np.prod(np.sinc(slit / (2.0 * math.pi)) ** 2, axis=1)
     lattice = _lattice(max(4096, 1 << (2 * config.layout.order).bit_length()))
-    return table, counts, nodes, fixed, p, envelope, lattice
+    return _Plan(table, counts, nodes, fixed, p, envelope, lattice)
 
 
 def _node_weights(grid: np.ndarray, period: int, nodes: int) -> np.ndarray:
@@ -209,112 +217,53 @@ def _node_weights(grid: np.ndarray, period: int, nodes: int) -> np.ndarray:
 
 
 @functools.cache
-def _lattice(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of the phases 2*pi*n/size, n = 0..size-1, built once per size."""
+def _lattice(size: int) -> np.ndarray:
+    """Rows cos and sin of the phases 2*pi*n/size, n = 0..size-1, built once per size."""
     angles = TWO_PI * np.arange(size) / size
-    return np.cos(angles), np.sin(angles)
+    return np.vstack([np.cos(angles), np.sin(angles)])
 
 
 class _Worker:
     """A worker thread's block for a run, and every chunk pipeline bound to it.
 
-    Every chunk width bound stays bound for the run.  The block holds chunks
-    of up to width frames, the run's widest unit: (2K-1) + max(5K-2, columns
-    + nodes) rows, 26 floats a frame at colocated(5, 2), 1.16 MB at 5600
-    frames, reused so that no chunk faults in fresh pages.  The room's first
-    2(K-1) rows take the draws, (width, K-1) share uniforms then (width, K-1)
-    phase uniforms, each chunk's frames in the leading rows of both.
+    The block holds chunks of up to width frames, the run's widest unit: 2K-1
+    coefficient rows of width floats, c0 set to 1 once, then a room of
+    max(5K-4, columns + nodes) rows of a chunk's frames; 26 floats a frame at
+    colocated(5, 2), 1.16 MB at 5600 frames, reused so that no chunk faults in
+    fresh pages.  Each chunk width's calls stay bound for the run.
     """
 
-    def __init__(self, config: SpeckleConfig, plan: tuple, width: int) -> None:
-        (table, _, nodes), k = plan[:3], config.sources.count
+    def __init__(self, config: SpeckleConfig, plan: _Plan, width: int) -> None:
+        (rows, columns), k = plan.table.shape, config.sources.count
         self.config, self.plan, self.width, self.pipelines = config, plan, width, {}
-        rows = table.shape[0] * width
-        block = np.empty(rows + max(5 * k - 2, table.shape[1] + nodes) * width)
-        self.coefs, self.room = block[:rows], block[rows:]
-        draws = self.room[: (2 * k - 2) * width]
-        self.shares, self.phases = draws.reshape(2, width, k - 1)
+        block = np.empty((rows + max(5 * k - 4, columns + plan.nodes)) * width)
+        self.coefs = block[: rows * width].reshape(rows, width)
+        self.room = block[rows * width :]
+        self.coefs[0] = 1.0
 
-    def pipeline(self, frames: int) -> tuple[list, np.ndarray]:
-        """The bound numpy calls of a chunk of `frames` frames, and its product rows.
-
-        Bound once to views of the block and kept for the run, they run once
-        the chunk is drawn.  The 3K part rows x_l, y_l and -x_l follow the
-        draws in the room.  Stick-breaking turns the share uniforms U_l into
-        w_l = r_l (1 - R_l), R_l = (1 - U_l)^(1/(K-1-l)), r_(l+1) = r_l R_l and
-        w_(K-1) = r_(K-1), r_0 = 1: r_(l+1) takes the row -x_(l+1), and w_l
-        for l >= 1 the row -x_l.  Then x_0 = sqrt(w_0), y_0 = 0, and x_l, y_l
-        are sqrt(w_l nbar_l / nbar_0) times cos and sin of the lattice phase
-        at floor(L V_l), V_l the phase uniforms, whose indices overwrite the
-        dead share uniforms.  The intensities and product overwrite the room
-        from its start once the coefficients are formed.  A frame's product
-        is P / nbar_0^M.
+    def pipeline(self, frames: int) -> tuple[list, np.ndarray, tuple]:
+        """A chunk of `frames` frames: its numpy calls bound to views of the block,
+        its product rows (P / nbar_0^M a frame) and its draw rows (both, shares,
+        phases).  The intensities and product overwrite the room from its start.
         """
         if frames in self.pipelines:
             return self.pipelines[frames]
-        (table, counts, nodes, fixed), k = self.plan[:4], self.config.sources.count
-        (rows, columns), nbar, room = table.shape, self.config.sources.nbar, self.room
-        cosines, sines = self.plan[6]
-        coefs = self.coefs[: rows * frames].reshape(rows, frames)
-        start = (2 * k - 2) * self.width
-        parts = room[start : start + 3 * k * frames].reshape(3 * k, frames)
-        a = parts[: 2 * k].reshape(2, k, frames)
-        turned = parts[k:].reshape(2, k, frames)
-        # -x_0 is never read, as Im Y_d pairs a_m with -x_(m+d) for d >= 1 only:
-        # its row is free
-        x0, y0 = parts[0], parts[k]
-        x_rest, y_rest, radii = parts[1:k], parts[k + 1 : 2 * k], parts[2 * k + 1 :]
-        uniforms, phases = self.shares[:frames].T, self.phases[:frames].T
-        index = room[: (k - 1) * frames].view(np.intp).reshape(k - 1, frames)
-        c, call = list(coefs), functools.partial
-        calls = [call(x0.fill, 1.0)] if k == 1 else []
-        for l, u in enumerate(uniforms):
-            n, left = k - 1 - l, radii[l]
-            calls.append(call(np.subtract, 1.0, u, left))
-            # 1 - R_l: U_l itself where R_l = 1 - U_l, else 1 - R_l in the row of -x_0
-            broken = u
-            if n > 1:
-                root = call(np.sqrt, left) if n == 2 else call(np.power, left, 1.0 / n)
-                broken = parts[2 * k]
-                calls += [call(root, left), call(np.subtract, 1.0, left, broken)]
-            if l:
-                calls.append(call(np.multiply, left, radii[l - 1], left))
-                calls.append(call(np.multiply, radii[l - 1], broken, radii[l - 1]))
-            else:
-                calls.append(call(np.sqrt, broken, x0))
-        # sources 1..K-1: radii sqrt(w_l nbar_l / nbar_0), then x_l and y_l
-        for row, ratio in zip(radii, nbar[1:]):
-            if ratio != nbar[0]:
-                calls.append(call(np.multiply, row, ratio / nbar[0], row))
-        calls.append(call(np.sqrt, radii, radii))
-        # the phase uniforms to lattice indices floor(L V), truncated by the
-        # cast; np.take buffers out unless mode is "clip", and no index reaches L
-        calls.append(call(np.multiply, phases, float(cosines.size), phases))
-        calls.append(call(np.copyto, index, phases, "unsafe"))
-        calls.append(call(np.take, cosines, index, None, x_rest, "clip"))
-        calls.append(call(np.take, sines, index, None, y_rest, "clip"))
-        calls.append(call(np.multiply, x_rest, radii, x_rest))
-        calls.append(call(np.multiply, y_rest, radii, y_rest))
-        calls.append(call(y0.fill, 0.0))
-        calls.append(call(np.negative, x_rest, radii))
-        # coefs: c0 = sum_l |a_l|^2, Re Y_d, Im Y_d for Y_d = sum_m a_(m+d) conj(a_m);
-        # (y_l, -x_l) is -1j times a_l
-        calls.append(call(np.einsum, "jmf,jmf->f", a, a, out=c[0]))
-        for d in range(1, k):
-            head, im = a[:, : k - d], c[k - 1 + d]
-            calls.append(call(np.einsum, "jmf,jmf->f", a[:, d:], head, out=c[d]))
-            calls.append(call(np.einsum, "jmf,jmf->f", turned[:, d:], head, out=im))
-        # the draws and parts are dead: intensities and product take their rows
-        held = room[: (columns + nodes) * frames].reshape(columns + nodes, frames)
+        plan, k, call = self.plan, self.config.sources.count, functools.partial
+        counts, nodes, columns = plan.counts, plan.nodes, plan.table.shape[1]
+        rows = self.room[: (5 * k - 4) * frames].reshape(5 * k - 4, frames)
+        draws = (rows[k : 3 * k - 2], *rows[k : 3 * k - 2].reshape(2, frames, k - 1))
+        calls = self._coefficients(rows, *draws[1:]) if k > 1 else []
+        held = self.room[: (columns + nodes) * frames].reshape(columns + nodes, frames)
         intensity, product = held[:columns], held[columns:]
         # intensity = c0 + sum_d (Re Y_d * 2cos(d*delta) + Im Y_d * 2sin(d*delta)),
         # accumulated basis row by basis row (einsum without optimize calls no BLAS)
-        calls.append(call(np.einsum, "rc,rf->cf", table, coefs, out=intensity))
+        coefs = self.coefs[:, :frames]
+        calls.append(call(np.einsum, "rc,rf->cf", plan.table, coefs, out=intensity))
         # F, the fixed detectors' product, fills every product row before a power
         # is squared over a column it reads; with no fixed detector, F = 1
         factor = 1.0
-        if fixed:
-            first, *rest = [intensity[column] for column in fixed]
+        if plan.fixed:
+            first, *rest = [intensity[column] for column in plan.fixed]
             for row in rest:
                 calls.append(call(np.multiply, first, row, product[0]))
                 first = product[0]
@@ -330,8 +279,64 @@ class _Worker:
                 if not count:
                     break
                 calls.append(call(np.multiply, power, power, power))
-        self.pipelines[frames] = calls, product
-        return calls, product
+        self.pipelines[frames] = calls, product, draws
+        return self.pipelines[frames]
+
+    def _coefficients(self, rows, shares, phases) -> list:
+        """The bound calls that turn a chunk's draws into its coefficient rows.
+
+        rows: the room at the chunk's width, K weight rows w, then the share and
+        phase uniforms in one run.  Row l takes w_l scaled by nbar_l / nbar_0 (at
+        K = 2, w_0 = U stays in its share row), then x_0 and the radii r_l of
+        a_l = r_l (cos, sin).  The lattice indices overwrite the dead shares, one
+        take fills cos and sin over the dead phases on, and from K = 3 the radii
+        scale them and -Re a follows.  A broadcast writes each Y_d's m = 0 term,
+        x_0 a_d; each lag's m >= 1 terms take two dead weight rows, added in.
+        """
+        nbar, call, frames = self.config.sources.nbar, functools.partial, rows.shape[1]
+        k = len(nbar)
+        w, index = rows[:k], rows[k : 2 * k - 1].view(np.intp)
+        amps = rows[2 * k - 1 :].reshape(3, k - 1, frames)
+        # c0, then Re Y_d and Im Y_d, d = 1..K-1
+        c0, ys = self.coefs[0, :frames], self.coefs[1:, :frames].reshape(2, k - 1, -1)
+        calls, u0 = [], shares[:, 0]
+        for l, u in enumerate(shares.T):
+            n, r, rest = k - 1 - l, w[l], w[l + 1]
+            root = call(np.sqrt, rest) if n == 2 else call(np.power, rest, 1.0 / n)
+            calls += [call(np.subtract, 1.0, u, rest)] + [call(root, rest)] * (n > 1)
+            calls += [call(np.multiply, rest, r, rest)] * (l > 0)
+            if n > 1:
+                calls.append(call(np.subtract, r if l else 1.0, rest, r))
+            elif l:
+                calls.append(call(np.multiply, r, u, r))
+        scaled = [(row, b / nbar[0]) for row, b in zip(w[1:], nbar[1:]) if b != nbar[0]]
+        calls += [call(np.multiply, row, ratio, row) for row, ratio in scaled]
+        # c0 = sum_l w_l nbar_l / nbar_0, and 1 at equal brightness
+        if scaled:
+            reduce = call(np.add.reduce, w, 0) if k > 2 else call(np.add, u0, w[1])
+            calls.append(call(reduce, out=c0))
+        # x_0 and the radii; at K = 2, x_0 r_1 = sqrt(w_0 w_1) alone
+        calls += [call(np.multiply, w[1], u0, w[1])] * (k == 2)
+        calls.append(call(np.sqrt, w, w) if k > 2 else call(np.sqrt, w[1], w[1]))
+        # the phase uniforms to lattice indices floor(L V), truncated by the
+        # cast; np.take buffers out unless mode is "clip", and no index reaches L
+        size = float(self.plan.lattice.shape[1])
+        calls.append(call(np.multiply, phases.T, size, phases.T))
+        calls.append(call(np.copyto, index, phases.T, "unsafe"))
+        calls.append(call(np.take, self.plan.lattice, index, 1, amps[:2], "clip"))
+        if k > 2:
+            calls += [call(np.multiply, row, w[1:], row) for row in amps[:2]]
+            calls.append(call(np.negative, amps[0], amps[2]))
+        # einsum: numpy's ufuncs buffer a broadcast operand at up to 4096 frames
+        scale = w[0] if k > 2 else w[1]
+        calls.append(call(np.einsum, "jmf,f->jmf", amps[:2], scale, out=ys))
+        # Y_d += sum_(m>=1) a_(m+d) conj(a_m), with (Im a, -Re a) -1j times a
+        for d, re, im in zip(range(1, k - 1), ys[0], ys[1]):
+            head = amps[:2, : k - 1 - d]
+            calls.append(call(np.einsum, "jmf,jmf->f", amps[:2, d:], head, out=w[1]))
+            calls.append(call(np.einsum, "jmf,jmf->f", amps[1:, d:], head, out=w[2]))
+            calls += [call(np.add, re, w[1], re), call(np.add, im, w[2], im)]
+        return calls
 
 
 def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
@@ -349,26 +354,27 @@ def _work_units(sizes: list[int]) -> list[list[tuple[int, int]]]:
 def _run_unit(worker: _Worker, unit: list[tuple[int, int]]) -> np.ndarray:
     """Node sums of a work unit's batches, (batches, nodes) in batch order.
 
-    Each chunk of up to worker.width frames, 2K-2 uniforms a frame, is drawn
-    straight into the worker's block, by Generator.random, which releases the
-    GIL, and run through its pipeline of that width; only a batch past
-    CHUNK_FRAMES takes more than one.  Per chunk only the draws, the bound
-    calls and each batch's slice sums are left of the glue that holds the GIL
-    between numpy calls.
+    The unit's frames run in chunks of worker.width frames, the last one
+    partial, each drawn into the worker's block by Generator.random, which
+    releases the GIL, and run through its pipeline: per chunk only the draws,
+    the bound calls and each batch's slice sums hold the GIL.
     """
-    sums = np.zeros((len(unit), worker.plan[2]))
-    filled, slices = 0, []
+    sums = np.zeros((len(unit), worker.plan.nodes))
+    left, filled, slices = sum(size for _, size in unit), 0, []
     for row, (b, size) in enumerate(unit):
         seeds = np.random.SeedSequence(worker.config.seed, spawn_key=(0, b))
         rng = np.random.Generator(np.random.SFC64(seeds))
         while size:
-            f = min(worker.width - filled, size)
-            rng.random(out=worker.shares[filled : filled + f])
-            rng.random(out=worker.phases[filled : filled + f])
+            if not filled:
+                calls, product, draws = worker.pipeline(min(worker.width, left))
+            f = min(product.shape[1] - filled, size)
+            # a chunk of one batch draws its shares and phases in one call
+            parts = [d[filled : filled + f] for d in draws[1:]]
+            for out in draws[:1] if f == product.shape[1] else parts:
+                rng.random(out=out)
             slices.append(slice(filled, filled + f))
-            filled, size = filled + f, size - f
-            if filled == worker.width or not size and row == len(unit) - 1:
-                calls, product = worker.pipeline(filled)
+            filled, size, left = filled + f, size - f, left - f
+            if filled == product.shape[1]:
                 for call in calls:
                     call()
                 # the chunk's slices: one per batch, up to this one
@@ -384,9 +390,8 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     Raw values converge to the path-sum/permanent values of the same sources
     and layout (combinatorial units); normalize() rescales for plotting.
     """
-    plan = _plan(config)
-    sizes, envelope = _batch_sizes(config.frames), plan[5]
-    units, node_sums = _work_units(sizes), np.empty((len(sizes), plan[2]))
+    plan, sizes = _plan(config), _batch_sizes(config.frames)
+    units, node_sums = _work_units(sizes), np.empty((len(sizes), plan.nodes))
     width = min(CHUNK_FRAMES, max(sum(size for _, size in unit) for unit in units))
     threads, todo = min(config.workers, len(units)), queue.SimpleQueue()
     for unit in units + [None] * threads:
@@ -405,7 +410,7 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
     for other in others:
         other.result()
     # built once the workers' blocks are freed, so that the run's peak never holds both
-    weights = _node_weights(config.grid, plan[4], plan[2])
+    weights = _node_weights(config.grid, plan.period, plan.nodes)
     # c_M nbar_0^M a factor at a time, as float(c_M) overflows from K = 2, M = 170
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(config.layout.order):
@@ -413,7 +418,7 @@ def simulate_curve(config: SpeckleConfig) -> CorrelationCurve:
         # (batches, grid), combined in batch order; the node-to-grid map is an
         # explicit broadcast and a sum over the nodes, not BLAS
         sums = (node_sums[:, None, :] * weights[None, :, :]).sum(axis=2)
-        sums *= envelope[None, :]
+        sums *= plan.envelope[None, :]
         # every frame's product is nonnegative at every phase up to rounding of
         # its intensities; that and the interpolation can leave a near-zero
         # point a few rounding errors of the node sums below 0
@@ -475,13 +480,8 @@ def dominant_frequency(grid: np.ndarray, values: np.ndarray) -> int | None:
     steps = np.diff(grid)
     if grid.size < 4 or not np.allclose(steps, steps[0], rtol=0, atol=1e-9):
         return None
-    step = float(steps[0])
-    span = float(grid[-1] - grid[0])
-    if abs(span - TWO_PI) < 1e-9:
-        samples = values[:-1]
-    else:
-        samples = values
-    period = len(samples) * step
+    samples = values[:-1] if abs(float(grid[-1] - grid[0]) - TWO_PI) < 1e-9 else values
+    period = len(samples) * float(steps[0])
     spectrum = np.abs(np.fft.rfft(samples))
     k = 1 + int(np.argmax(spectrum[1:]))
     return int(round(k * TWO_PI / period))

@@ -372,7 +372,7 @@ def sinc_envelope(phases, slit_ratio):
 
 
 def envelope_factor(config):
-    return _plan(config)[5]
+    return _plan(config).envelope
 
 
 class TestEnvelope:
@@ -727,7 +727,7 @@ class TestSimulateCurve:
         sums = run_unit(config, plan, [(0, frames)])
         moment = math.perm(sources.count + layout.order - 1, layout.order)
         moment *= sources.nbar[0] ** layout.order
-        weights = _node_weights(config.grid, plan[4], plan[2])
+        weights = _node_weights(config.grid, plan.period, plan.nodes)
         mean = (sums * weights).sum(axis=1) * moment / frames
         expected = brute_force_batch(config, 0, frames) / frames
         np.testing.assert_allclose(mean, expected, rtol=1e-12, atol=0)
@@ -737,10 +737,11 @@ class TestSimulateCurve:
         [
             # 11 nodes, 11 + 1 columns: the fixed detector at phase 0 reads
             # node 0's column.  Per frame, the coefficients c0, Re Y_1, Im Y_1
-            # (3 floats) and a room that holds the draws (2: a share and a
-            # phase uniform) and the parts x, y, -x (6), then the intensities
-            # (12) and the product (11): 3 + max(8, 23) = 26 floats, 208 B,
-            # against five separate regions of 36 floats, 288 B
+            # (3 floats) and a room that holds the weights (2), the share
+            # uniform (1) and the lattice rows over the phase uniform (3, one
+            # spare), then the intensities (12) and the product (11): 3 +
+            # max(6, 23) = 26 floats, 208 B, against five separate regions of
+            # 36 floats, 288 B
             (SourceArray(), DetectorLayout.colocated(5, 2), 3, 12, 26, 36),
             # unequal brightness: a share row is scaled in place
             (
@@ -752,22 +753,23 @@ class TestSimulateCurve:
                 36,
             ),
             # 3 nodes for one period of the comb, 3 offsets x 3 nodes, node 0
-            # of each the column of a fixed detector: 3 + max(8, 9 + 3)
+            # of each the column of a fixed detector: 3 + max(6, 9 + 3)
             # against 4 + 6 + 3 + 9 + 3
             (SourceArray(), DetectorLayout.spread(3), 3, 9, 15, 25),
-            # 9 nodes, 9 + 1 columns: 5 + max(13, 10 + 9) against
+            # 9 nodes, 9 + 1 columns: 5 + max(11, 10 + 9) against
             # 6 + 9 + 5 + 10 + 9
             (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 5, 10, 24, 39),
-            # 9 nodes, 9 columns: the draws and parts are the larger part,
-            # 9 + max(23, 9 + 9) against 10 + 15 + 9 + 9 + 9
-            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 32, 52),
+            # 9 nodes, 9 columns: the weights, draws and amplitudes are the
+            # larger part, 9 + max(5 + 4 + 3 x 4, 9 + 9) against 10 + 15 + 9 +
+            # 9 + 9
+            (SourceArray.equidistant(5), DetectorLayout.colocated(1, 0), 9, 9, 30, 52),
         ],
         ids=["colocated-5-2", "unequal-5-2", "spread-3", "k3-2-2", "k5-1-0"],
     )
     def test_batch_memory_is_bounded(
         self, sources, layout, rows, columns, overlaid, separate
     ):
-        # A worker's block is (2K-1) + max(5K-2, columns + nodes) floats a
+        # A worker's block is (2K-1) + max(5K-4, columns + nodes) floats a
         # frame, and no chunk allocates more.  Wider chunks must fit in the
         # bytes that five separate regions take at 4096 frames (1.18 MB at
         # colocated(5, 2)); the peak may add 64 kB for small objects, the
@@ -776,9 +778,9 @@ class TestSimulateCurve:
         # broadcast operand would make numpy buffer it
         config = SpeckleConfig(sources=sources, layout=layout, frames=50_000, seed=3)
         plan = _plan(config)
-        (table, _, nodes), k = plan[:3], sources.count
+        table, nodes, k = plan.table, plan.nodes, sources.count
         assert table.shape == (rows, columns)
-        assert rows + max(5 * k - 2, columns + nodes) == overlaid
+        assert rows + max(5 * k - 4, columns + nodes) == overlaid
         assert 5 * k + rows + columns + nodes == separate
         assert overlaid * CHUNK_FRAMES <= separate * 4096
         # 40k frames: two 2000-frame batches share one 4000-frame chunk
@@ -1093,41 +1095,47 @@ def reference_chunk(shares, phases, sources, layout, nodes, offsets, counts):
     into every node row before the powers multiply in.  The float operations
     are _run_unit's, one for one, so the results are bit-equal.
     """
-    frames, k = shares.shape[0], sources.count
-    a = np.empty((2, k, frames))
-    # radii[l - 1]: source l's remainder of the stick, then its share, then
-    # sqrt(w_l nbar_l / nbar_0)
-    radii = np.empty((k - 1, frames))
-    a[0, 0] = 1.0
+    frames, k, nbar = shares.shape[0], sources.count, sources.nbar
+    coefs = np.ones((2 * k - 1, frames))
+    # w[l]: source l's remainder of the stick, then its share scaled by
+    # nbar_l / nbar_0, then its square root; at K = 2, w[0] is U itself
+    w = np.empty((k, frames))
     for l in range(k - 1):
         n, u = k - 1 - l, shares[:, l]
-        left = 1.0 - u
-        broken = u
+        rest = 1.0 - u
         if n > 1:
-            left = np.sqrt(left) if n == 2 else np.power(left, 1.0 / n)
-            broken = 1.0 - left
+            rest = np.sqrt(rest) if n == 2 else np.power(rest, 1.0 / n)
         if l:
-            radii[l] = left * radii[l - 1]
-            radii[l - 1] *= broken
+            rest = rest * w[l]
+        if n > 1:
+            w[l] = (w[l] if l else 1.0) - rest
         else:
-            radii[0] = left
-            a[0, 0] = np.sqrt(broken)
-    for row, ratio in zip(radii, sources.nbar[1:]):
-        if ratio != sources.nbar[0]:
-            row *= ratio / sources.nbar[0]
-    radii = np.sqrt(radii)
+            w[l] = w[l] * u if l else u
+        w[l + 1] = rest
+    for l in range(1, k):
+        if nbar[l] != nbar[0]:
+            w[l] *= nbar[l] / nbar[0]
+    if any(ratio != nbar[0] for ratio in nbar[1:]):
+        coefs[0] = np.add.reduce(w, axis=0)
+    if k == 2:
+        scale = np.sqrt(w[1] * w[0])
+    elif k > 2:
+        w = np.sqrt(w)
+        scale = w[0]
     lattice = lattice_size(layout)
     angles = TWO_PI * np.arange(lattice) / lattice
     index = (phases.T * float(lattice)).astype(np.intp)
-    a[0, 1:] = np.cos(angles)[index] * radii
-    a[1, 1:] = np.sin(angles)[index] * radii
-    a[1, 0] = 0.0
-    turned = np.stack([a[1], -a[0]])
-    coefs = np.empty((2 * k - 1, frames))
-    for d in range(k):
-        coefs[d] = np.einsum("jmf,jmf->f", a[:, d:], a[:, : k - d])
-        if d:
-            coefs[k - 1 + d] = np.einsum("jmf,jmf->f", turned[:, d:], a[:, : k - d])
+    amps = np.empty((3, k - 1, frames))
+    amps[0], amps[1] = np.cos(angles)[index], np.sin(angles)[index]
+    if k > 2:
+        amps[:2] *= w[1:]
+        amps[2] = -amps[0]
+    if k > 1:
+        ys = coefs[1:].reshape(2, k - 1, frames)
+        ys[...] = amps[:2] * scale
+        for d in range(1, k - 1):
+            ys[0, d - 1] += np.einsum("jmf,jmf->f", amps[:2, d:], amps[:2, : k - 1 - d])
+            ys[1, d - 1] += np.einsum("jmf,jmf->f", amps[1:, d:], amps[:2, : k - 1 - d])
     theta = TWO_PI * np.arange(nodes) / (nodes * _period(offsets, counts))
     phases = np.concatenate([(offsets[:, None] + theta).ravel(), layout.fixed_phases])
     angles = np.arange(1, k)[:, None] * phases[None, :]
@@ -1239,6 +1247,84 @@ class TestKernelReference:
         assert np.array_equal(_run_unit(worker, unit), reference_unit_sums(config, unit))
 
 
+def oracle_coefficients(shares, phases, nbar, lattice):
+    """Reference: c0 = sum_l |a_l|^2 and Re, Im of Y_d = sum_m a_(m+d) conj(a_m),
+    d = 1..K-1, (2K-1, frames), from complex128 amplitudes.
+
+    The shares break the stick as the module states, w_l = r_l - r_(l+1) with
+    r_(l+1) = r_l (1 - U_l)^(1/(K-1-l)), or r_l U_l for the last but one;
+    a_l = sqrt(w_l nbar_l / nbar_0) exp(i phi_l), phi_0 = 0 and phi_l =
+    2*pi*floor(L V_l)/L.
+    """
+    frames, k = shares.shape[0], len(nbar)
+    rest, w = np.ones(frames), []
+    for l in range(k - 1):
+        n, u = k - 1 - l, shares[:, l]
+        after = rest * (1.0 - u) ** (1.0 / n)
+        w.append(rest - after if n > 1 else rest * u)
+        rest = after if n > 1 else rest * (1.0 - u)
+    w.append(rest)
+    angles = np.column_stack([np.zeros(frames), np.floor(lattice * phases)])
+    a = np.sqrt(np.column_stack(w) * np.asarray(nbar) / nbar[0])
+    a = a * np.exp(1j * TWO_PI * angles / lattice)
+    ys = [(a[:, d:] * np.conj(a[:, : k - d])).sum(axis=1) for d in range(1, k)]
+    return np.vstack([(np.abs(a) ** 2).sum(axis=1)] + [y.real for y in ys] + [y.imag for y in ys])
+
+
+class TestCoefficientRows:
+    @pytest.mark.parametrize(
+        "nbar",
+        [
+            (1.0,),
+            (1.0, 1.0),
+            (0.5, 2.0),
+            (1.0, 1.0, 1.0),
+            (0.5, 1.0, 2.0),
+            (1.0,) * 4,
+            (0.5, 1.0, 1.0, 2.0),
+            (1.0,) * 5,
+            (2.0, 0.25, 1.0, 3.0, 0.5),
+        ],
+    )
+    def test_rows_are_the_autocorrelation_of_the_amplitudes(self, nbar):
+        # the worker's real rows against the complex autocorrelation of the
+        # same draws: c0 = 1 at equal brightness, x_0 a_d in every lag, and
+        # each cross term from K = 3, to a few eps of c0 in every frame
+        config = SpeckleConfig(
+            sources=SourceArray(nbar=nbar),
+            layout=DetectorLayout.colocated(2, 1),
+            frames=1,
+            seed=0,
+        )
+        plan, frames = _plan(config), 3000
+        worker = _Worker(config, plan, frames)
+        calls, _, (both, shares, phases) = worker.pipeline(frames)
+        np.random.Generator(np.random.SFC64(11)).random(out=both)
+        expected = oracle_coefficients(
+            shares.copy(), phases.copy(), nbar, plan.lattice.shape[1]
+        )
+        for call in calls:
+            call()
+        gap = np.abs(worker.coefs[:, :frames] - expected).max(axis=0)
+        assert np.all(gap <= 8 * np.finfo(float).eps * expected[0])
+
+    @pytest.mark.parametrize(
+        "sources,layout,budget",
+        [
+            (SourceArray(), DetectorLayout.colocated(5, 2), 14),
+            (SourceArray(), DetectorLayout.spread(3), 14),
+            (SourceArray.equidistant(3), DetectorLayout.colocated(2, 2), 26),
+        ],
+        ids=["colocated-5-2", "spread-3", "k3-2-2"],
+    )
+    def test_chunk_call_budget(self, sources, layout, budget):
+        # each bound call gives up the GIL and takes it back, and two workers
+        # wait on each other there: a chunk's calls may not grow back
+        config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
+        worker = _Worker(config, _plan(config), CHUNK_FRAMES)
+        assert len(worker.pipeline(CHUNK_FRAMES)[0]) <= budget
+
+
 class TestDirectionRule:
     @pytest.mark.parametrize(
         "sources,layout",
@@ -1257,14 +1343,14 @@ class TestDirectionRule:
         # Fed that product rule, the draw rows give the path sum at every node
         config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
         plan = _plan(config)
-        (_, _, nodes), period, lattice = plan[:3], plan[4], plan[6][0].size
+        nodes, period, lattice = plan.nodes, plan.period, plan.lattice.shape[1]
         order = layout.order
         points, weights = np.polynomial.legendre.leggauss(-(-(order + 1) // 2))
         frames = points.size * lattice
         worker = _Worker(config, plan, frames)
-        worker.shares[:, 0] = np.repeat((points + 1.0) / 2.0, lattice)
-        worker.phases[:, 0] = np.tile(np.arange(lattice) / lattice, points.size)
-        calls, product = worker.pipeline(frames)
+        calls, product, (_, shares, phases) = worker.pipeline(frames)
+        shares[:, 0] = np.repeat((points + 1.0) / 2.0, lattice)
+        phases[:, 0] = np.tile(np.arange(lattice) / lattice, points.size)
         for call in calls:
             call()
         rule = np.repeat(weights / (2.0 * lattice), lattice)
@@ -1405,7 +1491,7 @@ class TestPeriod:
     )
     def test_phase_columns(self, sources, layout, columns):
         config = SpeckleConfig(sources=sources, layout=layout, frames=1, seed=0)
-        table, fixed = _plan(config)[0], _plan(config)[3]
+        table, fixed = _plan(config).table, _plan(config).fixed
         assert table.shape[1] == columns
         # each fixed detector's column holds its own phase's basis, bit for bit
         phases = np.asarray(layout.fixed_phases)
